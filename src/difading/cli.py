@@ -253,9 +253,7 @@ def _cmd_simulate(params, out_dir: Path, workers: int) -> int:
             tasks.append(("type2", i, j))
         for error_type, ti, tj in tasks:
             plan = TrialPlan(
-                trials=params["trials"],
-                seed=derive_seed(params["seed"], "row", row_index),
-                message_pair=(ti, tj),
+                trials=params["trials"], seed=derive_seed(params["seed"], "row", row_index)
             )
             row_index += 1
             if model.flavor == "fast":

@@ -18,6 +18,7 @@ threshold accept (closed decision region).  Message indices are 1-based.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,8 @@ class Codebook:
             raise ValueError("codewords must be a (count, dimension) array")
         if words.shape[0] < 1:
             raise ValueError("codebook is empty")
+        if not np.isfinite(words).all():
+            raise ValueError("codewords must be finite")
         root_a = math.sqrt(self.power_budget)
         norms = np.linalg.norm(words, axis=1)
         if norms.max() > root_a * _NORM_SLACK:
@@ -91,9 +94,9 @@ class Codebook:
     def size(self) -> int:
         return self.codewords.shape[0]
 
-    @property
+    @cached_property
     def min_distance(self) -> float:
-        """Smallest pairwise codeword distance (nan for a single codeword)."""
+        """Smallest pairwise codeword distance (nan for a single codeword), scanned once."""
         if self.size < 2:
             return math.nan
         return min_pairwise_distance(self.codewords)

@@ -10,12 +10,16 @@ errors and, where defined, the closed-form Chebyshev reference bounds
 
 Slow-fading errors are worst cases over the gain support; the sup is
 approximated on a finite grid with common random numbers, so per-gain
-estimates differ only through the gain (paired trials).
+estimates differ only through the gain (paired trials).  The decoder knows
+the gain, so for a fixed gain g the statistic is
+||g d + z||^2 = g^2 ||d||^2 + 2 g (d . z) + ||z||^2 with d = u_i - u_j: one
+pass over the noise keeps the sufficient statistics ||z||^2 and d . z per
+trial, and every grid point's accept count follows from them.
 
 Trials are simulated in fixed-size chunks whose random streams derive from
 (seed, label, chunk index); reductions are plain sums of acceptance counts,
-so estimates are reproducible no matter how chunks are distributed across
-workers.
+or per-trial statistics kept in chunk order, so estimates are reproducible no
+matter how chunks are distributed across workers.
 """
 
 import math
@@ -57,7 +61,6 @@ class TrialPlan:
 
     trials: int
     seed: int = 0
-    message_pair: tuple | None = None
     confidence: float = 3.0
 
     def __post_init__(self):
@@ -152,6 +155,60 @@ def _chunks(trials: int):
         yield full, rem
 
 
+def _run_chunks(run_chunk, plan: TrialPlan, workers: int) -> list:
+    """run_chunk applied to every (chunk index, size) of the plan, in chunk order."""
+    items = list(_chunks(plan.trials))
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_chunk, items))
+    return [run_chunk(item) for item in items]
+
+
+@dataclass(frozen=True)
+class SlowStatistics:
+    """Per-trial sufficient statistics of one slow-fading (transmit, test) pair.
+
+    noise_energy holds ||z||^2 and cross holds d . z for every trial, with
+    d = u_transmit - u_test; together with ||d||^2 they give the decoder's
+    statistic at any fixed gain without touching the noise again.
+    """
+
+    distance_sq: float
+    noise_energy: np.ndarray
+    cross: np.ndarray
+
+    def accept_count(self, gain: float, threshold: float) -> int:
+        """Trials in which ||g d + z||^2 <= threshold at gain g."""
+        stat = gain * gain * self.distance_sq + 2.0 * gain * self.cross + self.noise_energy
+        return int((stat <= threshold).sum())
+
+
+def _slow_statistics(
+    codebook: Codebook,
+    model: ChannelModel,
+    transmit: int,
+    test: int,
+    plan: TrialPlan,
+    workers: int = 1,
+) -> SlowStatistics:
+    """One pass over the plan's noise chunks for the pair (transmit, test)."""
+    d = codebook.codeword(transmit) - codebook.codeword(test)
+    n = codebook.dimension
+    noise_scale = math.sqrt(model.noise_variance / n)
+
+    def run_chunk(item):
+        index, size = item
+        z = substream(plan.seed, "noise", index).standard_normal((size, n)) * noise_scale
+        return np.einsum("ij,ij->i", z, z), z @ d
+
+    parts = _run_chunks(run_chunk, plan, workers)
+    return SlowStatistics(
+        distance_sq=float(d @ d),
+        noise_energy=np.concatenate([energy for energy, _ in parts]),
+        cross=np.concatenate([cross for _, cross in parts]),
+    )
+
+
 def _accept_count(
     codebook: Codebook,
     model: ChannelModel,
@@ -161,36 +218,36 @@ def _accept_count(
     plan: TrialPlan,
     fixed_gain: float | None = None,
     workers: int = 1,
+    statistics: SlowStatistics | None = None,
 ) -> int:
     """Number of trials in which the decoder accepts message `test`."""
     if not model.normalized:
         raise ValueError("estimators run on the normalized scale; build the model normalized")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    threshold = model.noise_variance + delta
+    if fixed_gain is not None:
+        if statistics is None:
+            statistics = _slow_statistics(codebook, model, transmit, test, plan, workers)
+        return statistics.accept_count(float(fixed_gain), threshold)
+    if statistics is not None:
+        raise ValueError("slow-fading statistics apply only with a fixed gain")
     u_tx = codebook.codeword(transmit)
     u_te = codebook.codeword(test)
     n = codebook.dimension
-    threshold = model.noise_variance + delta
     noise_scale = math.sqrt(model.noise_variance / n)
 
-    def run_chunk(item):
+    def run_chunk(item):  # fast fading: fresh per-symbol gains each trial
         index, size = item
         z = substream(plan.seed, "noise", index).standard_normal((size, n)) * noise_scale
-        if fixed_gain is not None:
-            gains = float(fixed_gain)
-        else:  # fast fading: fresh per-symbol gains each trial
-            grng = substream(plan.seed, "gains", index)
-            gains = model.fading.sample(grng, size * n).reshape(size, n)
+        grng = substream(plan.seed, "gains", index)
+        gains = model.fading.sample(grng, size * n).reshape(size, n)
         y = gains * u_tx + z
         resid = y - gains * u_te
         stat = np.einsum("ij,ij->i", resid, resid)
         return int((stat <= threshold).sum())
 
-    items = list(_chunks(plan.trials))
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(run_chunk, items))
-    return sum(run_chunk(item) for item in items)
+    return sum(_run_chunks(run_chunk, plan, workers))
 
 
 def _binomial_stderr(p: float, trials: int) -> float:
@@ -255,10 +312,20 @@ def estimate_type1(
     plan: TrialPlan,
     gain: float | None = None,
     workers: int = 1,
+    *,
+    statistics: SlowStatistics | None = None,
 ) -> ErrorReport:
-    """Missed-identification rate: transmit u_i, count rejections of message i."""
+    """Missed-identification rate: transmit u_i, count rejections of message i.
+
+    statistics, set only by estimate_worst_case, are the pair's precomputed
+    slow-fading statistics; without them a conditional slow estimate computes
+    its own.
+    """
     _check_gain_argument(model, gain)
-    accepts = _accept_count(codebook, model, i, i, delta, plan, fixed_gain=gain, workers=workers)
+    accepts = _accept_count(
+        codebook, model, i, i, delta, plan, fixed_gain=gain, workers=workers,
+        statistics=statistics,
+    )
     p = 1.0 - accepts / plan.trials
     bound = _reference_bound(codebook, model, "type1")
     return _base_report(codebook, model, "type1", p, plan, delta, i, None, gain, bound)
@@ -273,12 +340,20 @@ def estimate_type2(
     plan: TrialPlan,
     gain: float | None = None,
     workers: int = 1,
+    *,
+    statistics: SlowStatistics | None = None,
 ) -> ErrorReport:
-    """False-identification rate: transmit u_i, count acceptances of message j != i."""
+    """False-identification rate: transmit u_i, count acceptances of message j != i.
+
+    statistics as for estimate_type1.
+    """
     if i == j:
         raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
     _check_gain_argument(model, gain)
-    accepts = _accept_count(codebook, model, i, j, delta, plan, fixed_gain=gain, workers=workers)
+    accepts = _accept_count(
+        codebook, model, i, j, delta, plan, fixed_gain=gain, workers=workers,
+        statistics=statistics,
+    )
     p = accepts / plan.trials
     bound = _reference_bound(codebook, model, "type2")
     return _base_report(codebook, model, "type2", p, plan, delta, i, j, gain, bound)
@@ -296,21 +371,25 @@ def estimate_worst_case(
 ) -> ErrorReport:
     """Sup over the gain grid of the per-gain error (slow fading).
 
-    All grid points reuse the same plan seed, so the noise draws are common
-    random numbers and the per-point estimates differ only through the gain.
-    Returns the maximum with its argmax gain; per-point reports are attached.
+    All grid points share the same noise draws (common random numbers), so
+    the per-point estimates differ only through the gain.  The noise is drawn
+    once: its sufficient statistics serve every grid point.  Returns the
+    maximum with its argmax gain; per-point reports are attached.
     """
     if model.flavor != "slow":
         raise ValueError("worst-case estimation applies to slow fading")
     grid = [float(g) for g in np.atleast_1d(np.asarray(g_grid, dtype=np.float64))]
     if not grid:
         raise ValueError("gain grid is empty")
+    statistics = _slow_statistics(codebook, model, i, i if j is None else j, plan, workers)
     reports = []
     for g in grid:
         if j is None:
-            rep = estimate_type1(codebook, model, i, delta, plan, gain=g, workers=workers)
+            rep = estimate_type1(codebook, model, i, delta, plan, gain=g, statistics=statistics)
         else:
-            rep = estimate_type2(codebook, model, i, j, delta, plan, gain=g, workers=workers)
+            rep = estimate_type2(
+                codebook, model, i, j, delta, plan, gain=g, statistics=statistics
+            )
         reports.append(rep)
     worst_index = int(np.argmax([rep.estimate for rep in reports]))
     worst = reports[worst_index]

@@ -26,6 +26,8 @@ def _lower_gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise ValueError(f"P({a}, {x}) series did not converge in {_MAX_ITER} terms")
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -49,6 +51,10 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise ValueError(
+            f"Q({a}, {x}) continued fraction did not converge in {_MAX_ITER} steps"
+        )
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -128,7 +134,8 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     p_center = reg_gamma_lower(0.5 * df + j0, y)
     total = math.exp(_log_poisson_pmf(j0, half_nc)) * p_center
 
-    # upward from the mode: P(a+1) = P(a) - t(a)
+    # upward from the mode: P(a+1) = P(a) - t(a); past the mode neither the
+    # Poisson weight nor P grows, so a zero contribution ends the sum
     p = p_center
     for j in range(j0, j0 + _MAX_ITER):
         t = math.exp(log_gamma_term(j))
@@ -136,8 +143,13 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
         w = math.exp(_log_poisson_pmf(j + 1, half_nc))
         contrib = w * p
         total += contrib
-        if contrib < total * _EPS and j > j0 + 2:
+        if (contrib < total * _EPS and j > j0 + 2) or contrib == 0.0:
             break
+    else:
+        raise ValueError(
+            f"noncentral chi-square mixture ({x}, {df}, {noncentrality}) did not converge "
+            f"in {_MAX_ITER} terms"
+        )
 
     # downward from the mode: P(a) = P(a+1) + t(a)
     p = p_center

@@ -197,6 +197,17 @@ def test_converse_check_pass_and_exit_codes(pack_dir, tmp_path):
     assert "passes = True" in (out / "converse_summary.txt").read_text()
 
 
+def test_converse_check_rejects_nan_codeword(pack_dir, tmp_path):
+    lines = (pack_dir / "codebook.txt").read_text().splitlines()
+    body = lines.index("centers:") + 1
+    lines[body] = " ".join(["nan"] + lines[body].split()[1:])
+    book = write(tmp_path / "nan_codebook.txt", "\n".join(lines) + "\n")
+    cfg = write(tmp_path / "cc.cfg", f"codebook = {book}\nb = 0.1\n")
+    out = tmp_path / "cc"
+    assert run(["converse-check", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert not (out / "converse_summary.txt").exists()
+
+
 def test_near_codeword_summary_fields(tmp_path):
     cfg = write(
         tmp_path / "nc.cfg",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from difading import codec
 from difading import (
     Codebook,
     DecoderRule,
@@ -66,6 +67,30 @@ def test_codebook_rejects_overweight_codewords():
     words[0, 0] = 1.5
     with pytest.raises(ValueError, match="norm"):
         Codebook(4, 1.0, 0.0, "achievability", 0.5, words)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_codebook_rejects_nonfinite_codewords(bad):
+    # a NaN norm compares False against the power bound, so it needs its own check
+    words = np.zeros((2, 4))
+    words[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Codebook(4, 1.0, 0.0, "achievability", 0.5, words)
+
+
+def test_min_distance_is_scanned_once(monkeypatch):
+    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
+    calls = []
+
+    def counting(points):
+        calls.append(len(points))
+        return min_pairwise_distance(points)
+
+    monkeypatch.setattr(codec, "min_pairwise_distance", counting)
+    first = cb.min_distance
+    codebook_to_text(cb)
+    assert cb.min_distance == first == pytest.approx(0.5, rel=1e-12)
+    assert calls == [2]
 
 
 def test_encode_returns_stored_codeword_one_based():

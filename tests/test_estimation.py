@@ -195,6 +195,38 @@ def test_vectorized_estimator_matches_per_trial_channel_path():
     assert report.estimate == pytest.approx(accepted / trials, abs=1e-12)
 
 
+def test_worst_case_matches_per_trial_channel_path():
+    # one noise pass serving the grid must agree with apply_channel + identify
+    # run trial by trial at each gain; 5000 trials span a full and a partial chunk
+    n = 10
+    trials = 5_000
+    sigma_z2 = 0.6
+    delta = 0.2
+    grid = [0.5, 1.0, 1.5]
+    cb = two_codeword_codebook(n, 1.0, 0.0, distance=0.7)
+    model = ChannelModel("slow", sigma_z2, FadingSpec.uniform(0.5, 1.5))
+    plan = TrialPlan(trials, seed=16)
+    worst1 = estimate_worst_case(cb, model, 1, None, delta, grid, plan)
+    worst2 = estimate_worst_case(cb, model, 1, 2, delta, grid, plan)
+
+    noise_scale = math.sqrt(sigma_z2 / n)
+    z = np.concatenate([
+        substream(plan.seed, "noise", 0).standard_normal((4096, n)),
+        substream(plan.seed, "noise", 1).standard_normal((trials - 4096, n)),
+    ]) * noise_scale
+    rule = DecoderRule(cb, sigma_z2, delta, flavor="slow")
+    for g, rep1, rep2 in zip(grid, worst1.per_gain, worst2.per_gain):
+        accepted = {1: 0, 2: 0}
+        for t in range(trials):
+            y = apply_channel(model, cb.codeword(1), ChannelRealization(g, z[t]), cb.power_budget)
+            for test in accepted:
+                accepted[test] += identify(rule, y, test, g)
+        assert rep1.gain == rep2.gain == g
+        assert rep1.estimate == pytest.approx(1.0 - accepted[1] / trials, abs=1e-12)
+        assert rep2.estimate == pytest.approx(accepted[2] / trials, abs=1e-12)
+    assert 0.0 < worst2.estimate < 1.0  # the pair is neither always nor never confused
+
+
 def test_chebyshev_bound_formulas():
     assert type1_chebyshev_bound(16, 0.0, 1.0, 1.0, 1.0) == pytest.approx(27.0, rel=1e-12)
     assert type1_chebyshev_bound(16, 0.5, 1.0, 1.0, 1.0) == pytest.approx(27.0 / 4.0, rel=1e-12)
@@ -271,10 +303,18 @@ def test_near_codeword_rejects_overweight_distance():
         )
 
 
-def test_workers_do_not_change_the_estimate():
+@pytest.mark.parametrize("flavor", ["fast", "slow"])
+def test_workers_do_not_change_the_estimate(flavor):
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
-    model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
+    model = ChannelModel(flavor, 1.0, FadingSpec.uniform(0.5, 1.5))
     plan = TrialPlan(20_000, seed=15)
-    serial = estimate_type1(cb, model, 1, 0.1, plan, workers=1)
-    parallel = estimate_type1(cb, model, 1, 0.1, plan, workers=4)
+
+    def estimate(workers):
+        if flavor == "fast":
+            return estimate_type1(cb, model, 1, 0.1, plan, workers=workers)
+        return estimate_worst_case(cb, model, 1, 2, 0.1, [0.5, 1.0, 1.5], plan, workers=workers)
+
+    serial = estimate(1)
+    parallel = estimate(4)
     assert serial.estimate == parallel.estimate
+    assert [r.estimate for r in serial.per_gain] == [r.estimate for r in parallel.per_gain]

@@ -86,3 +86,27 @@ def test_reg_gamma_bounds_and_errors():
         oracles.chi2_cdf(1.0, 0)
     with pytest.raises(ValueError):
         oracles.noncentral_chi2_cdf(1.0, 4, -0.1)
+
+
+@pytest.mark.parametrize(
+    "routine,args,max_iter,failing",
+    [
+        (oracles.reg_gamma_lower, (50.0, 40.0), 3, "series"),
+        (oracles.reg_gamma_upper, (5.0, 40.0), 3, "continued fraction"),
+        # the center gamma converges in 20 steps, the upward mixture sum does not
+        (oracles.noncentral_chi2_cdf, (3000.0, 2, 2000.0), 20, "mixture"),
+    ],
+)
+def test_unconverged_oracles_raise(monkeypatch, routine, args, max_iter, failing):
+    converged = routine(*args)
+    monkeypatch.setattr(oracles, "_MAX_ITER", max_iter)
+    with pytest.raises(ValueError, match=f"{failing} .*did not converge"):
+        routine(*args)
+    monkeypatch.undo()
+    assert routine(*args) == converged
+
+
+def test_noncentral_far_tail_underflows_to_zero_without_iterating_out():
+    # every mixture term underflows; the zero sum is exact, not a failure
+    assert oracles.noncentral_chi2_cdf(12_000.0, 1024, 1.2e6) == 0.0
+    assert stats.ncx2.cdf(12_000.0, 1024, 1.2e6) < 1e-300
