@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .codec import Codebook, epsilon_schedule
-from .geometry import min_pairwise_distance
 
 KINDS = ("log", "linear", "poly", "exp", "superexp", "doubleexp")
 
@@ -248,7 +247,7 @@ def converse_spacing(codebook: Codebook, b: float) -> SpacingCheck:
     n = codebook.dimension
     root_a = math.sqrt(codebook.power_budget)
     required_norm = root_a / n ** (1.0 + b)
-    achieved_norm = min_pairwise_distance(codebook.codewords)
+    achieved_norm = codebook.min_distance
     return SpacingCheck(
         required_normalized=required_norm,
         required_unnormalized=required_norm * math.sqrt(n),

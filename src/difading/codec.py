@@ -141,7 +141,7 @@ def build_codebook(
     )
     if packing.count == 0:  # unreachable: the first candidate is always accepted
         raise ValueError("packing produced no codewords")
-    return Codebook(
+    codebook = Codebook(
         dimension=n,
         power_budget=power_budget,
         slack=b,
@@ -151,6 +151,10 @@ def build_codebook(
         seed=seed,
         saturated=packing.saturated,
     )
+    # the packing scanned these very centers to verify its spacing: fill the
+    # cache of Codebook.min_distance instead of scanning them again
+    codebook.__dict__["min_distance"] = packing.min_distance
+    return codebook
 
 
 def encode(codebook: Codebook, i: int) -> np.ndarray:

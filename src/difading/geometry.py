@@ -15,12 +15,14 @@ dimensions.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .seeding import substream
 
 _BATCH = 2048
+_ROW_BLOCK = 256
 _CENTER_BLOCK = 4096
 # Microscopic slack for re-verifying distances computed through BLAS reductions.
 _FP_GUARD = 1e-12
@@ -126,6 +128,13 @@ class Packing:
     def count(self) -> int:
         return self.centers.shape[0]
 
+    @cached_property
+    def min_distance(self) -> float:
+        """Smallest pairwise center distance (nan for fewer than 2 centers), scanned once."""
+        if self.count < 2:
+            return math.nan
+        return min_pairwise_distance(self.centers)
+
     def check_invariants(self):
         """Raise if any center leaves the r1-ball or any pair is closer than 2*r0."""
         cfg = self.config
@@ -135,7 +144,7 @@ class Packing:
         if norms.max() > cfg.r1 * (1.0 + _FP_GUARD):
             raise AssertionError(f"center norm {norms.max()} exceeds r1={cfg.r1}")
         if self.count >= 2:
-            dmin = min_pairwise_distance(self.centers)
+            dmin = self.min_distance
             if dmin < 2.0 * cfg.r0 * (1.0 - _FP_GUARD):
                 raise AssertionError(f"pairwise distance {dmin} below 2*r0={2 * cfg.r0}")
 
@@ -150,15 +159,29 @@ def sample_in_ball(n: int, radius: float, rng: np.random.Generator, size: int) -
 
 
 def _min_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Per-point squared distance to the nearest center, blockwise over centers."""
-    pn = np.einsum("ij,ij->i", points, points)
-    best = np.full(points.shape[0], np.inf)
+    """Per-point squared distance to the nearest center, clamped at 0.
+
+    d2_min(x) = ||x||^2 - max_c (2 x.c - ||c||^2): one GEMM per tile of
+    ``_ROW_BLOCK`` points by ``_CENTER_BLOCK`` centers, ||c||^2 subtracted in
+    place on its output, and a running row max across center blocks, so the
+    tile stays small whatever the number of points or centers.
+    """
+    rows = points.shape[0]
+    score = np.full(rows, -np.inf)
     for start in range(0, centers.shape[0], _CENTER_BLOCK):
         blk = centers[start : start + _CENTER_BLOCK]
+        twice = 2.0 * blk.T
         cn = np.einsum("ij,ij->i", blk, blk)
-        d2 = pn[:, None] + cn[None, :] - 2.0 * (points @ blk.T)
-        np.minimum(best, d2.min(axis=1), out=best)
-    return np.maximum(best, 0.0)
+        tile = np.empty((min(rows, _ROW_BLOCK), blk.shape[0]))
+        for row in range(0, rows, _ROW_BLOCK):
+            out = tile[: min(_ROW_BLOCK, rows - row)]
+            np.matmul(points[row : row + _ROW_BLOCK], twice, out=out)
+            out -= cn
+            part = score[row : row + _ROW_BLOCK]
+            np.maximum(part, out.max(axis=1), out=part)
+    best = np.einsum("ij,ij->i", points, points)
+    best -= score
+    return np.maximum(best, 0.0, out=best)
 
 
 def generate_saturated_packing(config: PackingConfig) -> Packing:

@@ -151,11 +151,15 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
             f"in {_MAX_ITER} terms"
         )
 
-    # downward from the mode: P(a) = P(a+1) + t(a)
+    # downward from the mode: P(a) = P(a+1) + t(a); below the mode the Poisson
+    # weight only shrinks and P <= 1, so once the weight underflows every later
+    # contribution is exactly 0
     p = p_center
     for j in range(j0 - 1, -1, -1):
         p = min(p + math.exp(log_gamma_term(j)), 1.0)
         w = math.exp(_log_poisson_pmf(j, half_nc))
+        if w == 0.0:
+            break
         contrib = w * p
         total += contrib
         if contrib < total * _EPS and j < j0 - 2:

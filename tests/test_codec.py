@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from difading import codec
+from difading import codec, geometry
 from difading import (
     Codebook,
     DecoderRule,
     build_codebook,
     codebook_from_text,
     codebook_to_text,
+    converse_spacing,
     delta_n,
     encode,
     epsilon_schedule,
@@ -91,6 +92,22 @@ def test_min_distance_is_scanned_once(monkeypatch):
     codebook_to_text(cb)
     assert cb.min_distance == first == pytest.approx(0.5, rel=1e-12)
     assert calls == [2]
+
+
+def test_built_codebook_reuses_the_packing_min_distance(monkeypatch):
+    calls = []
+
+    def counting(points):
+        calls.append(len(points))
+        return min_pairwise_distance(points)
+
+    monkeypatch.setattr(geometry, "min_pairwise_distance", counting)
+    monkeypatch.setattr(codec, "min_pairwise_distance", counting)
+    cb = build_codebook(24, 1.0, 0.0, seed=8, patience=1500, max_codewords=40)
+    codebook_to_text(cb)
+    converse_spacing(cb, 0.0)
+    assert calls == [cb.size]
+    assert cb.min_distance == min_pairwise_distance(cb.codewords)
 
 
 def test_encode_returns_stored_codeword_one_based():

@@ -1,8 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from difading import geometry
 from difading import (
     Ball,
     DensityEstimate,
@@ -75,6 +80,55 @@ def test_saturated_packing_2d_meets_doubling_bound():
     assert packing.count >= 25  # 2^-n (r1/r0)^n = 25
     assert np.linalg.norm(packing.centers, axis=1).max() <= 10.0
     assert min_pairwise_distance(packing.centers) >= 2.0
+
+
+# sha256 of centers.tobytes() for acceptance-criterion-1 packings, recorded
+# before the one-GEMM rejection test: any faster test must accept the same
+# centers in the same order
+@pytest.mark.parametrize(
+    "n,ratio,count,digest",
+    [
+        (1, 10.0, 9, "43002a97f8c01855a5c3c2c80ec23bdac1efed60b42de305b961ea3cff17101f"),
+        (2, 10.0, 62, "a288e6d92f798b3c7e0a850b4fe2d0fc885ad5d91228d95282b8f8d9fa8920aa"),
+        (3, 10.0, 428, "ab03cf8c036ade9624d52315584463397a67679b80984043a4e5b4fcd19a4574"),
+    ],
+    ids=("n1", "n2", "n3"),
+)
+def test_criterion_packings_are_pinned(n, ratio, count, digest):
+    packing = generate_saturated_packing(
+        PackingConfig(n, 1.0, ratio, seed=0, saturation_patience=100_000)
+    )
+    assert packing.saturated
+    assert packing.count == count
+    assert hashlib.sha256(packing.centers.tobytes()).hexdigest() == digest
+    if n == 3:
+        estimate = estimate_packing_density(packing, 200_000, seed=5)
+        assert estimate.density == 0.37184
+
+
+_COORDS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _points_and_centers(draw):
+    n = draw(st.integers(1, 6))
+    points = draw(arrays(np.float64, (draw(st.integers(1, 20)), n), elements=_COORDS))
+    centers = draw(arrays(np.float64, (draw(st.integers(1, 20)), n), elements=_COORDS))
+    return points, centers
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points_and_centers())
+def test_min_dist_sq_matches_difference_reference(data):
+    points, centers = data
+    reference = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    # small blocks: several row tiles and several center blocks per call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_ROW_BLOCK", 3)
+        mp.setattr(geometry, "_CENTER_BLOCK", 4)
+        got = geometry._min_dist_sq(points, centers)
+    assert got.shape == reference.shape
+    np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-9)
 
 
 def test_packing_single_center_cases():

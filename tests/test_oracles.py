@@ -110,3 +110,35 @@ def test_noncentral_far_tail_underflows_to_zero_without_iterating_out():
     # every mixture term underflows; the zero sum is exact, not a failure
     assert oracles.noncentral_chi2_cdf(12_000.0, 1024, 1.2e6) == 0.0
     assert stats.ncx2.cdf(12_000.0, 1024, 1.2e6) < 1e-300
+
+
+@pytest.mark.parametrize("x,df,noncentrality", [(12_000.0, 1024, 1.2e6), (1e4, 100, 1e8)])
+def test_noncentral_downward_sum_stops_once_the_weights_underflow(
+    monkeypatch, x, df, noncentrality
+):
+    calls = 0
+    log_pmf = oracles._log_poisson_pmf
+
+    def counting(j, mean):
+        nonlocal calls
+        calls += 1
+        return log_pmf(j, mean)
+
+    monkeypatch.setattr(oracles, "_log_poisson_pmf", counting)
+    assert oracles.noncentral_chi2_cdf(x, df, noncentrality) == 0.0
+    # walking the mixture down to j = 0 would take noncentrality / 2 terms
+    assert calls < 0.1 * noncentrality / 2
+
+
+@pytest.mark.parametrize(
+    "x,df,noncentrality,expected",
+    [
+        (150.0, 100, 30.0, 0.866631243970519),
+        (1000.0, 200, 2000.0, 4.445155921525313e-56),
+        (40.0, 16, 20.0, 0.6738097363118701),
+        (3.0, 2, 0.5, 0.6959060300435138),
+        (5000.0, 1000, 3000.0, 0.999999999999884),
+    ],
+)
+def test_noncentral_converged_values_are_pinned_to_the_bit(x, df, noncentrality, expected):
+    assert oracles.noncentral_chi2_cdf(x, df, noncentrality) == expected
