@@ -36,29 +36,27 @@ for label, spec in specs.items():
     )
 
 print()
-print("fast vs slow gains for one block (n = 6):")
+print("fast vs slow gains for a chunk of 2 trials of one block each (n = 6):")
 spec = FadingSpec.uniform(0.5, 1.5)
-print("  fast:", np.round(sample_fading(spec, "fast", 6, substream(2, "gains")), 3))
-print("  slow:", sample_fading(spec, "slow", 6, substream(2, "gains")))
+print("  fast:", np.round(sample_fading(spec, "fast", 2, 6, substream(2, "gains")), 3).tolist())
+print("  slow:", np.round(sample_fading(spec, "slow", 2, 6, substream(2, "gains")), 3).tolist())
 
 print()
-print("normalized channel: inputs scaled by 1/sqrt(n), noise variance sigma^2/n")
-n, sigma_z2 = 64, 2.0
-model_norm = ChannelModel("fast", sigma_z2, spec, normalized=True)
-model_raw = ChannelModel("fast", sigma_z2, spec, normalized=False)
-gains = sample_fading(spec, "fast", n, substream(3, "gains"))
-z_raw = sample_noise(sigma_z2, n, False, substream(3, "noise"))
-z_norm = sample_noise(sigma_z2, n, True, substream(3, "noise"))
-x_norm = np.full(n, 0.9 / math.sqrt(n))
-from difading import ChannelRealization
-
-y_raw = apply_channel(model_raw, x_norm * math.sqrt(n), ChannelRealization(gains, z_raw), 1.0)
-y_norm = apply_channel(model_norm, x_norm, ChannelRealization(gains, z_norm), 1.0)
-print("  max |y_raw/sqrt(n) - y_norm| =", np.abs(y_raw / math.sqrt(n) - y_norm).max())
+print("normalized channel: ||x|| <= sqrt(A), noise variance sigma^2/n per symbol")
+n, sigma_z2, trials = 64, 2.0, 20_000
+model = ChannelModel("fast", sigma_z2, spec)
+noise = sample_noise(sigma_z2, trials, n, substream(3, "noise"))
+print(f"  mean noise energy ||z||^2 over {trials} trials: {(noise**2).sum(axis=1).mean():.4f} "
+      f"(sigma^2 = {sigma_z2})")
+x = np.full(n, 0.9 / math.sqrt(n))
+chunk = realize(model, 3, n, seed=9, chunk=0)
+y = apply_channel(model, x, chunk, power_budget=1.0)
+print(f"  one chunk of {y.shape[0]} trials -> outputs of shape {y.shape}")
 
 print()
 print("labeled substreams keep gains and noise independent and replayable:")
-r1 = realize(model_norm, 4, seed=9)
-r2 = realize(model_norm, 4, seed=9)
-print("  gains replay identically:", np.array_equal(r1.gains, r2.gains))
-print("  noise replay identically:", np.array_equal(r1.noise, r2.noise))
+replay = realize(model, 3, n, seed=9, chunk=0)
+other = realize(model, 3, n, seed=9, chunk=1)
+print("  gains replay identically:", np.array_equal(chunk.gains, replay.gains))
+print("  noise replay identically:", np.array_equal(chunk.noise, replay.noise))
+print("  the next chunk draws fresh noise:", not np.array_equal(chunk.noise, other.noise))

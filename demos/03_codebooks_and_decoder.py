@@ -14,16 +14,24 @@ fatal.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from difading import (
+    ChannelModel,
+    Codebook,
     DecoderRule,
+    FadingSpec,
+    apply_channel,
     build_codebook,
     delta_n,
     encode,
     identify,
+    load_codebook,
     min_pairwise_distance,
+    realize,
     save_codebook,
 )
 
@@ -42,31 +50,35 @@ gamma = 0.5
 sigma_z2 = 0.05
 delta = delta_n(gamma, codebook.epsilon_n)
 rule = DecoderRule(codebook, sigma_z2, delta, flavor="fast")
-print(f"\ndecoder: accept when ||y - g o u_j|| <= {rule.threshold:.4f} "
+radius = math.sqrt(rule.threshold)
+print(f"\ndecoder: accept when ||y - g o u_j|| <= {radius:.4f} "
       f"(sigma_z2={sigma_z2}, delta_n={delta:.4f})")
 
-rng = np.random.default_rng(5)
-gains = rng.uniform(0.5, 1.5, n)
-noise = rng.standard_normal(n) * math.sqrt(sigma_z2 / n)
-y = gains * encode(codebook, 3) + noise
-print("  sent message 3; decoder CSI = realized gains")
-print("  identify(3)?", identify(rule, y, 3, gains), "   identify(7)?", identify(rule, y, 7, gains))
+model = ChannelModel("fast", sigma_z2, FadingSpec.uniform(gamma, 1.5))
+trials = 1000
+chunk = realize(model, trials, n, seed=5, chunk=0)
+y = apply_channel(model, encode(codebook, 3), chunk, power)
+print(f"  sent message 3 in {trials} trials; decoder CSI = realized gains")
+for j in (3, 7):
+    accepted = rule.accepts(rule.statistic(y, j, chunk.gains))
+    print(f"  identify({j}) accepted in {accepted.sum()} of {trials} trials")
+print("  trial 0 alone: identify(3)?", identify(rule, y[0], 3, chunk.gains[0]))
 
 print("\noverlapping decoding regions (legal for identification):")
-# any pair closer than 2x the threshold is claimed by both messages at once
-from difading import Codebook
-
+# any pair closer than 2x the acceptance radius is claimed by both messages at once
 close = np.zeros((2, n))
-close[0, 0], close[1, 0] = 0.9 * rule.threshold, -0.9 * rule.threshold
+close[0, 0], close[1, 0] = 0.9 * radius, -0.9 * radius
 close_book = Codebook(n, power, b, "achievability", codebook.epsilon_n, close)
 close_rule = DecoderRule(close_book, sigma_z2, delta, flavor="fast")
 midpoint = np.zeros(n)  # halfway between the two codewords, unit gain
 both = identify(close_rule, midpoint, 1, np.ones(n)) and identify(
     close_rule, midpoint, 2, np.ones(n)
 )
-print(f"  codewords at distance {1.8 * rule.threshold:.4f} < 2*threshold = "
-      f"{2 * rule.threshold:.4f}")
+print(f"  codewords at distance {1.8 * radius:.4f} < 2*radius = {2 * radius:.4f}")
 print(f"  midpoint accepted by both messages: {both}")
 
-save_codebook(codebook, "/tmp/difading_demo_codebook.txt")
-print("\ncodebook serialized to /tmp/difading_demo_codebook.txt (17 significant digits)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "codebook.txt"
+    save_codebook(codebook, path)
+    same = np.array_equal(load_codebook(path).codewords, codebook.codewords)
+print(f"\ncodebook file (17 significant digits) reloads bit for bit: {same}")

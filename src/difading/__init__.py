@@ -64,13 +64,9 @@ from .geometry import (
     PackingConfig,
     estimate_packing_density,
     generate_saturated_packing,
-    load_packing,
     log_sphere_volume,
     min_pairwise_distance,
-    packing_from_text,
-    packing_to_text,
     sample_in_ball,
-    save_packing,
     sphere_volume,
 )
 from .seeding import derive_seed, substream

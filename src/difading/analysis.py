@@ -28,17 +28,6 @@ KINDS = ("log", "linear", "poly", "exp", "superexp", "doubleexp")
 FINITE_BAND_LOWER = 0.25
 FINITE_BAND_UPPER = 1.0
 
-# Reference constants for the double-exponential-scale epsilon-capacities of
-# the unit-gain channel (recorded for reporting only; no operation uses them).
-# With randomized encoders the capacity equals 0.5 * log2(1 + A / sigma_z2)
-# for every error level in (0, 1); with deterministic encoders it is 0 below
-# error level 1/2 and infinite at or above 1/2.
-EPSILON_CAPACITY_REFERENCE = {
-    "ri_double_exp_bits": "0.5 * log2(1 + A / sigma_z2)",
-    "di_double_exp_eps_below_half": 0.0,
-    "di_double_exp_eps_at_least_half": math.inf,
-}
-
 DEFAULT_GRID = tuple(2**k for k in range(4, 129, 4))
 DEFAULT_MARGIN_BITS = -40.0
 

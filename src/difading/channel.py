@@ -1,4 +1,4 @@
-"""Fading and noise sampling plus the fading Gaussian channel laws.
+"""Fading and noise sampling plus the fading Gaussian channel law.
 
 Fast fading draws a fresh i.i.d. gain per channel use; slow fading holds one
 gain for the whole block.  Three bounded gain families are provided (uniform
@@ -7,10 +7,11 @@ carrying its infimum gamma, supremum g_max and closed-form first two moments.
 Supports touching zero are refused unless explicitly opted in, since every
 constructive decoder bound divides by gamma.
 
-The channel can be run on the natural scale (noise variance sigma_z2) or the
-normalized scale (inputs divided by sqrt(n), noise variance sigma_z2 / n);
-both paths use the same underlying draws, so normalizing after the fact and
-running normalized agree to floating-point accuracy.
+The channel runs on the normalized scale: inputs satisfy ||x|| <= sqrt(A)
+and the noise has variance sigma_z2 / n per symbol.  It is drawn a chunk of
+trials at a time, the gains from the (seed, "gains", chunk) substream and the
+noise from the (seed, "noise", chunk) substream; a single trial is a chunk of
+one.  The Monte-Carlo estimators use these draws as they are.
 """
 
 import math
@@ -23,7 +24,7 @@ from .seeding import substream
 FAMILIES = ("uniform", "truncated_rayleigh", "discrete")
 FLAVORS = ("fast", "slow")
 
-_POWER_SLACK = 1.0 + 1e-12
+_NORM_SLACK = 1.0 + 1e-12
 
 
 def _rayleigh_sf(x: float, scale: float) -> float:
@@ -116,14 +117,16 @@ class FadingSpec:
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("discrete support is empty")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("discrete support values must be finite")
         if weights is None:
             wts = tuple(1.0 / len(vals) for _ in vals)
         else:
             wts = tuple(float(w) for w in weights)
             if len(wts) != len(vals):
                 raise ValueError("values and weights differ in length")
-            if any(w < 0 for w in wts):
-                raise ValueError("weights must be nonnegative")
+            if not all(math.isfinite(w) and w >= 0 for w in wts):
+                raise ValueError("weights must be finite and nonnegative")
             total = sum(wts)
             if total <= 0:
                 raise ValueError("weights sum to zero")
@@ -174,14 +177,27 @@ class FadingSpec:
         return np.linspace(self.gamma, self.g_max, resolution)
 
 
+def check_power(words, power_budget: float) -> None:
+    """Raise unless every row x of words has ||x|| <= sqrt(power_budget).
+
+    The one power test for codebooks and channel inputs, with a relative
+    tolerance of 1e-12 on the norm.
+    """
+    root_a = math.sqrt(power_budget)
+    largest = np.linalg.norm(words, axis=-1).max()
+    if largest > root_a * _NORM_SLACK:
+        raise ValueError(
+            f"invalid codeword: norm {largest} exceeds sqrt(power budget) = {root_a}"
+        )
+
+
 @dataclass(frozen=True)
 class ChannelModel:
-    """Fast or slow fading Gaussian channel with optional 1/sqrt(n) normalization."""
+    """Fast or slow fading Gaussian channel on the normalized scale."""
 
     flavor: str
     noise_variance: float
     fading: FadingSpec
-    normalized: bool = True
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -192,87 +208,73 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One realized channel: gains (vector for fast, scalar for slow) and noise."""
+    """A chunk of realized channels, one row per trial.
 
-    gains: object
+    gains is (trials, n) for fast fading and (trials,) for slow fading;
+    noise is (trials, n).
+    """
+
+    gains: np.ndarray
     noise: np.ndarray
 
     def __post_init__(self):
-        noise = np.asarray(self.noise, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(noise)):
+        noise = np.asarray(self.noise, dtype=np.float64)
+        if noise.ndim != 2:
+            raise ValueError("noise must be a (trials, n) array")
+        if not np.isfinite(noise).all():
             raise ValueError("noise entries must be finite")
+        object.__setattr__(self, "gains", np.asarray(self.gains, dtype=np.float64))
         object.__setattr__(self, "noise", noise)
 
 
-def sample_fading(spec: FadingSpec, flavor: str, n: int, rng: np.random.Generator):
-    """Fast: n i.i.d. gains; slow: one gain held for the whole block (scalar)."""
+def sample_fading(spec: FadingSpec, flavor: str, trials: int, n: int, rng: np.random.Generator):
+    """Gains of a chunk: fast (trials, n), i.i.d. per symbol; slow (trials,), one per block."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     if flavor == "fast":
-        return spec.sample(rng, n)
-    return float(spec.sample(rng, 1)[0])
+        return spec.sample(rng, trials * n).reshape(trials, n)
+    return spec.sample(rng, trials)
 
 
 def sample_noise(
-    noise_variance: float, n: int, normalized: bool, rng: np.random.Generator
+    noise_variance: float, trials: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n i.i.d. zero-mean Gaussians, variance sigma_z2 (or sigma_z2/n if normalized)."""
+    """(trials, n) i.i.d. zero-mean Gaussians of variance sigma_z2 / n."""
     if not noise_variance > 0:
         raise ValueError(f"noise variance must be positive, got {noise_variance}")
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    scale = math.sqrt(noise_variance)
-    if normalized:
-        scale /= math.sqrt(n)
-    return rng.standard_normal(n) * scale
+    return rng.standard_normal((trials, n)) * math.sqrt(noise_variance / n)
 
 
-def realize(model: ChannelModel, n: int, seed: int, trial: int | None = None) -> ChannelRealization:
-    """Draw gains and noise from disjoint labeled substreams of the seed."""
-    indices = () if trial is None else (trial,)
-    gains = sample_fading(model.fading, model.flavor, n, substream(seed, "gains", *indices))
-    noise = sample_noise(
-        model.noise_variance, n, model.normalized, substream(seed, "noise", *indices)
-    )
+def realize(model: ChannelModel, trials: int, n: int, seed: int, chunk: int) -> ChannelRealization:
+    """Chunk `chunk` of trials, drawn from the disjoint gains and noise substreams of seed."""
+    gains = sample_fading(model.fading, model.flavor, trials, n, substream(seed, "gains", chunk))
+    noise = sample_noise(model.noise_variance, trials, n, substream(seed, "noise", chunk))
     return ChannelRealization(gains=gains, noise=noise)
 
 
 def apply_channel(
     model: ChannelModel, x, realization: ChannelRealization, power_budget: float
 ) -> np.ndarray:
-    """Channel output gains*x + noise after validating shape and transmit power.
+    """Channel outputs gains o x + noise, one row per trial of the realization.
 
-    The power constraint is ||x||^2 <= n * power_budget on the natural scale
-    and ||x|| <= sqrt(power_budget) on the normalized scale.
+    x is one input block, sent in every trial; it must satisfy the power
+    constraint ||x|| <= sqrt(power_budget).
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    n = x.shape[0]
-    if realization.noise.shape[0] != n:
+    trials, n = realization.noise.shape
+    if x.shape[0] != n:
+        raise ValueError(f"noise length {n} does not match input length {x.shape[0]}")
+    gains = realization.gains
+    expected = (trials, n) if model.flavor == "fast" else (trials,)
+    if gains.shape != expected:
         raise ValueError(
-            f"noise length {realization.noise.shape[0]} does not match input length {n}"
+            f"{model.flavor} fading needs gains of shape {expected}, got {gains.shape}"
         )
-    if model.flavor == "fast":
-        gains = np.asarray(realization.gains, dtype=np.float64).reshape(-1)
-        if gains.shape[0] != n:
-            raise ValueError(f"gain length {gains.shape[0]} does not match input length {n}")
-    else:
-        if np.ndim(realization.gains) != 0:
-            raise ValueError("slow fading expects a scalar gain")
-        gains = float(realization.gains)
     if not power_budget > 0:
         raise ValueError(f"power budget must be positive, got {power_budget}")
-    norm_sq = float(x @ x)
-    if model.normalized:
-        if norm_sq > power_budget * _POWER_SLACK:
-            raise ValueError(
-                f"invalid codeword: ||x||^2 = {norm_sq} exceeds power budget {power_budget}"
-            )
-    else:
-        if norm_sq > n * power_budget * _POWER_SLACK:
-            raise ValueError(
-                f"invalid codeword: ||x||^2 = {norm_sq} exceeds n * power budget "
-                f"{n * power_budget}"
-            )
-    return gains * x + realization.noise
+    check_power(x, power_budget)
+    return gains.reshape(trials, -1) * x + realization.noise

@@ -1,19 +1,25 @@
-"""Identification codebooks from sphere packings and the CSI threshold decoder.
+"""Identification codebooks from sphere packings, the CSI threshold decoder and the codebook file.
 
 Codewords are the centers of a saturated packing of radius-sqrt(eps_n)
 spheres with centers inside the ball of radius sqrt(A) - sqrt(eps_n), stored
-on the normalized scale (||u_i|| <= sqrt(A)); the natural scale is obtained by
-multiplying with sqrt(n) at the boundary.  Two shrinking-radius schedules are
-provided:
+on the normalized scale the channel runs on (||u_i|| <= sqrt(A)).  Two
+shrinking-radius schedules are provided:
 
 * ``achievability``:    eps_n = A / n^((1-b)/2), used to build codebooks;
 * ``converse_spacing``: eps_n = A / n^(2(1+b)), used only for minimum-distance
   checks and the near-codeword experiment.
 
-The decoder answers "was message j sent?" by comparing the squared distance
-between the (normalized) output and gain-scaled codeword against
+``DecoderRule`` is the one decision rule of the package: "was message j
+sent?" is answered by comparing ||y - g o u_j||^2, the squared distance
+between the channel output and the gain-scaled codeword, against
 sigma_z2 + delta_n, with slack delta_n = gamma^2 * eps_n / 3.  Ties at the
-threshold accept (closed decision region).  Message indices are 1-based.
+threshold accept (closed decision region).  It decides a whole chunk of
+trials at once; ``identify`` is its one-trial case, and the Monte-Carlo
+estimators call it too.  Message indices are 1-based.
+
+Codebooks are stored as self-describing text: ``key = value`` header lines,
+a ``centers:`` line, then one codeword per line at 17 significant digits, so
+a file round-trips bit for bit.
 """
 
 import math
@@ -22,17 +28,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (
-    PackingConfig,
-    _format_float,
-    generate_saturated_packing,
-    min_pairwise_distance,
-    parse_header_lines,
-)
+from .channel import FLAVORS, check_power
+from .geometry import PackingConfig, generate_saturated_packing, min_pairwise_distance
 
 SCHEDULES = ("achievability", "converse_spacing")
-
-_NORM_SLACK = 1.0 + 1e-12
 
 
 def epsilon_schedule(n: int, power_budget: float, b: float, schedule: str) -> float:
@@ -75,6 +74,12 @@ class Codebook:
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if not (math.isfinite(self.power_budget) and self.power_budget > 0):
+            raise ValueError(f"power budget must be finite and positive, got {self.power_budget}")
+        if not (math.isfinite(self.epsilon_n) and self.epsilon_n > 0):
+            raise ValueError(f"epsilon_n must be finite and positive, got {self.epsilon_n}")
+        if not math.isfinite(self.slack):
+            raise ValueError(f"slack exponent must be finite, got {self.slack}")
         words = np.asarray(self.codewords, dtype=np.float64)
         if words.ndim != 2 or words.shape[1] != self.dimension:
             raise ValueError("codewords must be a (count, dimension) array")
@@ -82,12 +87,7 @@ class Codebook:
             raise ValueError("codebook is empty")
         if not np.isfinite(words).all():
             raise ValueError("codewords must be finite")
-        root_a = math.sqrt(self.power_budget)
-        norms = np.linalg.norm(words, axis=1)
-        if norms.max() > root_a * _NORM_SLACK:
-            raise ValueError(
-                f"codeword norm {norms.max()} exceeds sqrt(power budget) = {root_a}"
-            )
+        check_power(words, self.power_budget)
         object.__setattr__(self, "codewords", words)
 
     @property
@@ -176,44 +176,81 @@ class DecoderRule:
             raise ValueError(f"noise variance must be positive, got {self.noise_variance}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.flavor not in ("fast", "slow"):
+        if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
     @property
     def threshold(self) -> float:
-        """Acceptance radius sqrt(sigma_z2 + delta) on the normalized scale."""
-        return math.sqrt(self.noise_variance + self.delta)
+        """Bound sigma_z2 + delta on the squared distance (the squared acceptance radius)."""
+        return self.noise_variance + self.delta
+
+    def statistic(self, y: np.ndarray, j: int, gains: np.ndarray) -> np.ndarray:
+        """||y - gains o u_j||^2 for every trial (row) of y.
+
+        y is (trials, n); gains (the CSI) is (trials, n) for fast fading and
+        (trials,) for slow fading.
+        """
+        resid = y - gains.reshape(y.shape[0], -1) * self.codebook.codeword(j)
+        return np.einsum("ij,ij->i", resid, resid)
+
+    def accepts(self, stat):
+        """Whether each statistic lies in the decision region; ties accept."""
+        return stat <= self.threshold
 
 
 def identify(rule: DecoderRule, y, j: int, csi) -> bool:
-    """True iff ||y - csi o u_j||^2 <= sigma_z2 + delta (ties accept).
+    """The rule's decision on one trial: is ||y - csi o u_j||^2 <= sigma_z2 + delta?
 
     csi is the realized gain vector (fast) or scalar (slow); y is the
     normalized channel output.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    u = rule.codebook.codeword(j)
-    if y.shape[0] != u.shape[0]:
-        raise ValueError(f"output length {y.shape[0]} does not match block length {u.shape[0]}")
+    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    n = rule.codebook.dimension
+    if y.shape[1] != n:
+        raise ValueError(f"output length {y.shape[1]} does not match block length {n}")
     if rule.flavor == "fast":
-        gains = np.asarray(csi, dtype=np.float64).reshape(-1)
-        if gains.shape[0] != u.shape[0]:
-            raise ValueError(
-                f"CSI length {gains.shape[0]} does not match block length {u.shape[0]}"
-            )
+        gains = np.asarray(csi, dtype=np.float64).reshape(1, -1)
+        if gains.shape[1] != n:
+            raise ValueError(f"CSI length {gains.shape[1]} does not match block length {n}")
     else:
         if np.ndim(csi) != 0:
             raise ValueError("slow fading expects scalar CSI")
-        gains = float(csi)
-    diff = y - gains * u
-    return float(diff @ diff) <= rule.noise_variance + rule.delta
+        gains = np.array([float(csi)])
+    return bool(rule.accepts(rule.statistic(y, j, gains))[0])
 
 
 # ---------------------------------------------------------------------------
-# Codebook files: packing serialization plus schedule metadata
+# Codebook files
 # ---------------------------------------------------------------------------
 
 CODEBOOK_FORMAT = "difading-codebook-v1"
+_HEADER_KEYS = (
+    "dimension", "power_budget", "slack", "schedule", "epsilon_n", "seed", "saturated", "count"
+)
+
+
+def _format_float(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def parse_header_lines(lines):
+    """Split 'key = value' lines (until a 'centers:' sentinel) into a dict."""
+    header = {}
+    body_start = None
+    for pos, line in enumerate(lines):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped == "centers:":
+            body_start = pos + 1
+            break
+        if "=" not in stripped:
+            raise ValueError(f"malformed header line: {line!r}")
+        key, _, value = stripped.partition("=")
+        header[key.strip()] = value.strip()
+    if body_start is None:
+        raise ValueError("missing 'centers:' section")
+    return header, body_start
 
 
 def codebook_to_text(codebook: Codebook) -> str:
@@ -240,13 +277,16 @@ def codebook_from_text(text: str) -> Codebook:
     header, body_start = parse_header_lines(lines)
     if header.get("format") != CODEBOOK_FORMAT:
         raise ValueError(f"unsupported format {header.get('format')!r}")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"codebook header lacks {', '.join(missing)}")
     count = int(header["count"])
-    rows = [line.split() for line in lines[body_start:] if line.strip()]
-    if len(rows) != count:
-        raise ValueError(f"expected {count} codeword rows, found {len(rows)}")
     dimension = int(header["dimension"])
-    words = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-    words = words.reshape(count, dimension)
+    words = np.loadtxt(lines[body_start:], dtype=np.float64, comments=None, ndmin=2)
+    if words.shape != (count, dimension):
+        raise ValueError(
+            f"expected {count} codeword rows of {dimension} values, found shape {words.shape}"
+        )
     seed = None if header["seed"] == "none" else int(header["seed"])
     saturated = None if header["saturated"] == "none" else header["saturated"] == "true"
     return Codebook(

@@ -1,9 +1,11 @@
 """Flat `key = value` experiment configuration with per-command schemas.
 
 Values are typed by the schema; unknown keys are errors so misspellings never
-silently fall back to defaults.  Lists are comma separated.
+silently fall back to defaults.  Lists are comma separated.  Float values must
+be finite: nan and inf are refused.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -26,12 +28,19 @@ class Field:
         return self.default is _MISSING
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _convert(key: str, raw: str, type_tag: str):
     try:
         if type_tag == "int":
             return int(raw)
         if type_tag == "float":
-            return float(raw)
+            return _finite_float(raw)
         if type_tag == "str":
             return raw
         if type_tag == "bool":
@@ -45,7 +54,7 @@ def _convert(key: str, raw: str, type_tag: str):
         if type_tag == "ints":
             return [int(item) for item in items]
         if type_tag == "floats":
-            return [float(item) for item in items]
+            return [_finite_float(item) for item in items]
         if type_tag == "strs":
             return items
     except ValueError as exc:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracles
-from .channel import ChannelModel, FadingSpec
-from .codec import Codebook, delta_n, epsilon_schedule
+from .channel import ChannelModel, FadingSpec, apply_channel, realize, sample_noise
+from .codec import Codebook, DecoderRule, delta_n, epsilon_schedule
 from .seeding import substream
 
 _CHUNK = 4096
@@ -177,10 +177,10 @@ class SlowStatistics:
     noise_energy: np.ndarray
     cross: np.ndarray
 
-    def accept_count(self, gain: float, threshold: float) -> int:
-        """Trials in which ||g d + z||^2 <= threshold at gain g."""
+    def accept_count(self, gain: float, rule: DecoderRule) -> int:
+        """Trials in which the rule accepts ||g d + z||^2 at gain g."""
         stat = gain * gain * self.distance_sq + 2.0 * gain * self.cross + self.noise_energy
-        return int((stat <= threshold).sum())
+        return int(rule.accepts(stat).sum())
 
 
 def _slow_statistics(
@@ -194,11 +194,10 @@ def _slow_statistics(
     """One pass over the plan's noise chunks for the pair (transmit, test)."""
     d = codebook.codeword(transmit) - codebook.codeword(test)
     n = codebook.dimension
-    noise_scale = math.sqrt(model.noise_variance / n)
 
     def run_chunk(item):
         index, size = item
-        z = substream(plan.seed, "noise", index).standard_normal((size, n)) * noise_scale
+        z = sample_noise(model.noise_variance, size, n, substream(plan.seed, "noise", index))
         return np.einsum("ij,ij->i", z, z), z @ d
 
     parts = _run_chunks(run_chunk, plan, workers)
@@ -221,31 +220,22 @@ def _accept_count(
     statistics: SlowStatistics | None = None,
 ) -> int:
     """Number of trials in which the decoder accepts message `test`."""
-    if not model.normalized:
-        raise ValueError("estimators run on the normalized scale; build the model normalized")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    threshold = model.noise_variance + delta
+    rule = DecoderRule(codebook, model.noise_variance, delta, model.flavor)
     if fixed_gain is not None:
         if statistics is None:
             statistics = _slow_statistics(codebook, model, transmit, test, plan, workers)
-        return statistics.accept_count(float(fixed_gain), threshold)
+        return statistics.accept_count(float(fixed_gain), rule)
     if statistics is not None:
         raise ValueError("slow-fading statistics apply only with a fixed gain")
     u_tx = codebook.codeword(transmit)
-    u_te = codebook.codeword(test)
+    codebook.codeword(test)  # an out-of-range test message fails before any trial runs
     n = codebook.dimension
-    noise_scale = math.sqrt(model.noise_variance / n)
 
     def run_chunk(item):  # fast fading: fresh per-symbol gains each trial
         index, size = item
-        z = substream(plan.seed, "noise", index).standard_normal((size, n)) * noise_scale
-        grng = substream(plan.seed, "gains", index)
-        gains = model.fading.sample(grng, size * n).reshape(size, n)
-        y = gains * u_tx + z
-        resid = y - gains * u_te
-        stat = np.einsum("ij,ij->i", resid, resid)
-        return int((stat <= threshold).sum())
+        realization = realize(model, size, n, plan.seed, index)
+        y = apply_channel(model, u_tx, realization, codebook.power_budget)
+        return int(rule.accepts(rule.statistic(y, test, realization.gains)).sum())
 
     return sum(_run_chunks(run_chunk, plan, workers))
 
@@ -459,6 +449,7 @@ def near_codeword_experiment(
     )
     delta = delta_n(fading.gamma, epsilon_schedule(n, power_budget, b, "achievability"))
     model = ChannelModel(flavor="fast", noise_variance=noise_variance, fading=fading)
+    rule = DecoderRule(codebook, noise_variance, delta, model.flavor)
     rep1 = estimate_type1(codebook, model, 1, delta, plan, workers=workers)
     rep2 = estimate_type2(codebook, model, 2, 1, delta, plan, workers=workers)
     error_sum = rep1.estimate + rep2.estimate
@@ -467,7 +458,7 @@ def near_codeword_experiment(
     oracle1 = oracle2 = oracle_sum = None
     if fading.variance <= 1e-15:  # constant gain: closed-form witness
         g0 = fading.mean
-        x = n * (noise_variance + delta) / noise_variance
+        x = n * rule.threshold / noise_variance
         oracle1 = oracles.chi2_sf(x, n)
         lam = n * (g0 * d_norm) ** 2 / noise_variance
         oracle2 = oracles.noncentral_chi2_cdf(x, n, lam)

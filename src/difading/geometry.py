@@ -289,85 +289,3 @@ def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> D
         index += 1
     p = covered / samples
     return DensityEstimate(density=p, stderr=math.sqrt(p * (1.0 - p) / samples), samples=samples)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: self-describing text, 17 significant digits (round-trip exact)
-# ---------------------------------------------------------------------------
-
-PACKING_FORMAT = "difading-packing-v1"
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def packing_to_text(packing: Packing) -> str:
-    cfg = packing.config
-    lines = [
-        f"format = {PACKING_FORMAT}",
-        f"dimension = {cfg.dimension}",
-        f"r0 = {_format_float(cfg.r0)}",
-        f"r1 = {_format_float(cfg.r1)}",
-        f"seed = {cfg.seed}",
-        f"saturation_patience = {cfg.saturation_patience}",
-        f"max_codewords = {cfg.max_codewords}",
-        f"saturated = {'true' if packing.saturated else 'false'}",
-        f"count = {packing.count}",
-        "centers:",
-    ]
-    for row in packing.centers:
-        lines.append(" ".join(_format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_header_lines(lines):
-    """Split 'key = value' lines (until a 'centers:' sentinel) into a dict."""
-    header = {}
-    body_start = None
-    for pos, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped == "centers:":
-            body_start = pos + 1
-            break
-        if "=" not in stripped:
-            raise ValueError(f"malformed header line: {line!r}")
-        key, _, value = stripped.partition("=")
-        header[key.strip()] = value.strip()
-    if body_start is None:
-        raise ValueError("missing 'centers:' section")
-    return header, body_start
-
-
-def packing_from_text(text: str) -> Packing:
-    lines = text.splitlines()
-    header, body_start = parse_header_lines(lines)
-    if header.get("format") != PACKING_FORMAT:
-        raise ValueError(f"unsupported format {header.get('format')!r}")
-    cfg = PackingConfig(
-        dimension=int(header["dimension"]),
-        r0=float(header["r0"]),
-        r1=float(header["r1"]),
-        seed=int(header["seed"]),
-        saturation_patience=int(header["saturation_patience"]),
-        max_codewords=int(header["max_codewords"]),
-    )
-    count = int(header["count"])
-    rows = [line.split() for line in lines[body_start:] if line.strip()]
-    if len(rows) != count:
-        raise ValueError(f"expected {count} center rows, found {len(rows)}")
-    centers = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-    centers = centers.reshape(count, cfg.dimension)
-    return Packing(config=cfg, centers=centers, saturated=header["saturated"] == "true")
-
-
-def save_packing(packing: Packing, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(packing_to_text(packing))
-
-
-def load_packing(path) -> Packing:
-    with open(path, "r", encoding="utf-8") as fh:
-        return packing_from_text(fh.read())

@@ -17,7 +17,6 @@ from difading import (
     ri_capacity,
     scale_chain,
 )
-from difading.analysis import EPSILON_CAPACITY_REFERENCE
 from helpers import two_codeword_codebook
 
 
@@ -255,8 +254,3 @@ def test_ri_capacity_values():
         with pytest.raises(ValueError):
             ri_capacity(*bad)
 
-
-def test_epsilon_capacity_reference_constants():
-    assert EPSILON_CAPACITY_REFERENCE["di_double_exp_eps_below_half"] == 0.0
-    assert EPSILON_CAPACITY_REFERENCE["di_double_exp_eps_at_least_half"] == math.inf
-    assert "log2" in EPSILON_CAPACITY_REFERENCE["ri_double_exp_bits"]

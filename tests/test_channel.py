@@ -7,6 +7,7 @@ from scipy import integrate
 from difading import (
     ChannelModel,
     ChannelRealization,
+    Codebook,
     FadingSpec,
     apply_channel,
     realize,
@@ -18,14 +19,15 @@ from helpers import point_mass
 
 
 def test_point_mass_fast_gains_are_constant():
-    gains = sample_fading(point_mass(1.0), "fast", 4, substream(0, "gains"))
-    assert np.array_equal(gains, np.ones(4))
+    gains = sample_fading(point_mass(1.0), "fast", 3, 4, substream(0, "gains"))
+    assert np.array_equal(gains, np.ones((3, 4)))
 
 
 def test_uniform_slow_gain_mean_matches_oracle():
     spec = FadingSpec.uniform(0.5, 1.5)
     rng = substream(123, "gains")
-    draws = np.array([sample_fading(spec, "slow", 8, rng) for _ in range(100_000)])
+    draws = sample_fading(spec, "slow", 100_000, 8, rng)
+    assert draws.shape == (100_000,)
     assert draws.min() >= 0.5 and draws.max() <= 1.5
     stderr = (1.0 / math.sqrt(12.0)) / math.sqrt(draws.size)
     assert abs(draws.mean() - 1.0) <= 3.0 * stderr
@@ -33,7 +35,7 @@ def test_uniform_slow_gain_mean_matches_oracle():
 
 def test_discrete_frequencies_match_binomial_oracle():
     spec = FadingSpec.discrete([0.5, 2.0], [0.3, 0.7])
-    gains = sample_fading(spec, "fast", 100_000, substream(5, "gains"))
+    gains = sample_fading(spec, "fast", 10, 10_000, substream(5, "gains"))
     freq = float(np.mean(gains == 2.0))
     stderr = math.sqrt(0.7 * 0.3 / gains.size)
     assert abs(freq - 0.7) <= 3.0 * stderr
@@ -93,6 +95,12 @@ def test_fading_spec_validation():
         FadingSpec.discrete([1.0, 2.0], [0.5])
     with pytest.raises(ValueError):
         FadingSpec.truncated_rayleigh(-1.0, 0.5, 1.0)
+    # a NaN value or weight compares False against every bound, so needs its own check
+    with pytest.raises(ValueError, match="finite"):
+        FadingSpec.discrete([1.0, math.nan], [1.0, 0.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FadingSpec.discrete([1.0, 2.0], [1.0, bad])
 
 
 def test_support_grid_contains_endpoints():
@@ -105,66 +113,48 @@ def test_support_grid_contains_endpoints():
 
 def test_noise_variance_matches_chi_square_oracle():
     n = 100_000
-    noise = sample_noise(1.0, n, False, substream(2, "noise"))
-    sample_var = float(np.mean(noise**2))
+    noise = sample_noise(1.0, 1, n, substream(2, "noise"))
+    sample_var = n * float(np.mean(noise**2))  # each entry has variance sigma_z2 / n
     assert abs(sample_var - 1.0) <= 3.0 * math.sqrt(2.0 / n)
 
 
 def test_normalized_noise_energy_is_one_on_average():
     n, trials = 16, 100_000
     rng = substream(3, "noise")
-    z = rng.standard_normal((trials, n)) * math.sqrt(1.0 / n)
+    z = sample_noise(1.0, trials, n, rng)
     energy = (z**2).sum(axis=1)
     stderr = energy.std() / math.sqrt(trials)
     assert abs(energy.mean() - 1.0) <= 3.0 * stderr
 
 
 def test_single_sample_noise_variance():
-    draws = np.array([sample_noise(4.0, 1, False, substream(4, "noise", t))[0] for t in range(20_000)])
+    draws = np.array(
+        [sample_noise(4.0, 1, 1, substream(4, "noise", t))[0, 0] for t in range(20_000)]
+    )
     sample_var = float(np.mean(draws**2))
     assert abs(sample_var - 4.0) <= 3.0 * 4.0 * math.sqrt(2.0 / draws.size)
 
 
 def test_noise_rejects_bad_variance():
     with pytest.raises(ValueError):
-        sample_noise(0.0, 4, False, substream(0, "noise"))
+        sample_noise(0.0, 1, 4, substream(0, "noise"))
     with pytest.raises(ValueError):
-        sample_noise(-1.0, 4, False, substream(0, "noise"))
+        sample_noise(-1.0, 1, 4, substream(0, "noise"))
 
 
 def test_gain_and_noise_streams_are_disjoint():
     # drawing one stream never shifts the other, regardless of order
-    g_first = sample_fading(FadingSpec.uniform(0.5, 1.5), "fast", 32, substream(9, "gains"))
-    z_after = sample_noise(1.0, 32, True, substream(9, "noise"))
-    z_first = sample_noise(1.0, 32, True, substream(9, "noise"))
-    g_after = sample_fading(FadingSpec.uniform(0.5, 1.5), "fast", 32, substream(9, "gains"))
+    g_first = sample_fading(FadingSpec.uniform(0.5, 1.5), "fast", 2, 32, substream(9, "gains"))
+    z_after = sample_noise(1.0, 2, 32, substream(9, "noise"))
+    z_first = sample_noise(1.0, 2, 32, substream(9, "noise"))
+    g_after = sample_fading(FadingSpec.uniform(0.5, 1.5), "fast", 2, 32, substream(9, "gains"))
     assert np.array_equal(g_first, g_after)
     assert np.array_equal(z_first, z_after)
 
 
-def test_normalized_and_unnormalized_paths_commute():
-    n = 64
-    spec = FadingSpec.uniform(0.5, 1.5)
-    fast_norm = ChannelModel("fast", 2.0, spec, normalized=True)
-    fast_raw = ChannelModel("fast", 2.0, spec, normalized=False)
-    gains = sample_fading(spec, "fast", n, substream(11, "gains"))
-    noise_raw = sample_noise(2.0, n, False, substream(11, "noise"))
-    noise_norm = sample_noise(2.0, n, True, substream(11, "noise"))
-    x = sample_in_ball_like(n)
-    y_raw = apply_channel(fast_raw, x * math.sqrt(n), ChannelRealization(gains, noise_raw), 1.0)
-    y_norm = apply_channel(fast_norm, x, ChannelRealization(gains, noise_norm), 1.0)
-    assert np.allclose(y_raw / math.sqrt(n), y_norm, rtol=1e-12, atol=1e-14)
-
-
-def sample_in_ball_like(n):
-    rng = np.random.default_rng(77)
-    x = rng.standard_normal(n)
-    return 0.9 * x / np.linalg.norm(x)
-
-
 def test_apply_channel_zero_input_returns_noise():
     model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
-    realization = realize(model, 8, seed=21)
+    realization = realize(model, 3, 8, seed=21, chunk=0)
     y = apply_channel(model, np.zeros(8), realization, 1.0)
     assert np.array_equal(y, realization.noise)
 
@@ -172,55 +162,88 @@ def test_apply_channel_zero_input_returns_noise():
 def test_apply_channel_identity():
     model = ChannelModel("fast", 1.0, point_mass(1.0))
     x = np.full(4, 0.4)
-    realization = ChannelRealization(np.ones(4), np.zeros(4))
-    assert np.array_equal(apply_channel(model, x, realization, 1.0), x)
+    realization = ChannelRealization(np.ones((1, 4)), np.zeros((1, 4)))
+    assert np.array_equal(apply_channel(model, x, realization, 1.0), x[None, :])
 
 
 def test_apply_channel_componentwise_example():
-    model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 2.0), normalized=False)
+    model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 2.0))
     y = apply_channel(
         model,
         [1.0, 2.0],
-        ChannelRealization(np.array([2.0, 0.5]), np.array([0.1, -0.1])),
-        4.0,
+        ChannelRealization(np.array([[2.0, 0.5]]), np.array([[0.1, -0.1]])),
+        5.0,
     )
-    assert y == pytest.approx([2.1, 0.9], rel=1e-12)
+    assert y.shape == (1, 2)
+    assert y[0] == pytest.approx([2.1, 0.9], rel=1e-12)
 
 
 def test_apply_channel_slow_broadcasts_scalar_gain():
     model = ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5))
-    y = apply_channel(model, [0.1, 0.2, 0.3], ChannelRealization(2.0, np.zeros(3)), 1.0)
-    assert y == pytest.approx([0.2, 0.4, 0.6], rel=1e-12)
+    realization = ChannelRealization(np.array([2.0, 0.5]), np.zeros((2, 3)))
+    y = apply_channel(model, [0.1, 0.2, 0.3], realization, 1.0)
+    assert y[0] == pytest.approx([0.2, 0.4, 0.6], rel=1e-12)
+    assert y[1] == pytest.approx([0.05, 0.1, 0.15], rel=1e-12)
     with pytest.raises(ValueError):
-        apply_channel(model, [0.1, 0.2], ChannelRealization(np.ones(2), np.zeros(2)), 1.0)
+        apply_channel(
+            model, [0.1, 0.2], ChannelRealization(np.ones((1, 2)), np.zeros((1, 2))), 1.0
+        )
 
 
 def test_apply_channel_rejects_power_violation_and_mismatch():
     model = ChannelModel("fast", 1.0, point_mass(1.0))
-    realization = ChannelRealization(np.ones(3), np.zeros(3))
+    realization = ChannelRealization(np.ones((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError, match="invalid codeword"):
         apply_channel(model, [2.0, 0.0, 0.0], realization, 1.0)
     with pytest.raises(ValueError):
         apply_channel(model, [0.1, 0.1], realization, 1.0)
+    with pytest.raises(ValueError):
+        apply_channel(model, [0.1, 0.1, 0.1], ChannelRealization(np.ones(3), np.zeros((1, 3))), 1.0)
+
+
+@pytest.mark.parametrize("excess, valid", [(0.9e-12, True), (2e-12, False)])
+def test_channel_accepts_exactly_the_codewords_a_codebook_accepts(excess, valid):
+    # one power tolerance: on the norm, not on its square
+    words = np.full((1, 4), 0.5 * (1.0 + excess))  # ||u|| = sqrt(A) (1 + excess), A = 1
+    model = ChannelModel("fast", 1.0, point_mass(1.0))
+    realization = ChannelRealization(np.ones((1, 4)), np.zeros((1, 4)))
+    if valid:
+        codebook = Codebook(4, 1.0, 0.0, "achievability", 0.5, words)
+        apply_channel(model, codebook.codeword(1), realization, codebook.power_budget)
+    else:
+        with pytest.raises(ValueError, match="invalid codeword"):
+            Codebook(4, 1.0, 0.0, "achievability", 0.5, words)
+        with pytest.raises(ValueError, match="invalid codeword"):
+            apply_channel(model, words[0], realization, 1.0)
 
 
 def test_slow_realization_gain_is_scalar():
     model = ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5))
-    realization = realize(model, 16, seed=5)
-    assert np.ndim(realization.gains) == 0
-    assert 0.5 <= float(realization.gains) <= 1.5
+    realization = realize(model, 5, 16, seed=5, chunk=0)
+    assert realization.gains.shape == (5,)  # one gain per trial, held over the block
+    assert realization.noise.shape == (5, 16)
+    assert ((0.5 <= realization.gains) & (realization.gains <= 1.5)).all()
 
 
 def test_realization_rejects_nonfinite_noise():
     with pytest.raises(ValueError):
-        ChannelRealization(1.0, np.array([0.0, np.inf]))
+        ChannelRealization(np.ones(1), np.array([[0.0, np.inf]]))
+    with pytest.raises(ValueError):
+        ChannelRealization(np.ones(2), np.zeros(2))  # noise needs one row per trial
 
 
 def test_per_trial_substreams_replay_and_differ():
     model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
-    first = realize(model, 8, seed=6, trial=0)
-    replay = realize(model, 8, seed=6, trial=0)
-    other = realize(model, 8, seed=6, trial=1)
+    first = realize(model, 1, 8, seed=6, chunk=0)
+    replay = realize(model, 1, 8, seed=6, chunk=0)
+    other = realize(model, 1, 8, seed=6, chunk=1)
     assert np.array_equal(first.gains, replay.gains)
     assert np.array_equal(first.noise, replay.noise)
     assert not np.array_equal(first.noise, other.noise)
+    # chunk k draws from the (seed, "gains", k) and (seed, "noise", k) substreams
+    chunk = realize(model, 3, 8, seed=6, chunk=2)
+    spec = model.fading
+    assert np.array_equal(chunk.gains, spec.sample(substream(6, "gains", 2), 24).reshape(3, 8))
+    assert np.array_equal(
+        chunk.noise, substream(6, "noise", 2).standard_normal((3, 8)) * math.sqrt(1.0 / 8)
+    )

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,41 @@ random_pairs = 2
     assert r1 != r3
 
 
+# sha256 of simulate_report.csv for the configuration below, recorded when the
+# estimator still drew its own noise and gains and ran its own threshold test
+_PINNED_REPORTS = {
+    "fast": "17a40a383d3c28eff733210d72dfb646bda59d1eac9fb0db8445688494832ef4",
+    "slow": "5d7f1bc1f0a80a9feb2caf9143177625e0c5270113ed874a2420cd5b80bbd378",
+}
+
+
+@pytest.mark.parametrize("flavor", ["fast", "slow"])
+def test_simulate_report_is_pinned_for_every_thread_count(pack_dir, tmp_path, flavor):
+    # 9000 trials span three chunks (4096 + 4096 + 808)
+    cfg = write(
+        tmp_path / "sim.cfg",
+        f"""codebook = {pack_dir / 'codebook.txt'}
+flavor = {flavor}
+family = uniform
+g_min = 0.2
+g_max = 0.4
+sigma_z2 = 1.0
+trials = 9000
+seed = 5
+random_pairs = 2
+grid_resolution = 5
+""",
+    )
+    reports = []
+    for threads in (1, 2, 4):
+        out = tmp_path / f"threads{threads}"
+        args = ["simulate", "--config", cfg, "--out", str(out), "--threads", str(threads)]
+        assert run(args) == cli.EXIT_OK
+        reports.append((out / "simulate_report.csv").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert hashlib.sha256(reports[0]).hexdigest() == _PINNED_REPORTS[flavor]
+
+
 def test_simulate_trials_override(pack_dir, tmp_path):
     cfg = write(
         tmp_path / "sim.cfg",
@@ -206,6 +243,50 @@ def test_converse_check_rejects_nan_codeword(pack_dir, tmp_path):
     out = tmp_path / "cc"
     assert run(["converse-check", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
     assert not (out / "converse_summary.txt").exists()
+
+
+def _with_header(codebook_text, key, value):
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in codebook_text.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+_SIMULATE_DISCRETE = (
+    "flavor = {flavor}\nfamily = discrete\n{fading}sigma_z2 = 0.05\ntrials = 100\n"
+    "message_i = 1\nmessage_j = 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, config, header, expected",
+    [
+        ("simulate", _SIMULATE_DISCRETE.format(
+            flavor="fast", fading="values = 1.0, nan\nweights = 1, 0\n"), None, cli.EXIT_CONFIG),
+        ("simulate", _SIMULATE_DISCRETE.format(
+            flavor="slow", fading="values = 0.5, 1.0\nweights = 1, nan\n"), None, cli.EXIT_CONFIG),
+        ("simulate", "flavor = fast\nfamily = uniform\ng_min = 0.5\ng_max = inf\n"
+                     "sigma_z2 = 0.05\nmessage_i = 1\n", None, cli.EXIT_CONFIG),
+        ("simulate", "flavor = fast\nfamily = uniform\ng_min = 0.5\ng_max = 1.5\n"
+                     "sigma_z2 = 0.05\ntrials = 100\nmessage_i = 1\n", ("slack", "nan"),
+         cli.EXIT_PRECONDITION),
+        ("converse-check", "b = 0.1\n", ("power_budget", "nan"), cli.EXIT_PRECONDITION),
+        ("converse-check", "b = 0.1\n", ("epsilon_n", "-0.5"), cli.EXIT_PRECONDITION),
+    ],
+    ids=["fast-discrete-nan-value", "slow-nan-weight", "infinite-g-max", "codebook-nan-slack",
+         "codebook-nan-power-budget", "codebook-negative-epsilon"],
+)
+def test_nonfinite_input_fails_at_the_boundary(pack_dir, tmp_path, command, config, header,
+                                                expected):
+    # unchecked, the nan gain law and the nan slack ran to a false
+    # "bound=nan verdict=VIOLATION" (exit 1), the nan power budget reported
+    # required_normalized = nan (exit 1) and the negative epsilon_n passed
+    book = pack_dir / "codebook.txt"
+    if header is not None:
+        book = write(tmp_path / "bad_codebook.txt", _with_header(book.read_text(), *header))
+    cfg = write(tmp_path / "run.cfg", f"codebook = {book}\n" + config)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == expected
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_near_codeword_summary_fields(tmp_path):

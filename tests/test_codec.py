@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from difading import codec, geometry
 from difading import (
@@ -68,6 +71,28 @@ def test_codebook_rejects_overweight_codewords():
     words[0, 0] = 1.5
     with pytest.raises(ValueError, match="norm"):
         Codebook(4, 1.0, 0.0, "achievability", 0.5, words)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("power_budget", math.nan),
+        ("power_budget", math.inf),
+        ("power_budget", 0.0),
+        ("power_budget", -1.0),
+        ("epsilon_n", math.nan),
+        ("epsilon_n", math.inf),
+        ("epsilon_n", 0.0),
+        ("slack", math.nan),
+        ("slack", -math.inf),
+    ],
+)
+def test_codebook_rejects_bad_scalar_parameters(field, bad):
+    # a NaN power budget makes every norm comparison False, so nothing else catches it
+    params = dict(power_budget=1.0, slack=0.0, epsilon_n=0.5)
+    params[field] = bad
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        Codebook(dimension=4, schedule="achievability", codewords=np.zeros((1, 4)), **params)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -216,6 +241,30 @@ def test_identify_invariant_under_simultaneous_permutation():
             )
 
 
+@pytest.mark.parametrize("flavor", ["fast", "slow"])
+def test_batched_statistic_matches_identify_row_by_row(flavor):
+    rng = np.random.default_rng(23)
+    n, trials = 7, 200
+    words = rng.standard_normal((3, n))
+    words /= np.linalg.norm(words, axis=1, keepdims=True) * 2.0
+    cb = Codebook(n, 1.0, 0.0, "achievability", 0.1, words)
+    rule = DecoderRule(cb, 0.3, 0.1, flavor=flavor)
+    gains = rng.uniform(0.5, 1.5, (trials, n) if flavor == "fast" else trials)
+    sent = words[rng.integers(0, 3, trials)]  # each trial sends a random message
+    y = (gains if flavor == "fast" else gains[:, None]) * sent
+    y += rng.standard_normal((trials, n)) * math.sqrt(0.3 / n)
+    for j in (1, 2, 3):
+        stat = rule.statistic(y, j, gains)
+        decisions = rule.accepts(stat)
+        assert stat.shape == decisions.shape == (trials,)
+        assert 0 < decisions.sum() < trials
+        for t in range(trials):
+            g = gains[t] if flavor == "fast" else float(gains[t])
+            resid = y[t] - g * cb.codeword(j)
+            assert stat[t] == pytest.approx(float(resid @ resid), rel=1e-12)
+            assert decisions[t] == identify(rule, y[t], j, g)
+
+
 def test_decoder_rule_validation():
     cb = two_codeword_codebook(4, 1.0, 0.0, distance=0.5)
     with pytest.raises(ValueError):
@@ -239,6 +288,58 @@ def test_codebook_serialization_round_trip():
     assert loaded.saturated == cb.saturated
     assert np.array_equal(loaded.codewords, cb.codewords)
     assert codebook_to_text(loaded) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.integers(1, 5).flatmap(
+        lambda n: arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.just(n)),
+            elements=st.floats(-0.4, 0.4),  # ||u|| <= 0.4 sqrt(5) < sqrt(A)
+        )
+    ),
+    power_budget=st.floats(1.0, 1e6),
+    slack=st.floats(0.0, 1.0, exclude_max=True),
+    schedule=st.sampled_from(codec.SCHEDULES),
+    epsilon_n=st.floats(1e-300, 1e3),
+    seed=st.none() | st.integers(0, 2**63 - 1),
+    saturated=st.none() | st.booleans(),
+)
+def test_codebook_text_round_trips_bit_exactly(
+    words, power_budget, slack, schedule, epsilon_n, seed, saturated
+):
+    cb = Codebook(words.shape[1], power_budget, slack, schedule, epsilon_n, words, seed, saturated)
+    text = codebook_to_text(cb)
+    loaded = codebook_from_text(text)
+    assert loaded.codewords.tobytes() == cb.codewords.tobytes()  # -0.0 and subnormals too
+    for field in ("dimension", "power_budget", "slack", "schedule", "epsilon_n", "seed",
+                  "saturated"):
+        assert getattr(loaded, field) == getattr(cb, field)
+    assert codebook_to_text(loaded) == text
+
+
+def test_codebook_parser_rejects_malformed_documents():
+    text = codebook_to_text(two_codeword_codebook(3, 1.0, 0.0, distance=0.5))
+    lines = text.splitlines()
+    body = lines.index("centers:") + 1
+
+    def with_row(k, row):
+        return "\n".join(lines[: body + k] + [row] + lines[body + k + 1 :]) + "\n"
+
+    malformed = {
+        "unknown format": text.replace(codec.CODEBOOK_FORMAT, "unknown-v9"),
+        "count mismatch": text.replace("count = 2", "count = 4"),
+        "missing centers": "just some text",
+        "missing header key": text.replace("seed = none\n", ""),
+        "ragged row": with_row(1, lines[body + 1] + " 0.0"),
+        "short row": with_row(1, "-0.25 0"),
+        "non-numeric row": with_row(0, "0.25 abc 0"),
+    }
+    for case, doc in malformed.items():
+        with pytest.raises(ValueError):
+            codebook_from_text(doc)
+        assert doc != text, case
 
 
 def test_codebook_determinism_in_seed():

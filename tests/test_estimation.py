@@ -188,10 +188,10 @@ def test_vectorized_estimator_matches_per_trial_channel_path():
     gains = spec.sample(substream(plan.seed, "gains", 0), trials * n).reshape(trials, n)
     rule = DecoderRule(cb, sigma_z2, delta, flavor="fast")
     accepted = 0
-    for t in range(trials):
-        realization = ChannelRealization(gains[t], z[t])
+    for t in range(trials):  # each trial is a chunk of one
+        realization = ChannelRealization(gains[t : t + 1], z[t : t + 1])
         y = apply_channel(model, cb.codeword(1), realization, cb.power_budget)
-        accepted += identify(rule, y, 2, gains[t])
+        accepted += identify(rule, y[0], 2, gains[t])
     assert report.estimate == pytest.approx(accepted / trials, abs=1e-12)
 
 
@@ -217,10 +217,11 @@ def test_worst_case_matches_per_trial_channel_path():
     rule = DecoderRule(cb, sigma_z2, delta, flavor="slow")
     for g, rep1, rep2 in zip(grid, worst1.per_gain, worst2.per_gain):
         accepted = {1: 0, 2: 0}
-        for t in range(trials):
-            y = apply_channel(model, cb.codeword(1), ChannelRealization(g, z[t]), cb.power_budget)
+        for t in range(trials):  # each trial is a chunk of one
+            realization = ChannelRealization(np.array([g]), z[t : t + 1])
+            y = apply_channel(model, cb.codeword(1), realization, cb.power_budget)
             for test in accepted:
-                accepted[test] += identify(rule, y, test, g)
+                accepted[test] += identify(rule, y[0], test, g)
         assert rep1.gain == rep2.gain == g
         assert rep1.estimate == pytest.approx(1.0 - accepted[1] / trials, abs=1e-12)
         assert rep2.estimate == pytest.approx(accepted[2] / trials, abs=1e-12)

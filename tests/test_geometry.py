@@ -17,8 +17,6 @@ from difading import (
     generate_saturated_packing,
     log_sphere_volume,
     min_pairwise_distance,
-    packing_from_text,
-    packing_to_text,
     sample_in_ball,
     sphere_volume,
 )
@@ -226,25 +224,3 @@ def test_density_split_is_deterministic_in_seed():
     b = estimate_packing_density(packing, samples=30000, seed=13)
     assert a == b
 
-
-def test_serialization_round_trip_is_bitwise_exact():
-    packing = generate_saturated_packing(
-        PackingConfig(3, 0.7, 5.0, seed=31, saturation_patience=2000)
-    )
-    text = packing_to_text(packing)
-    loaded = packing_from_text(text)
-    assert loaded.config == packing.config
-    assert loaded.saturated == packing.saturated
-    assert np.array_equal(loaded.centers, packing.centers)
-    assert packing_to_text(loaded) == text
-
-
-def test_serialization_rejects_malformed_documents():
-    packing = Packing(PackingConfig(2, 1.0, 1.0, seed=0), np.zeros((1, 2)), True)
-    text = packing_to_text(packing)
-    with pytest.raises(ValueError):
-        packing_from_text(text.replace("difading-packing-v1", "unknown-v9"))
-    with pytest.raises(ValueError):
-        packing_from_text(text.replace("count = 1", "count = 4"))
-    with pytest.raises(ValueError):
-        packing_from_text("just some text")
