@@ -27,7 +27,6 @@ from difading import (
     apply_channel,
     build_codebook,
     delta_n,
-    encode,
     identify,
     load_codebook,
     min_pairwise_distance,
@@ -57,7 +56,7 @@ print(f"\ndecoder: accept when ||y - g o u_j|| <= {radius:.4f} "
 model = ChannelModel("fast", sigma_z2, FadingSpec.uniform(gamma, 1.5))
 trials = 1000
 chunk = realize(model, trials, n, seed=5, chunk=0)
-y = apply_channel(model, encode(codebook, 3), chunk, power)
+y = apply_channel(model, codebook.codeword(3), chunk, power)
 print(f"  sent message 3 in {trials} trials; decoder CSI = realized gains")
 for j in (3, 7):
     accepted = rule.accepts(rule.statistic(y, j, chunk.gains))

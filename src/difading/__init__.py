@@ -40,7 +40,6 @@ from .codec import (
     codebook_from_text,
     codebook_to_text,
     delta_n,
-    encode,
     epsilon_schedule,
     identify,
     load_codebook,

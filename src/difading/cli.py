@@ -269,7 +269,9 @@ def _cmd_simulate(params, out_dir: Path, workers: int) -> int:
             verdict = _bound_verdict(report.estimate, report.stderr, report.chebyshev_bound)
             failed = failed or verdict == "VIOLATION"
             label = f"{error_type} i={ti}" + ("" if tj is None else f" j={tj}")
-            extra = "" if report.argmax_gain is None else f" argmax_g={report.argmax_gain!r}"
+            # the type I statistic is ||z||^2 at every gain: no worst gain to report
+            gain_free = tj is None or report.argmax_gain is None
+            extra = "" if gain_free else f" argmax_g={report.argmax_gain!r}"
             bound_text = (
                 "none" if report.chebyshev_bound is None else repr(report.chebyshev_bound)
             )
@@ -535,12 +537,7 @@ def main(argv=None) -> int:
     schema = SCHEMAS[args.command]
     try:
         file_values = load_config(args.config, schema) if args.config else {}
-        overrides = {}
-        if args.seed is not None and "seed" in schema:
-            overrides["seed"] = args.seed
-        if args.trials is not None and "trials" in schema:
-            overrides["trials"] = args.trials
-        params = resolve(schema, file_values, overrides)
+        params = resolve(schema, file_values, {"seed": args.seed, "trials": args.trials})
         out_dir = Path(args.out or os.environ.get(OUT_ENV, "difading_out"))
         out_dir.mkdir(parents=True, exist_ok=True)
         workers = args.threads if args.threads is not None else (os.cpu_count() or 1)

@@ -107,9 +107,6 @@ class Codebook:
             raise IndexError(f"message index {i} outside 1..{self.size}")
         return self.codewords[i - 1]
 
-    def unnormalized_codewords(self) -> np.ndarray:
-        return self.codewords * math.sqrt(self.dimension)
-
 
 def build_codebook(
     n: int,
@@ -155,11 +152,6 @@ def build_codebook(
     # cache of Codebook.min_distance instead of scanning them again
     codebook.__dict__["min_distance"] = packing.min_distance
     return codebook
-
-
-def encode(codebook: Codebook, i: int) -> np.ndarray:
-    """Transmit codeword of message i unchanged (normalized scale)."""
-    return codebook.codeword(i)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ errors and, where defined, the closed-form Chebyshev reference bounds
     type I:  27 sigma_z2^2 / (n^b A^2 gamma^4)
     type II: the same term + 144 sigma_z2 (sigma_G^2 + mu_G^2) / (gamma^4 A n^b)
 
+The decoder knows the gains, so the residual y - g o u_j is g o d + z with
+d = u_i - u_j.  Type I has d = 0: under both flavors its statistic is ||z||^2,
+counted from the noise alone with no gains drawn (its bound has no fading
+moment).  Slow type II at gain g is g^2 ||d||^2 + 2 g (d . z) + ||z||^2, so
+one noise pass keeping ||z||^2 and d . z per trial serves every grid point.
+Only fast type II, whose per-symbol gains do not cancel, runs the channel
+(realize, apply_channel, DecoderRule.statistic).
+
 Slow-fading errors are worst cases over the gain support; the sup is
 approximated on a finite grid with common random numbers, so per-gain
-estimates differ only through the gain (paired trials).  The decoder knows
-the gain, so for a fixed gain g the statistic is
-||g d + z||^2 = g^2 ||d||^2 + 2 g (d . z) + ||z||^2 with d = u_i - u_j: one
-pass over the noise keeps the sufficient statistics ||z||^2 and d . z per
-trial, and every grid point's accept count follows from them.
+estimates differ only through the gain (paired trials).
 
 Trials are simulated in fixed-size chunks whose random streams derive from
 (seed, label, chunk index); reductions are plain sums of acceptance counts,
@@ -57,17 +61,14 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """Trial count, master seed and confidence multiplier for one estimate."""
+    """Trial count and master seed for one estimate."""
 
     trials: int
     seed: int = 0
-    confidence: float = 3.0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.confidence > 0:
-            raise ValueError(f"confidence multiplier must be positive, got {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,6 @@ class ErrorReport:
     gain: float | None = None
     argmax_gain: float | None = None
     per_gain: tuple = ()
-
-    def confidence_interval(self, multiplier: float = 3.0):
-        half = multiplier * self.stderr
-        return (max(self.estimate - half, 0.0), min(self.estimate + half, 1.0))
 
     def csv_rows(self):
         """Rows matching CSV_HEADER; worst-case reports expand per grid point."""
@@ -165,8 +162,8 @@ def _run_chunks(run_chunk, plan: TrialPlan, workers: int) -> list:
 
 
 @dataclass(frozen=True)
-class SlowStatistics:
-    """Per-trial sufficient statistics of one slow-fading (transmit, test) pair.
+class NoiseStatistics:
+    """Per-trial noise statistics of one (transmit, test) pair.
 
     noise_energy holds ||z||^2 and cross holds d . z for every trial, with
     d = u_transmit - u_test; together with ||d||^2 they give the decoder's
@@ -183,14 +180,14 @@ class SlowStatistics:
         return int(rule.accepts(stat).sum())
 
 
-def _slow_statistics(
+def _noise_statistics(
     codebook: Codebook,
     model: ChannelModel,
     transmit: int,
     test: int,
     plan: TrialPlan,
     workers: int = 1,
-) -> SlowStatistics:
+) -> NoiseStatistics:
     """One pass over the plan's noise chunks for the pair (transmit, test)."""
     d = codebook.codeword(transmit) - codebook.codeword(test)
     n = codebook.dimension
@@ -201,90 +198,20 @@ def _slow_statistics(
         return np.einsum("ij,ij->i", z, z), z @ d
 
     parts = _run_chunks(run_chunk, plan, workers)
-    return SlowStatistics(
+    return NoiseStatistics(
         distance_sq=float(d @ d),
         noise_energy=np.concatenate([energy for energy, _ in parts]),
         cross=np.concatenate([cross for _, cross in parts]),
     )
 
 
-def _accept_count(
-    codebook: Codebook,
-    model: ChannelModel,
-    transmit: int,
-    test: int,
-    delta: float,
-    plan: TrialPlan,
-    fixed_gain: float | None = None,
-    workers: int = 1,
-    statistics: SlowStatistics | None = None,
-) -> int:
-    """Number of trials in which the decoder accepts message `test`."""
-    rule = DecoderRule(codebook, model.noise_variance, delta, model.flavor)
-    if fixed_gain is not None:
-        if statistics is None:
-            statistics = _slow_statistics(codebook, model, transmit, test, plan, workers)
-        return statistics.accept_count(float(fixed_gain), rule)
-    if statistics is not None:
-        raise ValueError("slow-fading statistics apply only with a fixed gain")
-    u_tx = codebook.codeword(transmit)
-    codebook.codeword(test)  # an out-of-range test message fails before any trial runs
-    n = codebook.dimension
-
-    def run_chunk(item):  # fast fading: fresh per-symbol gains each trial
-        index, size = item
-        realization = realize(model, size, n, plan.seed, index)
-        y = apply_channel(model, u_tx, realization, codebook.power_budget)
-        return int(rule.accepts(rule.statistic(y, test, realization.gains)).sum())
-
-    return sum(_run_chunks(run_chunk, plan, workers))
-
-
-def _binomial_stderr(p: float, trials: int) -> float:
-    return math.sqrt(p * (1.0 - p) / trials)
-
-
-def _base_report(codebook, model, error_type, estimate, plan, delta, i, j, gain, bound):
-    return ErrorReport(
-        error_type=error_type,
-        estimate=estimate,
-        stderr=_binomial_stderr(estimate, plan.trials),
-        chebyshev_bound=bound,
-        trials=plan.trials,
-        flavor=model.flavor,
-        family=model.fading.family,
-        n=codebook.dimension,
-        power_budget=codebook.power_budget,
-        slack=codebook.slack,
-        gamma=model.fading.gamma,
-        g_max=model.fading.g_max,
-        noise_variance=model.noise_variance,
-        delta=delta,
-        i=i,
-        j=j,
-        gain=gain,
-    )
-
-
-def _reference_bound(codebook, model, error_type):
-    gamma = model.fading.gamma
-    if gamma <= 0:
-        return None
-    if error_type == "type1":
-        return type1_chebyshev_bound(
-            codebook.dimension, codebook.slack, codebook.power_budget, gamma,
-            model.noise_variance,
-        )
-    return type2_chebyshev_bound(
-        codebook.dimension, codebook.slack, codebook.power_budget, gamma,
-        model.noise_variance, model.fading.second_moment,
-    )
-
-
-def _check_gain_argument(model: ChannelModel, gain):
+def _estimate(codebook, model, i, j, delta, plan, gain, workers, statistics) -> ErrorReport:
+    """The one estimate body: type I when j is None, else type II (see the module docstring)."""
     if model.flavor == "fast":
-        if gain is not None:
-            raise ValueError("fast fading draws per-symbol gains; do not pass a fixed gain")
+        if gain is not None or statistics is not None:
+            raise ValueError(
+                "fast fading draws per-symbol gains; pass neither a fixed gain nor statistics"
+            )
     elif gain is None:
         raise ValueError(
             "slow-fading errors are worst cases over the gain; pass gain=... for a "
@@ -292,6 +219,52 @@ def _check_gain_argument(model: ChannelModel, gain):
         )
     elif not model.fading.contains(gain):
         raise ValueError(f"gain {gain} lies outside the fading support")
+    rule = DecoderRule(codebook, model.noise_variance, delta, model.flavor)
+    if model.flavor == "fast" and j is not None:
+        u_tx = codebook.codeword(i)
+        codebook.codeword(j)  # an out-of-range test message fails before any trial runs
+        n = codebook.dimension
+
+        def run_chunk(item):
+            index, size = item
+            realization = realize(model, size, n, plan.seed, index)
+            y = apply_channel(model, u_tx, realization, codebook.power_budget)
+            return int(rule.accepts(rule.statistic(y, j, realization.gains)).sum())
+
+        accepts = sum(_run_chunks(run_chunk, plan, workers))
+    else:  # type I (d = 0, the gain drops out) or slow type II
+        if statistics is None:
+            statistics = _noise_statistics(
+                codebook, model, i, i if j is None else j, plan, workers
+            )
+        accepts = statistics.accept_count(0.0 if gain is None else float(gain), rule)
+    estimate = 1.0 - accepts / plan.trials if j is None else accepts / plan.trials
+    bound = None
+    gamma = model.fading.gamma
+    if gamma > 0:
+        args = (codebook.dimension, codebook.slack, codebook.power_budget, gamma,
+                model.noise_variance)
+        bound = (type1_chebyshev_bound(*args) if j is None
+                 else type2_chebyshev_bound(*args, model.fading.second_moment))
+    return ErrorReport(
+        error_type="type1" if j is None else "type2",
+        estimate=estimate,
+        stderr=math.sqrt(estimate * (1.0 - estimate) / plan.trials),
+        chebyshev_bound=bound,
+        trials=plan.trials,
+        flavor=model.flavor,
+        family=model.fading.family,
+        n=codebook.dimension,
+        power_budget=codebook.power_budget,
+        slack=codebook.slack,
+        gamma=gamma,
+        g_max=model.fading.g_max,
+        noise_variance=model.noise_variance,
+        delta=delta,
+        i=i,
+        j=j,
+        gain=gain,
+    )
 
 
 def estimate_type1(
@@ -303,22 +276,14 @@ def estimate_type1(
     gain: float | None = None,
     workers: int = 1,
     *,
-    statistics: SlowStatistics | None = None,
+    statistics: NoiseStatistics | None = None,
 ) -> ErrorReport:
     """Missed-identification rate: transmit u_i, count rejections of message i.
 
     statistics, set only by estimate_worst_case, are the pair's precomputed
-    slow-fading statistics; without them a conditional slow estimate computes
-    its own.
+    slow-fading noise statistics; without them an estimate computes its own.
     """
-    _check_gain_argument(model, gain)
-    accepts = _accept_count(
-        codebook, model, i, i, delta, plan, fixed_gain=gain, workers=workers,
-        statistics=statistics,
-    )
-    p = 1.0 - accepts / plan.trials
-    bound = _reference_bound(codebook, model, "type1")
-    return _base_report(codebook, model, "type1", p, plan, delta, i, None, gain, bound)
+    return _estimate(codebook, model, i, None, delta, plan, gain, workers, statistics)
 
 
 def estimate_type2(
@@ -331,7 +296,7 @@ def estimate_type2(
     gain: float | None = None,
     workers: int = 1,
     *,
-    statistics: SlowStatistics | None = None,
+    statistics: NoiseStatistics | None = None,
 ) -> ErrorReport:
     """False-identification rate: transmit u_i, count acceptances of message j != i.
 
@@ -339,14 +304,7 @@ def estimate_type2(
     """
     if i == j:
         raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
-    _check_gain_argument(model, gain)
-    accepts = _accept_count(
-        codebook, model, i, j, delta, plan, fixed_gain=gain, workers=workers,
-        statistics=statistics,
-    )
-    p = accepts / plan.trials
-    bound = _reference_bound(codebook, model, "type2")
-    return _base_report(codebook, model, "type2", p, plan, delta, i, j, gain, bound)
+    return _estimate(codebook, model, i, j, delta, plan, gain, workers, statistics)
 
 
 def estimate_worst_case(
@@ -371,7 +329,7 @@ def estimate_worst_case(
     grid = [float(g) for g in np.atleast_1d(np.asarray(g_grid, dtype=np.float64))]
     if not grid:
         raise ValueError("gain grid is empty")
-    statistics = _slow_statistics(codebook, model, i, i if j is None else j, plan, workers)
+    statistics = _noise_statistics(codebook, model, i, i if j is None else j, plan, workers)
     reports = []
     for g in grid:
         if j is None:

@@ -122,6 +122,8 @@ class Packing:
         centers = np.asarray(self.centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[1] != self.config.dimension:
             raise ValueError("centers must be a (count, dimension) array")
+        if not np.isfinite(centers).all():
+            raise ValueError("centers must be finite")
         object.__setattr__(self, "centers", centers)
 
     @property

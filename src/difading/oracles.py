@@ -119,9 +119,9 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
         raise ValueError(f"noncentrality must be nonnegative, got {noncentrality}")
     if x <= 0.0:
         return 0.0
-    if noncentrality == 0.0:
-        return chi2_cdf(x, df)
     half_nc = 0.5 * noncentrality
+    if half_nc == 0.0:  # also a subnormal noncentrality that halves to 0
+        return chi2_cdf(x, df)
     y = 0.5 * x
     j0 = int(half_nc)
 

@@ -91,6 +91,12 @@ grid_resolution = 7
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
     lines = (out / "simulate_report.csv").read_text().splitlines()
     assert len(lines) == 1 + 7 * 2  # header + grid rows for type1 and type2
+    assert all(line.split(",")[-1] for line in lines[1:])  # every CSV row keeps its gain
+    verdicts = (out / "simulate_summary.txt").read_text().splitlines()
+    type1 = next(line for line in verdicts if line.startswith("type1 i=1:"))
+    type2 = next(line for line in verdicts if line.startswith("type2 i=1 j=2:"))
+    assert "argmax_g" not in type1  # the type I rate does not depend on the gain
+    assert "argmax_g=" in type2
 
 
 def test_simulate_is_byte_deterministic(pack_dir, tmp_path):
@@ -172,6 +178,37 @@ message_i = 1
     assert run(["simulate", "--config", cfg, "--trials", "300", "--out", str(out)]) == cli.EXIT_OK
     row = (out / "simulate_report.csv").read_text().splitlines()[1].split(",")
     assert row[11] == "300"
+
+
+_NO_SEED_OR_TRIALS = {
+    "pack": "n = 16\nseed = 1\npatience = 200\nmax_codewords = 4\n",
+    "converse-check": "codebook = {codebook}\nb = 0.0\n",
+    "scales": "",
+    "sweep": "n_values = 8\nseed = 1\npatience = 200\nmax_codewords = 4\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("pack", ["--trials", "5"]),
+        ("converse-check", ["--trials", "5", "--seed", "3"]),
+        ("converse-check", ["--seed", "3"]),
+        ("scales", ["--trials", "7"]),
+        ("scales", ["--seed", "7"]),
+        ("sweep", ["--trials", "5"]),
+    ],
+)
+def test_override_without_a_matching_parameter_is_a_config_error(
+    pack_dir, tmp_path, capsys, command, flags
+):
+    text = _NO_SEED_OR_TRIALS[command].format(codebook=pack_dir / "codebook.txt")
+    cfg = write(tmp_path / "c.cfg", text)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == cli.EXIT_OK
+    out = tmp_path / "refused"
+    assert run([command, "--config", cfg, *flags, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "unknown override parameter" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_is_a_config_error(tmp_path):

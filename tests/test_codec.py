@@ -15,7 +15,6 @@ from difading import (
     codebook_to_text,
     converse_spacing,
     delta_n,
-    encode,
     epsilon_schedule,
     identify,
     min_pairwise_distance,
@@ -135,20 +134,21 @@ def test_built_codebook_reuses_the_packing_min_distance(monkeypatch):
     assert cb.min_distance == min_pairwise_distance(cb.codewords)
 
 
-def test_encode_returns_stored_codeword_one_based():
+def test_codeword_returns_stored_codeword_one_based():
     cb = build_codebook(32, 1.0, 0.0, seed=3, patience=2000)
-    assert np.array_equal(encode(cb, 1), cb.codewords[0])
+    assert np.array_equal(cb.codeword(1), cb.codewords[0])
+    assert np.array_equal(cb.codeword(cb.size), cb.codewords[-1])
     with pytest.raises(IndexError):
-        encode(cb, cb.size + 1)
+        cb.codeword(cb.size + 1)
     with pytest.raises(IndexError):
-        encode(cb, 0)
+        cb.codeword(0)
 
 
 def test_noiseless_round_trip_accepts():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.8)
     rule = DecoderRule(cb, noise_variance=0.5, delta=0.1, flavor="fast")
     gains = np.full(8, 1.3)
-    y = gains * encode(cb, 1)
+    y = gains * cb.codeword(1)
     assert identify(rule, y, 1, gains)
 
 
@@ -170,7 +170,7 @@ def test_identify_threshold_and_tie():
     rule = DecoderRule(cb, noise_variance=0.75, delta=0.25, flavor="fast")
     assert rule.threshold == pytest.approx(1.0, rel=1e-12)
     gains = np.ones(4)
-    u = encode(cb, 1)
+    u = cb.codeword(1)
     bump = np.zeros(4)
     bump[1] = 1.0  # exactly at the threshold: ties accept
     assert identify(rule, gains * u + bump, 1, gains)
@@ -185,7 +185,7 @@ def test_identify_wrong_codeword_rejection_condition():
         cb = two_codeword_codebook(16, 1.0, 0.0, distance=math.sqrt(eps))
         rule = DecoderRule(cb, sigma_z2, delta_n(1.0, eps), flavor="fast")
         gains = np.ones(16)
-        y = gains * encode(cb, 1)
+        y = gains * cb.codeword(1)
         rejected = not identify(rule, y, 2, gains)
         assert rejected == (eps * (1.0 - 1.0 / 3.0) > sigma_z2)
 
@@ -195,7 +195,7 @@ def test_decoding_sets_overlap_for_close_codewords():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=1.0)  # 1.0 < 2 sqrt(0.6)
     rule = DecoderRule(cb, sigma_z2, delta, flavor="fast")
     gains = np.ones(8)
-    midpoint = gains * 0.5 * (encode(cb, 1) + encode(cb, 2))
+    midpoint = gains * 0.5 * (cb.codeword(1) + cb.codeword(2))
     assert identify(rule, midpoint, 1, gains)
     assert identify(rule, midpoint, 2, gains)
 
@@ -203,7 +203,7 @@ def test_decoding_sets_overlap_for_close_codewords():
 def test_identify_slow_flavor_broadcasts_and_validates():
     cb = two_codeword_codebook(6, 1.0, 0.0, distance=0.5)
     rule = DecoderRule(cb, 0.2, 0.05, flavor="slow")
-    y = 1.5 * encode(cb, 1)
+    y = 1.5 * cb.codeword(1)
     assert identify(rule, y, 1, 1.5)
     with pytest.raises(ValueError):
         identify(rule, y, 1, np.ones(6))
@@ -348,9 +348,3 @@ def test_codebook_determinism_in_seed():
     c = build_codebook(32, 1.0, 0.0, seed=5, patience=1000)
     assert np.array_equal(a.codewords, b.codewords)
     assert not np.array_equal(a.codewords, c.codewords)
-
-
-def test_unnormalized_codewords_scale():
-    cb = two_codeword_codebook(9, 1.0, 0.0, distance=0.5)
-    assert np.allclose(cb.unnormalized_codewords(), cb.codewords * 3.0, rtol=1e-15)
-    assert (np.linalg.norm(cb.unnormalized_codewords(), axis=1) ** 2).max() <= 9 * 1.0

@@ -171,28 +171,61 @@ def test_common_random_numbers_pair_noise_across_gains():
     assert np.array_equal(a, b)
 
 
-def test_vectorized_estimator_matches_per_trial_channel_path():
-    # the chunked simulator must agree with apply_channel + identify trial by trial
+@pytest.mark.parametrize("error_type", ["type1", "type2"])
+def test_vectorized_estimator_matches_per_trial_channel_path(error_type):
+    # the chunked simulator must agree with apply_channel + identify trial by
+    # trial; type I is counted from ||z||^2 alone, without drawing any gains.
+    # 5000 trials span a full and a partial chunk.
     n = 10
-    trials = 256
+    trials = 5_000
     sigma_z2 = 0.6
     delta = 0.2
     cb = two_codeword_codebook(n, 1.0, 0.0, distance=0.7)
     spec = FadingSpec.uniform(0.5, 1.5)
     model = ChannelModel("fast", sigma_z2, spec)
     plan = TrialPlan(trials, seed=10)
-    report = estimate_type2(cb, model, 1, 2, delta, plan)
+    if error_type == "type1":
+        test = 1
+        report = estimate_type1(cb, model, 1, delta, plan)
+    else:
+        test = 2
+        report = estimate_type2(cb, model, 1, 2, delta, plan)
 
+    sizes = (4096, trials - 4096)
     noise_scale = math.sqrt(sigma_z2 / n)
-    z = substream(plan.seed, "noise", 0).standard_normal((trials, n)) * noise_scale
-    gains = spec.sample(substream(plan.seed, "gains", 0), trials * n).reshape(trials, n)
+    z = np.concatenate([
+        substream(plan.seed, "noise", k).standard_normal((size, n)) for k, size in enumerate(sizes)
+    ]) * noise_scale
+    gains = np.concatenate([
+        spec.sample(substream(plan.seed, "gains", k), size * n).reshape(size, n)
+        for k, size in enumerate(sizes)
+    ])
     rule = DecoderRule(cb, sigma_z2, delta, flavor="fast")
     accepted = 0
     for t in range(trials):  # each trial is a chunk of one
         realization = ChannelRealization(gains[t : t + 1], z[t : t + 1])
         y = apply_channel(model, cb.codeword(1), realization, cb.power_budget)
-        accepted += identify(rule, y[0], 2, gains[t])
-    assert report.estimate == pytest.approx(accepted / trials, abs=1e-12)
+        accepted += identify(rule, y[0], test, gains[t])
+    expected = 1.0 - accepted / trials if error_type == "type1" else accepted / trials
+    assert report.estimate == pytest.approx(expected, abs=1e-12)
+    assert 0.0 < report.estimate < 1.0  # neither always nor never accepted
+
+
+def test_type1_draws_no_gains(monkeypatch):
+    # with CSI the gains cancel out of ||y - g o u_i||^2 = ||z||^2
+    def no_gains(self, rng, size):
+        raise AssertionError("a type I estimate drew fading gains")
+
+    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
+    spec = FadingSpec.uniform(0.5, 1.5)
+    plan = TrialPlan(5_000, seed=17)
+    expected = estimate_type1(cb, ChannelModel("fast", 1.0, spec), 1, 0.1, plan).estimate
+    monkeypatch.setattr(FadingSpec, "sample", no_gains)
+    fast = estimate_type1(cb, ChannelModel("fast", 1.0, spec), 1, 0.1, plan, workers=2)
+    slow = estimate_worst_case(cb, ChannelModel("slow", 1.0, spec), 1, None, 0.1, [0.5, 1.5], plan)
+    assert fast.estimate == slow.estimate == expected  # same noise, same ||z||^2
+    with pytest.raises(AssertionError, match="drew fading gains"):
+        estimate_type2(cb, ChannelModel("fast", 1.0, spec), 1, 2, 0.1, plan)
 
 
 def test_worst_case_matches_per_trial_channel_path():
@@ -252,8 +285,6 @@ def test_report_fields_and_csv_shape():
     rows = report.csv_rows()
     assert len(rows) == 1
     assert len(rows[0]) == len(CSV_HEADER)
-    low, high = report.confidence_interval()
-    assert 0.0 <= low <= high <= 1.0
 
 
 def test_worst_case_csv_expands_per_gain():
@@ -271,7 +302,7 @@ def test_trial_plan_validation():
     with pytest.raises(ValueError):
         TrialPlan(0, seed=0)
     with pytest.raises(ValueError):
-        TrialPlan(10, seed=0, confidence=0.0)
+        TrialPlan(-5, seed=0)
 
 
 def test_near_codeword_mechanism_and_witness():

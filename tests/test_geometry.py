@@ -177,6 +177,13 @@ def test_packing_config_validation():
         PackingConfig(2, 1.0, 1.0, saturation_patience=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_packing_rejects_nonfinite_centers(bad):
+    # a NaN center used to pass check_invariants with min_distance = inf
+    with pytest.raises(ValueError, match="finite"):
+        Packing(PackingConfig(2, 0.5, 2.0), [[0.0, 0.0], [bad, 1.0]], True)
+
+
 def test_min_pairwise_distance_examples():
     assert min_pairwise_distance([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0, rel=1e-12)
     assert min_pairwise_distance([[0.0], [1.0], [10.0]]) == pytest.approx(1.0, rel=1e-12)

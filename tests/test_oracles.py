@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from difading import oracles
@@ -142,3 +144,30 @@ def test_noncentral_downward_sum_stops_once_the_weights_underflow(
 )
 def test_noncentral_converged_values_are_pinned_to_the_bit(x, df, noncentrality, expected):
     assert oracles.noncentral_chi2_cdf(x, df, noncentrality) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    df=st.one_of(st.integers(1, 2000), st.floats(0.5, 2000.0)),
+    noncentrality=st.floats(0.0, 2000.0),
+    position=st.floats(1e-6, 1.0),
+)
+def test_oracles_match_scipy_over_random_arguments(df, noncentrality, position):
+    # x runs up to 3 (df + lambda) + 10, well past the bulk of both laws; it
+    # stays above 1e-6 of that because scipy.stats.ncx2 itself overflows near
+    # x = 1e-38 (boost tgamma)
+    x = position * (3.0 * (df + noncentrality) + 10.0)
+    assert oracles.chi2_cdf(x, df) == pytest.approx(stats.chi2.cdf(x, df), abs=1e-11)
+    assert oracles.chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), abs=1e-11)
+    assert oracles.noncentral_chi2_cdf(x, df, noncentrality) == pytest.approx(
+        stats.ncx2.cdf(x, df, noncentrality), abs=1e-11
+    )
+    assert oracles.noncentral_chi2_sf(x, df, noncentrality) == pytest.approx(
+        stats.ncx2.sf(x, df, noncentrality), abs=1e-11
+    )
+
+
+def test_subnormal_noncentrality_is_the_central_law():
+    # 5e-324 halves to 0.0: the Poisson mixture would take log(0)
+    for x, df in ((3.0, 1), (20.0, 16)):
+        assert oracles.noncentral_chi2_cdf(x, df, 5e-324) == oracles.chi2_cdf(x, df)
