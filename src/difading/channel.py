@@ -11,7 +11,9 @@ The channel runs on the normalized scale: inputs satisfy ||x|| <= sqrt(A)
 and the noise has variance sigma_z2 / n per symbol.  It is drawn a chunk of
 trials at a time, the gains from the (seed, "gains", chunk) substream and the
 noise from the (seed, "noise", chunk) substream; a single trial is a chunk of
-one.  The Monte-Carlo estimators use these draws as they are.
+one.  This literal path is the channel model that the demos and tests run;
+the Monte-Carlo estimators draw the decoder statistic from its exact
+chi-square law instead (see difading.estimation), from the same substreams.
 """
 
 import math

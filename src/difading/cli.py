@@ -148,12 +148,12 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def _bound_verdict(estimate: float, stderr: float, bound, confidence: float = 3.0) -> str:
+def _bound_verdict(estimate: float, stderr: float, bound) -> str:
     if bound is None:
         return "no-bound"
     if bound > 1.0:
         return "vacuous"
-    return "ok" if estimate <= bound + confidence * stderr else "VIOLATION"
+    return "ok" if estimate <= bound + 3.0 * stderr else "VIOLATION"
 
 
 def _rate_note(value: float) -> str:

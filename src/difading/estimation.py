@@ -9,12 +9,22 @@ errors and, where defined, the closed-form Chebyshev reference bounds
     type II: the same term + 144 sigma_z2 (sigma_G^2 + mu_G^2) / (gamma^4 A n^b)
 
 The decoder knows the gains, so the residual y - g o u_j is g o d + z with
-d = u_i - u_j.  Type I has d = 0: under both flavors its statistic is ||z||^2,
-counted from the noise alone with no gains drawn (its bound has no fading
-moment).  Slow type II at gain g is g^2 ||d||^2 + 2 g (d . z) + ||z||^2, so
-one noise pass keeping ||z||^2 and d . z per trial serves every grid point.
-Only fast type II, whose per-symbol gains do not cancel, runs the channel
-(realize, apply_channel, DecoderRule.statistic).
+d = u_i - u_j and z ~ N(0, s^2 I), s^2 = sigma_z2 / n.  Given the gains its
+squared norm is s^2 times a noncentral chi-square with n degrees of freedom and
+noncentrality ||g o d||^2 / s^2, and the estimators draw it from that law
+instead of drawing z:
+
+* type I (d = 0, either flavor): the gains cancel, the statistic is ||z||^2 =
+  s^2 chi2_n, one chi-square draw per trial and no gains (its bound has no
+  fading moment);
+* slow type II at gain g: g^2 ||d||^2 + 2 g (d . z) + ||z||^2 with
+  d . z = s ||d|| xi and ||z||^2 = s^2 (xi^2 + chi2_{n-1}), xi standard normal,
+  so two scalars per trial serve every grid point;
+* fast type II: gains only on the coordinates where d_k != 0, then one
+  noncentral chi-square draw with noncentrality sum_k g_k^2 d_k^2 / s^2.
+
+Every statistic is decided by DecoderRule.accepts.  The literal channel path
+(realize, apply_channel, identify) draws z itself; it has the same law.
 
 Slow-fading errors are worst cases over the gain support; the sup is
 approximated on a finite grid with common random numbers, so per-gain
@@ -33,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracles
-from .channel import ChannelModel, FadingSpec, apply_channel, realize, sample_noise
+from .channel import ChannelModel, FadingSpec, sample_fading
 from .codec import Codebook, DecoderRule, delta_n, epsilon_schedule
 from .seeding import substream
 
@@ -188,18 +198,29 @@ def _noise_statistics(
     plan: TrialPlan,
     workers: int = 1,
 ) -> NoiseStatistics:
-    """One pass over the plan's noise chunks for the pair (transmit, test)."""
+    """||z||^2 and d . z of the pair (transmit, test), drawn from their exact law.
+
+    d = 0 draws s^2 chi2_n per trial; otherwise xi and chi2_{n-1} give
+    d . z = s ||d|| xi and ||z||^2 = s^2 (xi^2 + chi2_{n-1}).
+    """
     d = codebook.codeword(transmit) - codebook.codeword(test)
     n = codebook.dimension
+    s2 = model.noise_variance / n
+    distance_sq = float(d @ d)
+    cross_scale = math.sqrt(s2 * distance_sq)
 
     def run_chunk(item):
         index, size = item
-        z = sample_noise(model.noise_variance, size, n, substream(plan.seed, "noise", index))
-        return np.einsum("ij,ij->i", z, z), z @ d
+        rng = substream(plan.seed, "noise", index)
+        if distance_sq == 0.0:
+            return s2 * rng.chisquare(n, size), np.zeros(size)
+        xi = rng.standard_normal(size)
+        rest = rng.chisquare(n - 1, size) if n > 1 else 0.0  # numpy refuses chi2_0
+        return s2 * (xi * xi + rest), cross_scale * xi
 
     parts = _run_chunks(run_chunk, plan, workers)
     return NoiseStatistics(
-        distance_sq=float(d @ d),
+        distance_sq=distance_sq,
         noise_energy=np.concatenate([energy for energy, _ in parts]),
         cross=np.concatenate([cross for _, cross in parts]),
     )
@@ -221,15 +242,25 @@ def _estimate(codebook, model, i, j, delta, plan, gain, workers, statistics) -> 
         raise ValueError(f"gain {gain} lies outside the fading support")
     rule = DecoderRule(codebook, model.noise_variance, delta, model.flavor)
     if model.flavor == "fast" and j is not None:
-        u_tx = codebook.codeword(i)
-        codebook.codeword(j)  # an out-of-range test message fails before any trial runs
+        # gains only where d_k != 0 (none for d = 0); given them the statistic
+        # is s^2 times a noncentral chi2_n with noncentrality sum_k g_k^2 d_k^2 / s^2
         n = codebook.dimension
+        s2 = model.noise_variance / n
+        d = codebook.codeword(i) - codebook.codeword(j)
+        weights = d[d != 0.0] ** 2 / s2
 
         def run_chunk(item):
             index, size = item
-            realization = realize(model, size, n, plan.seed, index)
-            y = apply_channel(model, u_tx, realization, codebook.power_budget)
-            return int(rule.accepts(rule.statistic(y, j, realization.gains)).sum())
+            noncentrality = 0.0
+            if weights.size:
+                gains = sample_fading(
+                    model.fading, "fast", size, weights.size, substream(plan.seed, "gains", index)
+                )
+                # squared in place: a second (chunk, m) temporary is given back
+                # to the system on free and faulted in again by the next chunk
+                noncentrality = np.square(gains, out=gains) @ weights
+            rng = substream(plan.seed, "noise", index)
+            return int(rule.accepts(s2 * rng.noncentral_chisquare(n, noncentrality, size)).sum())
 
         accepts = sum(_run_chunks(run_chunk, plan, workers))
     else:  # type I (d = 0, the gain drops out) or slow type II
@@ -320,9 +351,9 @@ def estimate_worst_case(
     """Sup over the gain grid of the per-gain error (slow fading).
 
     All grid points share the same noise draws (common random numbers), so
-    the per-point estimates differ only through the gain.  The noise is drawn
-    once: its sufficient statistics serve every grid point.  Returns the
-    maximum with its argmax gain; per-point reports are attached.
+    the per-point estimates differ only through the gain.  The noise
+    statistics ||z||^2 and d . z are drawn once and serve every grid point.
+    Returns the maximum with its argmax gain; per-point reports are attached.
     """
     if model.flavor != "slow":
         raise ValueError("worst-case estimation applies to slow fading")

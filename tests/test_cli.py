@@ -126,10 +126,10 @@ random_pairs = 2
 
 
 # sha256 of simulate_report.csv for the configuration below, recorded when the
-# estimator still drew its own noise and gains and ran its own threshold test
+# estimator began drawing the decoder statistic from its chi-square law
 _PINNED_REPORTS = {
-    "fast": "17a40a383d3c28eff733210d72dfb646bda59d1eac9fb0db8445688494832ef4",
-    "slow": "5d7f1bc1f0a80a9feb2caf9143177625e0c5270113ed874a2420cd5b80bbd378",
+    "fast": "78d3b4813ba0aaeca8c14eff93a2e8982f989751d45a01970f9965ce472a97d1",
+    "slow": "daf1b7491c8533e4859afc7681123bbd9880080a6766b32fb41e9f6019e73f75",
 }
 
 

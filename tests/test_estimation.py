@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from difading import (
     ChannelModel,
     Codebook,
-    ChannelRealization,
     DecoderRule,
     FadingSpec,
     TrialPlan,
@@ -18,6 +18,7 @@ from difading import (
     estimate_worst_case,
     identify,
     near_codeword_experiment,
+    realize,
     substream,
     type1_chebyshev_bound,
     type2_chebyshev_bound,
@@ -171,44 +172,62 @@ def test_common_random_numbers_pair_noise_across_gains():
     assert np.array_equal(a, b)
 
 
+# The estimators draw the decoder statistic from its chi-square law, the
+# literal channel path draws the noise vector: the two must agree in
+# distribution, and both with the scipy oracle.  200k trials give a binomial
+# standard error of at most 0.0012 per acceptance rate.
+_LAW_TRIALS = 200_000
+_LAW_DELTAS = (0.05, 0.15, 0.4)
+
+
+def _literal_statistics(model, cb, test, plan):
+    """||y - g o u_test||^2 of the literal path (realize, apply_channel) with u_1 sent."""
+    rule = DecoderRule(cb, model.noise_variance, 0.2, model.flavor)
+    full, rem = divmod(plan.trials, 4096)
+    stats = []
+    for k, size in enumerate([4096] * full + ([rem] if rem else [])):
+        realization = realize(model, size, cb.dimension, plan.seed, k)
+        y = apply_channel(model, cb.codeword(1), realization, cb.power_budget)
+        stat = rule.statistic(y, test, realization.gains)
+        if k == 0:  # identify is the rule's one-trial case
+            decisions = [identify(rule, y[t], test, realization.gains[t]) for t in range(200)]
+            assert decisions == list(rule.accepts(stat[:200]))
+        stats.append(stat)
+    return np.concatenate(stats)
+
+
+def _assert_same_law(estimated, literal, oracle, trials):
+    # estimated and literal come from disjoint draws; each is binomial around oracle
+    se = math.sqrt(max(oracle * (1.0 - oracle), 1e-6) / trials)
+    assert abs(estimated - oracle) <= 4.0 * se
+    assert abs(literal - oracle) <= 4.0 * se
+    assert abs(estimated - literal) <= 4.0 * math.sqrt(2.0) * se
+
+
 @pytest.mark.parametrize("error_type", ["type1", "type2"])
-def test_vectorized_estimator_matches_per_trial_channel_path(error_type):
-    # the chunked simulator must agree with apply_channel + identify trial by
-    # trial; type I is counted from ||z||^2 alone, without drawing any gains.
-    # 5000 trials span a full and a partial chunk.
+def test_fast_estimator_matches_channel_path_and_chi2_law(error_type):
     n = 10
-    trials = 5_000
     sigma_z2 = 0.6
-    delta = 0.2
+    s2 = sigma_z2 / n
     cb = two_codeword_codebook(n, 1.0, 0.0, distance=0.7)
     spec = FadingSpec.uniform(0.5, 1.5)
     model = ChannelModel("fast", sigma_z2, spec)
-    plan = TrialPlan(trials, seed=10)
-    if error_type == "type1":
-        test = 1
-        report = estimate_type1(cb, model, 1, delta, plan)
-    else:
-        test = 2
-        report = estimate_type2(cb, model, 1, 2, delta, plan)
-
-    sizes = (4096, trials - 4096)
-    noise_scale = math.sqrt(sigma_z2 / n)
-    z = np.concatenate([
-        substream(plan.seed, "noise", k).standard_normal((size, n)) for k, size in enumerate(sizes)
-    ]) * noise_scale
-    gains = np.concatenate([
-        spec.sample(substream(plan.seed, "gains", k), size * n).reshape(size, n)
-        for k, size in enumerate(sizes)
-    ])
-    rule = DecoderRule(cb, sigma_z2, delta, flavor="fast")
-    accepted = 0
-    for t in range(trials):  # each trial is a chunk of one
-        realization = ChannelRealization(gains[t : t + 1], z[t : t + 1])
-        y = apply_channel(model, cb.codeword(1), realization, cb.power_budget)
-        accepted += identify(rule, y[0], test, gains[t])
-    expected = 1.0 - accepted / trials if error_type == "type1" else accepted / trials
-    assert report.estimate == pytest.approx(expected, abs=1e-12)
-    assert 0.0 < report.estimate < 1.0  # neither always nor never accepted
+    plan = TrialPlan(_LAW_TRIALS, seed=10)
+    test = 1 if error_type == "type1" else 2
+    literal = _literal_statistics(model, cb, test, plan)
+    for delta in _LAW_DELTAS:
+        x = (sigma_z2 + delta) / s2
+        if error_type == "type1":
+            accept = 1.0 - estimate_type1(cb, model, 1, delta, plan).estimate
+            oracle = stats.chi2.cdf(x, n)
+        else:
+            accept = estimate_type2(cb, model, 1, 2, delta, plan).estimate
+            # the pair differs on one axis: average the law over that axis' gain
+            oracle = integrate.quad(
+                lambda g: stats.ncx2.cdf(x, n, (g * 0.7) ** 2 / s2), spec.gamma, spec.g_max
+            )[0] / (spec.g_max - spec.gamma)
+        assert 0.05 < oracle < 0.95  # each threshold cuts the body of the law
+        _assert_same_law(accept, float(np.mean(literal <= sigma_z2 + delta)), oracle, plan.trials)
 
 
 def test_type1_draws_no_gains(monkeypatch):
@@ -228,37 +247,87 @@ def test_type1_draws_no_gains(monkeypatch):
         estimate_type2(cb, ChannelModel("fast", 1.0, spec), 1, 2, 0.1, plan)
 
 
-def test_worst_case_matches_per_trial_channel_path():
-    # one noise pass serving the grid must agree with apply_channel + identify
-    # run trial by trial at each gain; 5000 trials span a full and a partial chunk
+def test_worst_case_matches_channel_path_and_chi2_law():
     n = 10
-    trials = 5_000
     sigma_z2 = 0.6
-    delta = 0.2
+    s2 = sigma_z2 / n
     grid = [0.5, 1.0, 1.5]
     cb = two_codeword_codebook(n, 1.0, 0.0, distance=0.7)
     model = ChannelModel("slow", sigma_z2, FadingSpec.uniform(0.5, 1.5))
-    plan = TrialPlan(trials, seed=16)
-    worst1 = estimate_worst_case(cb, model, 1, None, delta, grid, plan)
-    worst2 = estimate_worst_case(cb, model, 1, 2, delta, grid, plan)
-
-    noise_scale = math.sqrt(sigma_z2 / n)
-    z = np.concatenate([
-        substream(plan.seed, "noise", 0).standard_normal((4096, n)),
-        substream(plan.seed, "noise", 1).standard_normal((trials - 4096, n)),
-    ]) * noise_scale
-    rule = DecoderRule(cb, sigma_z2, delta, flavor="slow")
-    for g, rep1, rep2 in zip(grid, worst1.per_gain, worst2.per_gain):
-        accepted = {1: 0, 2: 0}
-        for t in range(trials):  # each trial is a chunk of one
-            realization = ChannelRealization(np.array([g]), z[t : t + 1])
-            y = apply_channel(model, cb.codeword(1), realization, cb.power_budget)
-            for test in accepted:
-                accepted[test] += identify(rule, y[0], test, g)
-        assert rep1.gain == rep2.gain == g
-        assert rep1.estimate == pytest.approx(1.0 - accepted[1] / trials, abs=1e-12)
-        assert rep2.estimate == pytest.approx(accepted[2] / trials, abs=1e-12)
+    plan = TrialPlan(_LAW_TRIALS, seed=16)
+    for delta in _LAW_DELTAS:
+        x = (sigma_z2 + delta) / s2
+        worst1 = estimate_worst_case(cb, model, 1, None, delta, grid, plan)
+        worst2 = estimate_worst_case(cb, model, 1, 2, delta, grid, plan)
+        for g, rep1, rep2 in zip(grid, worst1.per_gain, worst2.per_gain):
+            assert rep1.gain == rep2.gain == g
+            # the literal path at gain g: a slow channel whose gain is always g
+            at_g = ChannelModel("slow", sigma_z2, point_mass(g))
+            for test, accept, oracle in (
+                (1, 1.0 - rep1.estimate, stats.chi2.cdf(x, n)),
+                (2, rep2.estimate, stats.ncx2.cdf(x, n, (g * 0.7) ** 2 / s2)),
+            ):
+                literal = _literal_statistics(at_g, cb, test, plan)
+                accepted = float(np.mean(literal <= sigma_z2 + delta))
+                _assert_same_law(accept, accepted, oracle, plan.trials)
     assert 0.0 < worst2.estimate < 1.0  # the pair is neither always nor never confused
+
+
+def test_block_length_one_matches_the_chi2_law():
+    # at n = 1 the slow sampler has no chi2_{n-1} term to draw (numpy refuses df = 0)
+    sigma_z2, delta, d = 0.6, 0.3, 0.8
+    cb = Codebook(1, 1.0, 0.0, "achievability", 0.1, np.array([[0.5 * d], [-0.5 * d]]))
+    plan = TrialPlan(50_000, seed=18)
+    x = (sigma_z2 + delta) / sigma_z2  # s^2 = sigma_z2 at n = 1
+    fast = ChannelModel("fast", sigma_z2, point_mass(1.2))
+    slow = ChannelModel("slow", sigma_z2, point_mass(1.2))
+    missed = stats.chi2.sf(x, 1)
+    confused = stats.ncx2.cdf(x, 1, (1.2 * d) ** 2 / sigma_z2)
+    reports = (
+        (estimate_type1(cb, fast, 1, delta, plan), missed),
+        (estimate_type2(cb, fast, 1, 2, delta, plan), confused),
+        (estimate_worst_case(cb, slow, 1, None, delta, [1.2], plan), missed),
+        (estimate_worst_case(cb, slow, 1, 2, delta, [1.2], plan), confused),
+    )
+    for report, oracle in reports:
+        assert abs(report.estimate - oracle) <= 4.0 * math.sqrt(oracle * (1 - oracle) / plan.trials)
+
+
+def test_identical_codewords_draw_no_gains(monkeypatch):
+    # d = 0: the noncentrality is 0 and no coordinate needs a gain
+    def no_gains(self, rng, size):
+        raise AssertionError("a pair with d = 0 drew fading gains")
+
+    n = 12
+    words = np.zeros((2, n))
+    words[:, 0] = 0.4
+    cb = Codebook(n, 1.0, 0.0, "achievability", 0.1, words)
+    model = ChannelModel("fast", 0.5, FadingSpec.uniform(0.5, 1.5))
+    plan = TrialPlan(5_000, seed=19)
+    monkeypatch.setattr(FadingSpec, "sample", no_gains)
+    rep1 = estimate_type1(cb, model, 1, 0.1, plan)
+    rep2 = estimate_type2(cb, model, 1, 2, 0.1, plan)
+    joint = math.sqrt(rep1.stderr**2 + rep2.stderr**2)
+    assert abs(rep1.estimate + rep2.estimate - 1.0) <= 3.0 * joint
+
+
+def test_fast_type2_draws_gains_only_where_the_pair_differs(monkeypatch):
+    n, trials, m = 8, 5_000, 3
+    words = np.zeros((2, n))
+    words[0, :m] = [0.3, -0.2, 0.1]
+    cb = Codebook(n, 1.0, 0.0, "achievability", 0.1, words)
+    model = ChannelModel("fast", 0.5, FadingSpec.uniform(0.5, 1.5))
+    drawn = []
+    sample = FadingSpec.sample
+
+    def counted(self, rng, size):
+        drawn.append(size)
+        return sample(self, rng, size)
+
+    monkeypatch.setattr(FadingSpec, "sample", counted)
+    estimate_type2(cb, model, 1, 2, 0.1, TrialPlan(trials, seed=20))
+    assert sum(drawn) == m * trials
+    assert drawn == [m * 4096, m * (trials - 4096)]  # one draw per chunk
 
 
 def test_chebyshev_bound_formulas():
