@@ -184,7 +184,7 @@ def _literal_statistics(model, cb, test, plan):
     """||y - g o u_test||^2 of the literal path (realize, apply_channel) with u_1 sent."""
     rule = DecoderRule(cb, model.noise_variance, 0.2, model.flavor)
     full, rem = divmod(plan.trials, 4096)
-    stats = []
+    chunks = []
     for k, size in enumerate([4096] * full + ([rem] if rem else [])):
         realization = realize(model, size, cb.dimension, plan.seed, k)
         y = apply_channel(model, cb.codeword(1), realization, cb.power_budget)
@@ -192,12 +192,13 @@ def _literal_statistics(model, cb, test, plan):
         if k == 0:  # identify is the rule's one-trial case
             decisions = [identify(rule, y[t], test, realization.gains[t]) for t in range(200)]
             assert decisions == list(rule.accepts(stat[:200]))
-        stats.append(stat)
-    return np.concatenate(stats)
+        chunks.append(stat)
+    return np.concatenate(chunks)
 
 
 def _assert_same_law(estimated, literal, oracle, trials):
-    # estimated and literal come from disjoint draws; each is binomial around oracle
+    # each rate is binomial around the oracle; the two samplers transform the
+    # same streams differently, so their draws are not shared
     se = math.sqrt(max(oracle * (1.0 - oracle), 1e-6) / trials)
     assert abs(estimated - oracle) <= 4.0 * se
     assert abs(literal - oracle) <= 4.0 * se
@@ -209,7 +210,8 @@ def test_fast_estimator_matches_channel_path_and_chi2_law(error_type):
     n = 10
     sigma_z2 = 0.6
     s2 = sigma_z2 / n
-    cb = two_codeword_codebook(n, 1.0, 0.0, distance=0.7)
+    distance = 0.7
+    cb = two_codeword_codebook(n, 1.0, 0.0, distance=distance)
     spec = FadingSpec.uniform(0.5, 1.5)
     model = ChannelModel("fast", sigma_z2, spec)
     plan = TrialPlan(_LAW_TRIALS, seed=10)
@@ -224,7 +226,7 @@ def test_fast_estimator_matches_channel_path_and_chi2_law(error_type):
             accept = estimate_type2(cb, model, 1, 2, delta, plan).estimate
             # the pair differs on one axis: average the law over that axis' gain
             oracle = integrate.quad(
-                lambda g: stats.ncx2.cdf(x, n, (g * 0.7) ** 2 / s2), spec.gamma, spec.g_max
+                lambda g: stats.ncx2.cdf(x, n, (g * distance) ** 2 / s2), spec.gamma, spec.g_max
             )[0] / (spec.g_max - spec.gamma)
         assert 0.05 < oracle < 0.95  # each threshold cuts the body of the law
         _assert_same_law(accept, float(np.mean(literal <= sigma_z2 + delta)), oracle, plan.trials)
@@ -251,24 +253,30 @@ def test_worst_case_matches_channel_path_and_chi2_law():
     n = 10
     sigma_z2 = 0.6
     s2 = sigma_z2 / n
+    distance = 0.7
     grid = [0.5, 1.0, 1.5]
-    cb = two_codeword_codebook(n, 1.0, 0.0, distance=0.7)
+    cb = two_codeword_codebook(n, 1.0, 0.0, distance=distance)
     model = ChannelModel("slow", sigma_z2, FadingSpec.uniform(0.5, 1.5))
     plan = TrialPlan(_LAW_TRIALS, seed=16)
+    # the literal path at gain g: a slow channel whose gain is always g
+    literal = {
+        (g, test): _literal_statistics(
+            ChannelModel("slow", sigma_z2, point_mass(g)), cb, test, plan
+        )
+        for g in grid
+        for test in (1, 2)
+    }
     for delta in _LAW_DELTAS:
         x = (sigma_z2 + delta) / s2
         worst1 = estimate_worst_case(cb, model, 1, None, delta, grid, plan)
         worst2 = estimate_worst_case(cb, model, 1, 2, delta, grid, plan)
         for g, rep1, rep2 in zip(grid, worst1.per_gain, worst2.per_gain):
             assert rep1.gain == rep2.gain == g
-            # the literal path at gain g: a slow channel whose gain is always g
-            at_g = ChannelModel("slow", sigma_z2, point_mass(g))
             for test, accept, oracle in (
                 (1, 1.0 - rep1.estimate, stats.chi2.cdf(x, n)),
-                (2, rep2.estimate, stats.ncx2.cdf(x, n, (g * 0.7) ** 2 / s2)),
+                (2, rep2.estimate, stats.ncx2.cdf(x, n, (g * distance) ** 2 / s2)),
             ):
-                literal = _literal_statistics(at_g, cb, test, plan)
-                accepted = float(np.mean(literal <= sigma_z2 + delta))
+                accepted = float(np.mean(literal[g, test] <= sigma_z2 + delta))
                 _assert_same_law(accept, accepted, oracle, plan.trials)
     assert 0.0 < worst2.estimate < 1.0  # the pair is neither always nor never confused
 
@@ -326,8 +334,7 @@ def test_fast_type2_draws_gains_only_where_the_pair_differs(monkeypatch):
 
     monkeypatch.setattr(FadingSpec, "sample", counted)
     estimate_type2(cb, model, 1, 2, 0.1, TrialPlan(trials, seed=20))
-    assert sum(drawn) == m * trials
-    assert drawn == [m * 4096, m * (trials - 4096)]  # one draw per chunk
+    assert drawn == [m * 4096, m * (trials - 4096)]  # m gains per trial, one draw per chunk
 
 
 def test_chebyshev_bound_formulas():
