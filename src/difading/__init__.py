@@ -57,7 +57,6 @@ from .estimation import (
     type2_chebyshev_bound,
 )
 from .geometry import (
-    Ball,
     DensityEstimate,
     Packing,
     PackingConfig,

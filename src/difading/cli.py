@@ -174,7 +174,7 @@ def _guaranteed_count_line(codebook, root_a: float, eps: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_pack(params, out_dir: Path, workers: int) -> int:
+def _cmd_pack(params, out_dir: Path) -> int:
     codebook = build_codebook(
         n=params["n"],
         power_budget=params["power"],
@@ -211,6 +211,10 @@ def _select_messages(params, size: int):
     if params["random_pairs"] is not None:
         if params["message_i"] is not None or params["message_j"] is not None:
             raise ConfigError("give either 'random_pairs' or explicit messages, not both")
+        if params["random_pairs"] < 1:
+            raise ConfigError(
+                f"parameter 'random_pairs': must be >= 1, got {params['random_pairs']}"
+            )
         if size < 2:
             raise ValueError("random pairs need a codebook with at least 2 codewords")
         rng = substream(params["seed"], "pairs")
@@ -226,7 +230,7 @@ def _select_messages(params, size: int):
     return [(i, j)]
 
 
-def _cmd_simulate(params, out_dir: Path, workers: int) -> int:
+def _cmd_simulate(params, out_dir: Path) -> int:
     codebook = load_codebook(params["codebook"])
     fading = _fading_from(params)
     model = ChannelModel(
@@ -258,13 +262,11 @@ def _cmd_simulate(params, out_dir: Path, workers: int) -> int:
             row_index += 1
             if model.flavor == "fast":
                 if error_type == "type1":
-                    report = estimate_type1(codebook, model, ti, delta, plan, workers=workers)
+                    report = estimate_type1(codebook, model, ti, delta, plan)
                 else:
-                    report = estimate_type2(codebook, model, ti, tj, delta, plan, workers=workers)
+                    report = estimate_type2(codebook, model, ti, tj, delta, plan)
             else:
-                report = estimate_worst_case(
-                    codebook, model, ti, tj, delta, grid, plan, workers=workers
-                )
+                report = estimate_worst_case(codebook, model, ti, tj, delta, grid, plan)
             rows.extend(report.csv_rows())
             verdict = _bound_verdict(report.estimate, report.stderr, report.chebyshev_bound)
             failed = failed or verdict == "VIOLATION"
@@ -287,7 +289,7 @@ def _cmd_simulate(params, out_dir: Path, workers: int) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _cmd_converse_check(params, out_dir: Path, workers: int) -> int:
+def _cmd_converse_check(params, out_dir: Path) -> int:
     codebook = load_codebook(params["codebook"])
     check = analysis.converse_spacing(codebook, params["b"])
     header = (
@@ -319,7 +321,7 @@ def _cmd_converse_check(params, out_dir: Path, workers: int) -> int:
     return EXIT_OK if check.passes else EXIT_CHECK_FAILED
 
 
-def _cmd_near_codeword(params, out_dir: Path, workers: int) -> int:
+def _cmd_near_codeword(params, out_dir: Path) -> int:
     fading = _fading_from(params)
     plan = TrialPlan(trials=params["trials"], seed=params["seed"])
     report = near_codeword_experiment(
@@ -330,7 +332,6 @@ def _cmd_near_codeword(params, out_dir: Path, workers: int) -> int:
         fading=fading,
         plan=plan,
         normalized_distance=params["distance"],
-        workers=workers,
     )
     rows = report.type1.csv_rows() + report.type2.csv_rows()
     _write_csv(out_dir / "near_codeword_report.csv", CSV_HEADER, rows)
@@ -356,7 +357,7 @@ def _scale_by_name(name: str, poly_k: float) -> analysis.ScaleFn:
     return analysis.ScaleFn(name)
 
 
-def _cmd_scales(params, out_dir: Path, workers: int) -> int:
+def _cmd_scales(params, out_dir: Path) -> int:
     grid = tuple(
         2**k
         for k in range(params["min_exponent"], params["max_exponent"] + 1, params["step_exponent"])
@@ -451,7 +452,7 @@ def _cmd_scales(params, out_dir: Path, workers: int) -> int:
     return EXIT_CHECK_FAILED if mismatches else EXIT_OK
 
 
-def _cmd_sweep(params, out_dir: Path, workers: int) -> int:
+def _cmd_sweep(params, out_dir: Path) -> int:
     header = (
         "n",
         "epsilon_n",
@@ -464,6 +465,8 @@ def _cmd_sweep(params, out_dir: Path, workers: int) -> int:
         "achievable_rate_lower_bound",
         "converse_rate_upper_bound",
     )
+    if not params["n_values"]:
+        raise ConfigError("parameter 'n_values': needs at least one block length")
     rows = []
     notes = []
     for n in params["n_values"]:
@@ -523,7 +526,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=str, default=None, help="flat key=value config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
         cmd.add_argument("--trials", type=int, default=None, help="override the trial count")
-        cmd.add_argument("--threads", type=int, default=None, help="worker threads")
+        cmd.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="accepted for compatibility and ignored (must be >= 1); "
+            "estimates use one thread per available CPU",
+        )
         cmd.add_argument("--out", type=str, default=None, help="output directory")
     return parser
 
@@ -536,14 +545,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     schema = SCHEMAS[args.command]
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"parameter 'threads': must be >= 1, got {args.threads}")
         file_values = load_config(args.config, schema) if args.config else {}
         params = resolve(schema, file_values, {"seed": args.seed, "trials": args.trials})
         out_dir = Path(args.out or os.environ.get(OUT_ENV, "difading_out"))
         out_dir.mkdir(parents=True, exist_ok=True)
-        workers = args.threads if args.threads is not None else (os.cpu_count() or 1)
-        if workers < 1:
-            raise ConfigError(f"parameter 'threads': must be >= 1, got {workers}")
-        return _COMMANDS[args.command](params, out_dir, workers)
+        return _COMMANDS[args.command](params, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

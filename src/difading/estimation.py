@@ -30,14 +30,13 @@ Slow-fading errors are worst cases over the gain support; the sup is
 approximated on a finite grid with common random numbers, so per-gain
 estimates differ only through the gain (paired trials).
 
-Trials are simulated in fixed-size chunks whose random streams derive from
-(seed, label, chunk index); reductions are plain sums of acceptance counts,
-or per-trial statistics kept in chunk order, so estimates are reproducible no
-matter how chunks are distributed across workers.
+Trials are simulated in chunks of 4096 through seeding.run_chunks, each from
+its own (seed, label, chunk index) streams; reductions are plain sums of
+acceptance counts, or per-trial statistics kept in chunk order, so estimates
+are the same for any pool size.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +44,7 @@ import numpy as np
 from . import oracles
 from .channel import ChannelModel, FadingSpec, sample_fading
 from .codec import Codebook, DecoderRule, delta_n, epsilon_schedule
-from .seeding import substream
+from .seeding import run_chunks, substream
 
 _CHUNK = 4096
 
@@ -154,23 +153,6 @@ def type2_chebyshev_bound(
     return type1_chebyshev_bound(n, b, power_budget, gamma, noise_variance) + eta1
 
 
-def _chunks(trials: int):
-    full, rem = divmod(trials, _CHUNK)
-    for k in range(full):
-        yield k, _CHUNK
-    if rem:
-        yield full, rem
-
-
-def _run_chunks(run_chunk, plan: TrialPlan, workers: int) -> list:
-    """run_chunk applied to every (chunk index, size) of the plan, in chunk order."""
-    items = list(_chunks(plan.trials))
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_chunk, items))
-    return [run_chunk(item) for item in items]
-
-
 @dataclass(frozen=True)
 class NoiseStatistics:
     """Per-trial noise statistics of one (transmit, test) pair.
@@ -196,7 +178,6 @@ def _noise_statistics(
     transmit: int,
     test: int,
     plan: TrialPlan,
-    workers: int = 1,
 ) -> NoiseStatistics:
     """||z||^2 and d . z of the pair (transmit, test), drawn from their exact law.
 
@@ -218,7 +199,7 @@ def _noise_statistics(
         rest = rng.chisquare(n - 1, size) if n > 1 else 0.0  # numpy refuses chi2_0
         return s2 * (xi * xi + rest), cross_scale * xi
 
-    parts = _run_chunks(run_chunk, plan, workers)
+    parts = run_chunks(run_chunk, plan.trials, _CHUNK)
     return NoiseStatistics(
         distance_sq=distance_sq,
         noise_energy=np.concatenate([energy for energy, _ in parts]),
@@ -226,7 +207,7 @@ def _noise_statistics(
     )
 
 
-def _estimate(codebook, model, i, j, delta, plan, gain, workers, statistics) -> ErrorReport:
+def _estimate(codebook, model, i, j, delta, plan, gain, statistics) -> ErrorReport:
     """The one estimate body: type I when j is None, else type II (see the module docstring)."""
     if model.flavor == "fast":
         if gain is not None or statistics is not None:
@@ -262,12 +243,10 @@ def _estimate(codebook, model, i, j, delta, plan, gain, workers, statistics) -> 
             rng = substream(plan.seed, "noise", index)
             return int(rule.accepts(s2 * rng.noncentral_chisquare(n, noncentrality, size)).sum())
 
-        accepts = sum(_run_chunks(run_chunk, plan, workers))
+        accepts = sum(run_chunks(run_chunk, plan.trials, _CHUNK))
     else:  # type I (d = 0, the gain drops out) or slow type II
         if statistics is None:
-            statistics = _noise_statistics(
-                codebook, model, i, i if j is None else j, plan, workers
-            )
+            statistics = _noise_statistics(codebook, model, i, i if j is None else j, plan)
         accepts = statistics.accept_count(0.0 if gain is None else float(gain), rule)
     estimate = 1.0 - accepts / plan.trials if j is None else accepts / plan.trials
     bound = None
@@ -305,7 +284,6 @@ def estimate_type1(
     delta: float,
     plan: TrialPlan,
     gain: float | None = None,
-    workers: int = 1,
     *,
     statistics: NoiseStatistics | None = None,
 ) -> ErrorReport:
@@ -314,7 +292,7 @@ def estimate_type1(
     statistics, set only by estimate_worst_case, are the pair's precomputed
     slow-fading noise statistics; without them an estimate computes its own.
     """
-    return _estimate(codebook, model, i, None, delta, plan, gain, workers, statistics)
+    return _estimate(codebook, model, i, None, delta, plan, gain, statistics)
 
 
 def estimate_type2(
@@ -325,7 +303,6 @@ def estimate_type2(
     delta: float,
     plan: TrialPlan,
     gain: float | None = None,
-    workers: int = 1,
     *,
     statistics: NoiseStatistics | None = None,
 ) -> ErrorReport:
@@ -335,7 +312,7 @@ def estimate_type2(
     """
     if i == j:
         raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
-    return _estimate(codebook, model, i, j, delta, plan, gain, workers, statistics)
+    return _estimate(codebook, model, i, j, delta, plan, gain, statistics)
 
 
 def estimate_worst_case(
@@ -346,7 +323,6 @@ def estimate_worst_case(
     delta: float,
     g_grid,
     plan: TrialPlan,
-    workers: int = 1,
 ) -> ErrorReport:
     """Sup over the gain grid of the per-gain error (slow fading).
 
@@ -360,7 +336,7 @@ def estimate_worst_case(
     grid = [float(g) for g in np.atleast_1d(np.asarray(g_grid, dtype=np.float64))]
     if not grid:
         raise ValueError("gain grid is empty")
-    statistics = _noise_statistics(codebook, model, i, i if j is None else j, plan, workers)
+    statistics = _noise_statistics(codebook, model, i, i if j is None else j, plan)
     reports = []
     for g in grid:
         if j is None:
@@ -403,7 +379,6 @@ def near_codeword_experiment(
     fading: FadingSpec,
     plan: TrialPlan,
     normalized_distance: float | None = None,
-    workers: int = 1,
 ) -> NearCodewordReport:
     """Two codewords at the converse-schedule spacing, probed with the standard decoder.
 
@@ -439,8 +414,8 @@ def near_codeword_experiment(
     delta = delta_n(fading.gamma, epsilon_schedule(n, power_budget, b, "achievability"))
     model = ChannelModel(flavor="fast", noise_variance=noise_variance, fading=fading)
     rule = DecoderRule(codebook, noise_variance, delta, model.flavor)
-    rep1 = estimate_type1(codebook, model, 1, delta, plan, workers=workers)
-    rep2 = estimate_type2(codebook, model, 2, 1, delta, plan, workers=workers)
+    rep1 = estimate_type1(codebook, model, 1, delta, plan)
+    rep2 = estimate_type2(codebook, model, 2, 1, delta, plan)
     error_sum = rep1.estimate + rep2.estimate
     joint = math.sqrt(rep1.stderr**2 + rep2.stderr**2)
 

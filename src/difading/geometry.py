@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .seeding import substream
+from .seeding import run_chunks, substream
 
 _BATCH = 2048
 _ROW_BLOCK = 256
@@ -52,38 +52,6 @@ def sphere_volume(n: int, r: float) -> float:
         return math.exp(logv)
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Ball of given radius around a center point in R^n."""
-
-    dimension: int
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.dimension < 1 or int(self.dimension) != self.dimension:
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension}")
-        center = np.asarray(self.center, dtype=np.float64).reshape(-1)
-        if center.shape[0] != self.dimension:
-            raise ValueError(
-                f"center has {center.shape[0]} coordinates, expected {self.dimension}"
-            )
-        if self.radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.radius}")
-        object.__setattr__(self, "center", center)
-
-    def volume(self) -> float:
-        return sphere_volume(self.dimension, self.radius)
-
-    def contains(self, points) -> np.ndarray:
-        """Boolean mask of which points (rows) lie inside the closed ball."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if pts.shape[1] != self.dimension:
-            raise ValueError(f"points have dimension {pts.shape[1]}, expected {self.dimension}")
-        d2 = ((pts - self.center) ** 2).sum(axis=1)
-        return d2 <= self.radius**2
 
 
 @dataclass(frozen=True)
@@ -268,9 +236,9 @@ class DensityEstimate:
 def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> DensityEstimate:
     """Fraction of the r1-ball covered by the packing's r0-spheres.
 
-    Uniform samples in the r1-ball are tested against all centers; per-chunk
-    substreams derive from (seed, "density", chunk) so the estimate is
-    reproducible under any parallel split.
+    Uniform samples in the r1-ball are tested against all centers in chunks of
+    16384 through seeding.run_chunks; each chunk draws from its own (seed,
+    "density", chunk) substream, so the estimate is the same for any pool size.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -278,16 +246,11 @@ def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> D
         raise ValueError("packing is empty")
     cfg = packing.config
     r0_sq = cfg.r0**2
-    chunk = 16384
-    covered = 0
-    done = 0
-    index = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        rng = substream(seed, "density", index)
-        pts = sample_in_ball(cfg.dimension, cfg.r1, rng, size)
-        covered += int((_min_dist_sq(pts, packing.centers) <= r0_sq).sum())
-        done += size
-        index += 1
-    p = covered / samples
+
+    def covered(item):
+        index, size = item
+        pts = sample_in_ball(cfg.dimension, cfg.r1, substream(seed, "density", index), size)
+        return int((_min_dist_sq(pts, packing.centers) <= r0_sq).sum())
+
+    p = sum(run_chunks(covered, samples, 16384)) / samples
     return DensityEstimate(density=p, stderr=math.sqrt(p * (1.0 - p) / samples), samples=samples)

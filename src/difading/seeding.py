@@ -3,16 +3,24 @@
 Every source of randomness in the package (packing candidates, fading gains,
 channel noise, density samples, ...) draws from its own named substream so
 that experiments are modular yet bit-reproducible: the codebook stream is
-untouched by how many noise samples a simulation consumes, and parallel
-workers can derive per-chunk streams from (seed, label, chunk) without
-coordination.
+untouched by how many noise samples a simulation consumes.  Monte-Carlo work
+is split into fixed-size chunks that draw from their own (seed, label, chunk)
+streams; ``run_chunks`` runs them on a thread pool of ``_WORKERS`` threads
+(the CPUs this process may run on) and returns their results in chunk order,
+so a reduction over them is the same for any pool size.
 """
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity query on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 def label_entropy(label: str) -> int:
@@ -38,3 +46,16 @@ def derive_seed(seed: int, label: str, *indices: int) -> int:
     parts.extend(str(int(i)) for i in indices)
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def run_chunks(run_chunk, total: int, size: int) -> list:
+    """run_chunk((index, length)) for every chunk of total items split by size, in chunk order.
+
+    Chunks are full-size but the last; a single chunk runs on the calling thread.
+    """
+    full, rem = divmod(total, size)
+    items = [(k, size) for k in range(full)] + ([(full, rem)] if rem else [])
+    if _WORKERS > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+            return list(pool.map(run_chunk, items))
+    return [run_chunk(item) for item in items]

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from difading import cli
+from difading import cli, seeding
 
 
 def run(args):
@@ -134,8 +134,11 @@ _PINNED_REPORTS = {
 
 
 @pytest.mark.parametrize("flavor", ["fast", "slow"])
-def test_simulate_report_is_pinned_for_every_thread_count(pack_dir, tmp_path, flavor):
-    # 9000 trials span three chunks (4096 + 4096 + 808)
+def test_simulate_report_is_pinned_for_every_thread_count(
+    pack_dir, tmp_path, flavor, monkeypatch
+):
+    # 9000 trials span three chunks (4096 + 4096 + 808); the pool size must not
+    # change a byte
     cfg = write(
         tmp_path / "sim.cfg",
         f"""codebook = {pack_dir / 'codebook.txt'}
@@ -151,10 +154,10 @@ grid_resolution = 5
 """,
     )
     reports = []
-    for threads in (1, 2, 4):
-        out = tmp_path / f"threads{threads}"
-        args = ["simulate", "--config", cfg, "--out", str(out), "--threads", str(threads)]
-        assert run(args) == cli.EXIT_OK
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(seeding, "_WORKERS", workers)
+        out = tmp_path / f"workers{workers}"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
         reports.append((out / "simulate_report.csv").read_bytes())
     assert reports[0] == reports[1] == reports[2]
     assert hashlib.sha256(reports[0]).hexdigest() == _PINNED_REPORTS[flavor]
@@ -228,6 +231,41 @@ def test_bad_value_type_is_a_config_error(tmp_path):
 
 def test_unknown_subcommand_is_a_usage_error():
     assert run(["transmogrify"]) == cli.EXIT_CONFIG
+
+
+def test_threads_below_one_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["scales", "--threads", "0", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "parameter 'threads'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_simulate_without_pairs_is_a_config_error(pack_dir, tmp_path, capsys, count):
+    cfg = write(
+        tmp_path / "sim.cfg",
+        f"""codebook = {pack_dir / 'codebook.txt'}
+flavor = fast
+family = uniform
+g_min = 0.5
+g_max = 1.5
+sigma_z2 = 0.05
+trials = 100
+random_pairs = {count}
+""",
+    )
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "parameter 'random_pairs'" in capsys.readouterr().err
+    assert not (out / "simulate_report.csv").exists()
+
+
+def test_sweep_without_block_lengths_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "sw.cfg", "n_values =\n")
+    out = tmp_path / "o"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "parameter 'n_values'" in capsys.readouterr().err
+    assert not (out / "sweep_report.csv").exists()
 
 
 def test_precondition_violation_maps_to_exit_3(pack_dir, tmp_path):

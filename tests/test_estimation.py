@@ -23,7 +23,7 @@ from difading import (
     type1_chebyshev_bound,
     type2_chebyshev_bound,
 )
-from difading import oracles
+from difading import oracles, seeding
 from difading.estimation import CSV_HEADER
 from helpers import point_mass, two_codeword_codebook
 
@@ -242,7 +242,7 @@ def test_type1_draws_no_gains(monkeypatch):
     plan = TrialPlan(5_000, seed=17)
     expected = estimate_type1(cb, ChannelModel("fast", 1.0, spec), 1, 0.1, plan).estimate
     monkeypatch.setattr(FadingSpec, "sample", no_gains)
-    fast = estimate_type1(cb, ChannelModel("fast", 1.0, spec), 1, 0.1, plan, workers=2)
+    fast = estimate_type1(cb, ChannelModel("fast", 1.0, spec), 1, 0.1, plan)
     slow = estimate_worst_case(cb, ChannelModel("slow", 1.0, spec), 1, None, 0.1, [0.5, 1.5], plan)
     assert fast.estimate == slow.estimate == expected  # same noise, same ||z||^2
     with pytest.raises(AssertionError, match="drew fading gains"):
@@ -412,17 +412,18 @@ def test_near_codeword_rejects_overweight_distance():
 
 
 @pytest.mark.parametrize("flavor", ["fast", "slow"])
-def test_workers_do_not_change_the_estimate(flavor):
+def test_workers_do_not_change_the_estimate(flavor, monkeypatch):
+    # 20000 trials span five chunks; the pool size must not change any estimate
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
     model = ChannelModel(flavor, 1.0, FadingSpec.uniform(0.5, 1.5))
     plan = TrialPlan(20_000, seed=15)
 
     def estimate(workers):
+        monkeypatch.setattr(seeding, "_WORKERS", workers)
         if flavor == "fast":
-            return estimate_type1(cb, model, 1, 0.1, plan, workers=workers)
-        return estimate_worst_case(cb, model, 1, 2, 0.1, [0.5, 1.0, 1.5], plan, workers=workers)
+            return (estimate_type1(cb, model, 1, 0.1, plan),
+                    estimate_type2(cb, model, 1, 2, 0.1, plan))
+        return estimate_worst_case(cb, model, 1, 2, 0.1, [0.5, 1.0, 1.5], plan)
 
-    serial = estimate(1)
-    parallel = estimate(4)
-    assert serial.estimate == parallel.estimate
-    assert [r.estimate for r in serial.per_gain] == [r.estimate for r in parallel.per_gain]
+    reports = [estimate(workers) for workers in (1, 2, 4)]
+    assert reports[0] == reports[1] == reports[2]

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from difading import geometry
+from difading import geometry, seeding
 from difading import (
-    Ball,
     DensityEstimate,
     Packing,
     PackingConfig,
@@ -49,17 +48,6 @@ def test_log_volume_matches_direct_formula(n):
 def test_volume_doubles_radius_multiplies_by_2_to_n(n):
     for r in (0.3, 1.0, 4.0):
         assert sphere_volume(n, 2.0 * r) == pytest.approx(2.0**n * sphere_volume(n, r), rel=1e-12)
-
-
-def test_ball_validation_and_contains():
-    ball = Ball(2, [0.0, 0.0], 1.0)
-    assert ball.volume() == pytest.approx(math.pi, rel=1e-12)
-    inside = ball.contains([[0.5, 0.5], [1.5, 0.0]])
-    assert inside.tolist() == [True, False]
-    with pytest.raises(ValueError):
-        Ball(2, [0.0], 1.0)
-    with pytest.raises(ValueError):
-        Ball(2, [0.0, 0.0], -1.0)
 
 
 def test_sample_in_ball_is_inside_and_covers_shell():
@@ -231,3 +219,14 @@ def test_density_split_is_deterministic_in_seed():
     b = estimate_packing_density(packing, samples=30000, seed=13)
     assert a == b
 
+
+def test_density_is_the_same_for_any_pool_size(monkeypatch):
+    # 40000 samples span three chunks (16384 + 16384 + 7232)
+    packing = generate_saturated_packing(
+        PackingConfig(2, 1.0, 8.0, seed=21, saturation_patience=3000)
+    )
+    estimates = []
+    for workers in (1, 4):
+        monkeypatch.setattr(seeding, "_WORKERS", workers)
+        estimates.append(estimate_packing_density(packing, samples=40000, seed=13))
+    assert estimates[0] == estimates[1]
