@@ -41,7 +41,7 @@ w2 = estimate_worst_case(book, model, 1, 2, delta, spec.support_grid(9), plan)
 print("  type I per gain :", [f"{r.gain:.2f}:{r.estimate:.4f}" for r in w1.per_gain])
 print("  (gain-free statistic, identical under common random numbers)")
 print("  type II per gain:", [f"{r.gain:.2f}:{r.estimate:.4f}" for r in w2.per_gain])
-print(f"  worst type II = {w2.estimate:.4f} at g = {w2.argmax_gain}")
+print(f"  worst type II = {w2.estimate:.4f} at g = {w2.gain}")
 
 print("\ndegenerate support {0, 1}: the decoder cannot win at g = 0")
 zero_spec = FadingSpec.discrete([0.0, 1.0], [0.5, 0.5], allow_zero=True)

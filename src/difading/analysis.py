@@ -49,12 +49,27 @@ class ScaleFn:
         return f"poly(k={self.k:g})" if self.kind == "poly" else self.kind
 
 
-def log2_scale(scale: ScaleFn, n: float, rate: float) -> float:
-    """log2 of L(n, R); rejected where the value would overflow or be undefined."""
+def _finite(evaluate, scale: ScaleFn, n: float, rate: float) -> float:
+    """evaluate(scale, n, rate) after the domain checks; a non-finite value raises."""
     if n < 2:
         raise ValueError(f"block length must be >= 2, got {n}")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
+    try:
+        value = evaluate(scale, n, rate)
+    except OverflowError:  # an integer n too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the {scale.label()} scale overflows at n = {n}, R = {rate}")
+    return value
+
+
+def log2_scale(scale: ScaleFn, n: float, rate: float) -> float:
+    """log2 of L(n, R); rejected where the value would overflow or be undefined."""
+    return _finite(_log2_size, scale, n, rate)
+
+
+def _log2_size(scale: ScaleFn, n: float, rate: float) -> float:
     nr = n * rate
     if scale.kind == "linear":
         return math.log2(nr)
@@ -69,23 +84,13 @@ def log2_scale(scale: ScaleFn, n: float, rate: float) -> float:
         return nr
     if scale.kind == "superexp":
         return n * math.log2(n) * rate
-    # doubleexp: log2 L = 2^(nR), representable only for moderate exponents
-    if nr > 1000.0:
-        raise ValueError(
-            f"log2 of the double-exponential scale overflows at n*R = {nr}; "
-            "use loglog2_scale"
-        )
-    return 2.0**nr
+    return 2.0**nr  # doubleexp: overflows past n*R = 1024; loglog2_scale does not
 
 
 def loglog2_scale(scale: ScaleFn, n: float, rate: float) -> float:
     """log2(log2(L(n, R))); exact for the double exponential (equals n*R)."""
     if scale.kind == "doubleexp":
-        if n < 2:
-            raise ValueError(f"block length must be >= 2, got {n}")
-        if not rate > 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        return n * rate
+        return _finite(lambda _, n, rate: n * rate, scale, n, rate)
     value = log2_scale(scale, n, rate)
     if value <= 0:
         raise ValueError(f"log2 of scale is {value}, loglog undefined")

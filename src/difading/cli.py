@@ -3,7 +3,10 @@
 Subcommands: pack, simulate, converse-check, near-codeword, scales, sweep.
 Each reads a flat `key = value` config file (flags override file values),
 writes CSV reports plus a human-readable summary that echoes the resolved
-configuration, and is byte-reproducible given the same seed.
+configuration, and is byte-reproducible given the same seed.  Every CSV
+layout lives here: the estimate rows of simulate and near-codeword join the
+run's context (n, A, b, the channel model, delta) to what the estimators
+report.
 
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error, 3 parameter precondition violated, 4 I/O failure.
@@ -20,7 +23,6 @@ from .channel import ChannelModel, FadingSpec
 from .codec import build_codebook, delta_n, load_codebook, save_codebook
 from .config import ConfigError, Field, load_config, resolve
 from .estimation import (
-    CSV_HEADER,
     TrialPlan,
     estimate_type1,
     estimate_type2,
@@ -148,6 +150,45 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
+_ESTIMATE_HEADER = (
+    "n",
+    "A",
+    "b",
+    "flavor",
+    "family",
+    "gamma",
+    "g_max",
+    "sigma_z2",
+    "delta_n",
+    "i",
+    "j",
+    "trials",
+    "p_hat",
+    "stderr",
+    "bound",
+    "argmax_g",
+)
+
+
+def _estimate_rows(report, n: int, power_budget: float, b: float, model, delta: float) -> list:
+    """_ESTIMATE_HEADER rows of one estimate: one per grid point of a worst case, else one."""
+    fading = model.fading
+    context = (str(n), repr(power_budget), repr(b), model.flavor, fading.family,
+               repr(fading.gamma), repr(fading.g_max), repr(model.noise_variance), repr(delta))
+    return [
+        context + (
+            str(rep.i),
+            "" if rep.j is None else str(rep.j),
+            str(rep.trials),
+            repr(rep.estimate),
+            repr(rep.stderr),
+            "" if rep.chebyshev_bound is None else repr(rep.chebyshev_bound),
+            "" if rep.gain is None else repr(rep.gain),
+        )
+        for rep in report.per_gain or (report,)
+    ]
+
+
 def _bound_verdict(estimate: float, stderr: float, bound) -> str:
     if bound is None:
         return "no-bound"
@@ -252,28 +293,24 @@ def _cmd_simulate(params, out_dir: Path) -> int:
     failed = False
     row_index = 0
     for i, j in pairs:
-        tasks = [("type1", i, None)]
-        if j is not None:
-            tasks.append(("type2", i, j))
-        for error_type, ti, tj in tasks:
+        for tj in (None,) if j is None else (None, j):  # type I, then type II
             plan = TrialPlan(
                 trials=params["trials"], seed=derive_seed(params["seed"], "row", row_index)
             )
             row_index += 1
-            if model.flavor == "fast":
-                if error_type == "type1":
-                    report = estimate_type1(codebook, model, ti, delta, plan)
-                else:
-                    report = estimate_type2(codebook, model, ti, tj, delta, plan)
+            if model.flavor == "slow":
+                report = estimate_worst_case(codebook, model, i, tj, delta, grid, plan)
+            elif tj is None:
+                report = estimate_type1(codebook, model, i, delta, plan)
             else:
-                report = estimate_worst_case(codebook, model, ti, tj, delta, grid, plan)
-            rows.extend(report.csv_rows())
+                report = estimate_type2(codebook, model, i, tj, delta, plan)
+            rows.extend(_estimate_rows(report, codebook.dimension, codebook.power_budget,
+                                       codebook.slack, model, delta))
             verdict = _bound_verdict(report.estimate, report.stderr, report.chebyshev_bound)
             failed = failed or verdict == "VIOLATION"
-            label = f"{error_type} i={ti}" + ("" if tj is None else f" j={tj}")
+            label = f"{report.error_type} i={i}" + ("" if tj is None else f" j={tj}")
             # the type I statistic is ||z||^2 at every gain: no worst gain to report
-            gain_free = tj is None or report.argmax_gain is None
-            extra = "" if gain_free else f" argmax_g={report.argmax_gain!r}"
+            extra = "" if tj is None or report.gain is None else f" argmax_g={report.gain!r}"
             bound_text = (
                 "none" if report.chebyshev_bound is None else repr(report.chebyshev_bound)
             )
@@ -282,7 +319,7 @@ def _cmd_simulate(params, out_dir: Path) -> int:
                 f"bound={bound_text} verdict={verdict}{extra}"
             )
 
-    _write_csv(out_dir / "simulate_report.csv", CSV_HEADER, rows)
+    _write_csv(out_dir / "simulate_report.csv", _ESTIMATE_HEADER, rows)
     lines = _echo_lines("simulate", params) + ["---", f"delta = {delta!r}"] + verdicts
     lines.append("report_file = simulate_report.csv")
     _write_text(out_dir / "simulate_summary.txt", lines)
@@ -333,8 +370,10 @@ def _cmd_near_codeword(params, out_dir: Path) -> int:
         plan=plan,
         normalized_distance=params["distance"],
     )
-    rows = report.type1.csv_rows() + report.type2.csv_rows()
-    _write_csv(out_dir / "near_codeword_report.csv", CSV_HEADER, rows)
+    model = ChannelModel(flavor="fast", noise_variance=params["sigma_z2"], fading=fading)
+    context = (params["n"], params["power"], params["b"], model, report.delta)
+    rows = _estimate_rows(report.type1, *context) + _estimate_rows(report.type2, *context)
+    _write_csv(out_dir / "near_codeword_report.csv", _ESTIMATE_HEADER, rows)
     oracle_text = "none" if report.oracle_sum is None else repr(report.oracle_sum)
     lines = _echo_lines("near-codeword", params) + [
         "---",
@@ -358,10 +397,11 @@ def _scale_by_name(name: str, poly_k: float) -> analysis.ScaleFn:
 
 
 def _cmd_scales(params, out_dir: Path) -> int:
-    grid = tuple(
-        2**k
-        for k in range(params["min_exponent"], params["max_exponent"] + 1, params["step_exponent"])
-    )
+    if params["step_exponent"] < 1 or params["min_exponent"] > params["max_exponent"]:
+        raise ConfigError("parameters 'min_exponent', 'max_exponent', 'step_exponent': the grid "
+                          "needs min_exponent <= max_exponent and step_exponent >= 1")
+    exponents = range(params["min_exponent"], params["max_exponent"] + 1, params["step_exponent"])
+    grid = tuple(2**k for k in exponents)
     chain = analysis.scale_chain(params["poly_k"])
     default_mode = params["pairs"] is None
     if default_mode:
@@ -384,6 +424,16 @@ def _cmd_scales(params, out_dir: Path) -> int:
                  _scale_by_name(right.strip(), params["poly_k"]))
             )
 
+    for pair in pair_list:  # a pair certifies nothing unless its sizes are finite at the largest n
+        evaluate = (analysis.loglog2_scale if "doubleexp" in (pair[0].kind, pair[1].kind)
+                    else analysis.log2_scale)
+        for scale, rate in zip(pair, (params["a"], params["b"])):
+            try:
+                if rate > 0:  # other rates are left to analysis.dominates (exit 3)
+                    evaluate(scale, grid[-1], rate)
+            except ValueError as exc:
+                raise ConfigError(f"parameter 'max_exponent': the {scale.label()} scale at rate "
+                                  f"{rate!r} has no finite size at n = 2^{exponents[-1]}") from exc
     order = {scale.kind: pos for pos, scale in enumerate(chain)}
     rows = []
     evidence = []

@@ -259,8 +259,9 @@ def codebook_to_text(codebook: Codebook) -> str:
         f"count = {codebook.size}",
         "centers:",
     ]
-    for row in codebook.codewords:
-        lines.append(" ".join(_format_float(v) for v in row))
+    # the text of _format_float; row by row, so the matrix never exists as Python floats
+    row_format = " ".join(["%.17g"] * codebook.dimension)
+    lines.extend(row_format % tuple(row.tolist()) for row in codebook.codewords)
     return "\n".join(lines) + "\n"
 
 

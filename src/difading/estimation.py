@@ -8,6 +8,8 @@ errors and, where defined, the closed-form Chebyshev reference bounds
     type I:  27 sigma_z2^2 / (n^b A^2 gamma^4)
     type II: the same term + 144 sigma_z2 (sigma_G^2 + mu_G^2) / (gamma^4 A n^b)
 
+(saturated at 0.0 or inf where a power in them leaves the float range).
+
 The decoder knows the gains, so the residual y - g o u_j is g o d + z with
 d = u_i - u_j and z ~ N(0, s^2 I), s^2 = sigma_z2 / n.  Given the gains its
 squared norm is s^2 times a noncentral chi-square with n degrees of freedom and
@@ -28,7 +30,10 @@ Every statistic is decided by DecoderRule.accepts.  The literal channel path
 
 Slow-fading errors are worst cases over the gain support; the sup is
 approximated on a finite grid with common random numbers, so per-gain
-estimates differ only through the gain (paired trials).
+estimates differ only through the gain (paired trials).  A worst case is the
+report of its worst grid point, with every point's report in per_gain.
+
+Reports carry only what the estimators compute; cli lays them out as CSV rows.
 
 Trials are simulated in chunks of 4096 through seeding.run_chunks, each from
 its own (seed, label, chunk index) streams; reductions are plain sums of
@@ -48,25 +53,6 @@ from .seeding import run_chunks, substream
 
 _CHUNK = 4096
 
-CSV_HEADER = (
-    "n",
-    "A",
-    "b",
-    "flavor",
-    "family",
-    "gamma",
-    "g_max",
-    "sigma_z2",
-    "delta_n",
-    "i",
-    "j",
-    "trials",
-    "p_hat",
-    "stderr",
-    "bound",
-    "argmax_g",
-)
-
 
 @dataclass(frozen=True)
 class TrialPlan:
@@ -82,53 +68,31 @@ class TrialPlan:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """One error-probability estimate with its context echoed for reporting."""
+    """One error-probability estimate.
+
+    A slow-fading worst case is the report of its worst grid point: gain is
+    the argmax, and per_gain holds the report of every grid point.
+    """
 
     error_type: str  # "type1" | "type2"
     estimate: float
     stderr: float
     chebyshev_bound: float | None
     trials: int
-    flavor: str
-    family: str
-    n: int
-    power_budget: float
-    slack: float
-    gamma: float
-    g_max: float
-    noise_variance: float
-    delta: float
     i: int
     j: int | None = None
     gain: float | None = None
-    argmax_gain: float | None = None
     per_gain: tuple = ()
 
-    def csv_rows(self):
-        """Rows matching CSV_HEADER; worst-case reports expand per grid point."""
-        if self.per_gain:
-            return [rep._csv_row(rep.gain) for rep in self.per_gain]
-        return [self._csv_row(self.argmax_gain if self.argmax_gain is not None else self.gain)]
 
-    def _csv_row(self, gain_value):
-        return (
-            str(self.n),
-            repr(self.power_budget),
-            repr(self.slack),
-            self.flavor,
-            self.family,
-            repr(self.gamma),
-            repr(self.g_max),
-            repr(self.noise_variance),
-            repr(self.delta),
-            str(self.i),
-            "" if self.j is None else str(self.j),
-            str(self.trials),
-            repr(self.estimate),
-            repr(self.stderr),
-            "" if self.chebyshev_bound is None else repr(self.chebyshev_bound),
-            "" if gain_value is None else repr(float(gain_value)),
-        )
+def _saturating(direct, *factors) -> float:
+    """direct(), or where a power in it leaves the float range the product of
+    x**p over factors (x, p), taken through logs and saturated at 0.0 and inf."""
+    try:
+        return direct()
+    except (OverflowError, ZeroDivisionError):
+        log_value = sum(p * (math.log(x) if x else -math.inf) for x, p in factors)
+        return math.inf if log_value > 709.0 else math.exp(log_value)  # exp overflows at ~709.8
 
 
 def type1_chebyshev_bound(
@@ -137,7 +101,10 @@ def type1_chebyshev_bound(
     """27 sigma_z2^2 / (n^b A^2 gamma^4), the type-I reference bound."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return 27.0 * noise_variance**2 / (n**b * power_budget**2 * gamma**4)
+    return _saturating(
+        lambda: 27.0 * noise_variance**2 / (n**b * power_budget**2 * gamma**4),
+        (27.0, 1), (noise_variance, 2), (n, -b), (power_budget, -2), (gamma, -4),
+    )
 
 
 def type2_chebyshev_bound(
@@ -149,7 +116,10 @@ def type2_chebyshev_bound(
     second_moment: float,
 ) -> float:
     """Type-I term plus the cross-term bound 144 sigma_z2 E[G^2] / (gamma^4 A n^b)."""
-    eta1 = 144.0 * noise_variance * second_moment / (gamma**4 * power_budget * n**b)
+    eta1 = _saturating(
+        lambda: 144.0 * noise_variance * second_moment / (gamma**4 * power_budget * n**b),
+        (144.0 * noise_variance, 1), (second_moment, 1), (gamma, -4), (power_budget, -1), (n, -b),
+    )
     return type1_chebyshev_bound(n, b, power_budget, gamma, noise_variance) + eta1
 
 
@@ -250,9 +220,8 @@ def _estimate(codebook, model, i, j, delta, plan, gain, statistics) -> ErrorRepo
         accepts = statistics.accept_count(0.0 if gain is None else float(gain), rule)
     estimate = 1.0 - accepts / plan.trials if j is None else accepts / plan.trials
     bound = None
-    gamma = model.fading.gamma
-    if gamma > 0:
-        args = (codebook.dimension, codebook.slack, codebook.power_budget, gamma,
+    if model.fading.gamma > 0:
+        args = (codebook.dimension, codebook.slack, codebook.power_budget, model.fading.gamma,
                 model.noise_variance)
         bound = (type1_chebyshev_bound(*args) if j is None
                  else type2_chebyshev_bound(*args, model.fading.second_moment))
@@ -262,15 +231,6 @@ def _estimate(codebook, model, i, j, delta, plan, gain, statistics) -> ErrorRepo
         stderr=math.sqrt(estimate * (1.0 - estimate) / plan.trials),
         chebyshev_bound=bound,
         trials=plan.trials,
-        flavor=model.flavor,
-        family=model.fading.family,
-        n=codebook.dimension,
-        power_budget=codebook.power_budget,
-        slack=codebook.slack,
-        gamma=gamma,
-        g_max=model.fading.g_max,
-        noise_variance=model.noise_variance,
-        delta=delta,
         i=i,
         j=j,
         gain=gain,
@@ -329,7 +289,8 @@ def estimate_worst_case(
     All grid points share the same noise draws (common random numbers), so
     the per-point estimates differ only through the gain.  The noise
     statistics ||z||^2 and d . z are drawn once and serve every grid point.
-    Returns the maximum with its argmax gain; per-point reports are attached.
+    Returns the report of the worst grid point (its gain is the argmax) with
+    every point's report in per_gain.
     """
     if model.flavor != "slow":
         raise ValueError("worst-case estimation applies to slow fading")
@@ -337,28 +298,20 @@ def estimate_worst_case(
     if not grid:
         raise ValueError("gain grid is empty")
     statistics = _noise_statistics(codebook, model, i, i if j is None else j, plan)
-    reports = []
-    for g in grid:
-        if j is None:
-            rep = estimate_type1(codebook, model, i, delta, plan, gain=g, statistics=statistics)
-        else:
-            rep = estimate_type2(
-                codebook, model, i, j, delta, plan, gain=g, statistics=statistics
-            )
-        reports.append(rep)
+    reports = [
+        estimate_type1(codebook, model, i, delta, plan, gain=g, statistics=statistics)
+        if j is None
+        else estimate_type2(codebook, model, i, j, delta, plan, gain=g, statistics=statistics)
+        for g in grid
+    ]
     worst_index = int(np.argmax([rep.estimate for rep in reports]))
-    worst = reports[worst_index]
-    return replace(worst, argmax_gain=grid[worst_index], per_gain=tuple(reports))
+    return replace(reports[worst_index], per_gain=tuple(reports))
 
 
 @dataclass(frozen=True)
 class NearCodewordReport:
     """Outcome of the two-near-codewords experiment at one block length."""
 
-    n: int
-    power_budget: float
-    slack: float
-    noise_variance: float
     delta: float
     alpha_n: float  # codeword separation on the natural scale
     normalized_distance: float
@@ -366,8 +319,6 @@ class NearCodewordReport:
     type2: ErrorReport
     error_sum: float
     joint_stderr: float
-    oracle_type1: float | None
-    oracle_type2: float | None
     oracle_sum: float | None
 
 
@@ -419,20 +370,13 @@ def near_codeword_experiment(
     error_sum = rep1.estimate + rep2.estimate
     joint = math.sqrt(rep1.stderr**2 + rep2.stderr**2)
 
-    oracle1 = oracle2 = oracle_sum = None
+    oracle_sum = None
     if fading.variance <= 1e-15:  # constant gain: closed-form witness
-        g0 = fading.mean
         x = n * rule.threshold / noise_variance
-        oracle1 = oracles.chi2_sf(x, n)
-        lam = n * (g0 * d_norm) ** 2 / noise_variance
-        oracle2 = oracles.noncentral_chi2_cdf(x, n, lam)
-        oracle_sum = oracle1 + oracle2
+        lam = n * (fading.mean * d_norm) ** 2 / noise_variance
+        oracle_sum = oracles.chi2_sf(x, n) + oracles.noncentral_chi2_cdf(x, n, lam)
 
     return NearCodewordReport(
-        n=n,
-        power_budget=power_budget,
-        slack=b,
-        noise_variance=noise_variance,
         delta=delta,
         alpha_n=alpha_n,
         normalized_distance=d_norm,
@@ -440,7 +384,5 @@ def near_codeword_experiment(
         type2=rep2,
         error_sum=error_sum,
         joint_stderr=joint,
-        oracle_type1=oracle1,
-        oracle_type2=oracle2,
         oracle_sum=oracle_sum,
     )

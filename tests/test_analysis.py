@@ -51,6 +51,22 @@ def test_scale_domain_errors():
         ScaleFn("cubic")
 
 
+@pytest.mark.parametrize("kind", ["superexp", "exp", "linear"])
+def test_scales_raise_instead_of_returning_inf(kind):
+    # 2^1020 log2(2^1020) overflows to inf; 2^1100 does not convert to a float
+    scale = ScaleFn(kind)
+    if kind == "superexp":
+        with pytest.raises(ValueError, match="overflow"):
+            log2_scale(scale, 2**1020, 1.0)
+    for n, rate in ((2**1100, 1.0), (2**1020, 1e300)):
+        with pytest.raises(ValueError, match="overflow"):
+            log2_scale(scale, n, rate)
+        with pytest.raises(ValueError, match="overflow"):
+            loglog2_scale(scale, n, rate)
+    with pytest.raises(ValueError, match="overflow"):
+        loglog2_scale(ScaleFn("doubleexp"), 2**1100, 1.0)
+
+
 def test_dominance_chain_adjacent_pairs():
     chain = scale_chain()
     for weak, strong in zip(chain, chain[1:]):

@@ -1,9 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from difading import cli, seeding
+from difading import ChannelModel, FadingSpec, TrialPlan, cli, seeding
+from difading import estimate_type1, estimate_worst_case
+from helpers import two_codeword_codebook
 
 
 def run(args):
@@ -161,6 +164,30 @@ grid_resolution = 5
         reports.append((out / "simulate_report.csv").read_bytes())
     assert reports[0] == reports[1] == reports[2]
     assert hashlib.sha256(reports[0]).hexdigest() == _PINNED_REPORTS[flavor]
+
+
+def test_report_fields_and_csv_shape():
+    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
+    model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
+    report = estimate_type1(cb, model, 1, 0.1, TrialPlan(2_000, seed=11))
+    assert 0.0 <= report.estimate <= 1.0
+    assert report.stderr == pytest.approx(
+        math.sqrt(report.estimate * (1 - report.estimate) / report.trials), rel=1e-12
+    )
+    rows = cli._estimate_rows(report, 8, 1.0, 0.0, model, 0.1)
+    assert len(rows) == 1
+    assert len(rows[0]) == len(cli._ESTIMATE_HEADER)
+
+
+def test_worst_case_csv_expands_per_gain():
+    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
+    slow = ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5))
+    worst = estimate_worst_case(
+        cb, slow, 1, 2, 0.1, [0.5, 1.0, 1.5], TrialPlan(1_000, seed=12)
+    )
+    rows = cli._estimate_rows(worst, 8, 1.0, 0.0, slow, 0.1)
+    assert len(rows) == 3
+    assert [row[-1] for row in rows] == ["0.5", "1.0", "1.5"]
 
 
 def test_simulate_trials_override(pack_dir, tmp_path):
@@ -379,6 +406,64 @@ def test_near_codeword_summary_fields(tmp_path):
     assert len(lines) == 3
 
 
+# sha256 of near_codeword_report.csv for the configuration below, recorded
+# before its rows moved from the estimation reports into cli
+_PINNED_NEAR_CODEWORD = {
+    "constant": "f883f860c90284188158df866c5fd1819edd076ab1d39d56ea7489aac293af05",
+    "uniform": "bd315c28b2cb863f5569966ca856f1bf7b42ea812e138429439e18666752d3a9",
+}
+
+
+@pytest.mark.parametrize(
+    "gain, g_range", [("constant", (1.0, 1.0)), ("uniform", (0.5, 1.5))]
+)
+def test_near_codeword_report_is_pinned(tmp_path, gain, g_range):
+    cfg = write(
+        tmp_path / "nc.cfg",
+        f"n = 64\nb = 0.1\nsigma_z2 = 1.0\nfamily = uniform\ng_min = {g_range[0]}\n"
+        f"g_max = {g_range[1]}\ntrials = 9000\nseed = 4\n",
+    )
+    out = tmp_path / "nc"
+    assert run(["near-codeword", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    report = (out / "near_codeword_report.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == _PINNED_NEAR_CODEWORD[gain]
+    summary = (out / "near_codeword_summary.txt").read_text()
+    assert ("oracle_sum = none" in summary) == (gain == "uniform")
+
+
+@pytest.mark.parametrize(
+    "power, g_min, messages, verdicts",
+    [
+        # gamma^4 underflows to 0.0: both bounds are infinite
+        ("2.0", "1e-90", "message_i = 1\nmessage_j = 2\n",
+         ["bound=inf verdict=vacuous", "bound=inf verdict=vacuous"]),
+        # A^2 overflows: the type I bound is 0.0 and the noiseless rate meets it
+        ("1e200", "0.5", "message_i = 1\n", ["p_hat=0.0 stderr=0.0 bound=0.0 verdict=ok"]),
+    ],
+    ids=["tiny-gamma", "huge-power"],
+)
+@pytest.mark.parametrize("flavor", ["fast", "slow"])
+def test_bound_outside_the_float_range_saturates(tmp_path, power, g_min, messages, verdicts,
+                                                  flavor):
+    # both runs died with ZeroDivisionError / OverflowError in the bound
+    pack_cfg = write(tmp_path / "pack.cfg", f"n = 40\npower = {power}\nseed = 1\n"
+                     "patience = 500\nmax_codewords = 2\n")
+    assert run(["pack", "--config", pack_cfg, "--out", str(tmp_path / "pack")]) == cli.EXIT_OK
+    cfg = write(
+        tmp_path / "sim.cfg",
+        f"codebook = {tmp_path / 'pack' / 'codebook.txt'}\nflavor = {flavor}\nfamily = uniform\n"
+        f"g_min = {g_min}\ng_max = 1.5\nsigma_z2 = 0.3\ntrials = 500\n"
+        f"grid_resolution = 3\n{messages}",
+    )
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "simulate_summary.txt").read_text().splitlines()
+    found = [line for line in lines if line.startswith(("type1 ", "type2 "))]
+    assert len(found) == len(verdicts)
+    for line, verdict in zip(found, verdicts):
+        assert verdict in line
+
+
 def test_scales_default_reproduces_chain(tmp_path):
     out = tmp_path / "sc"
     assert run(["scales", "--out", str(out)]) == cli.EXIT_OK
@@ -403,6 +488,27 @@ def test_scales_explicit_pairs(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[5] == "True"
     assert lines[2].split(",")[5] == "False"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "max_exponent = 1100\n",  # 2^1100 does not convert to a float
+        "max_exponent = 1020\n",  # the superexp size n log2(n) is inf
+        "min_exponent = 8\nmax_exponent = 4\npairs = exp:linear\n",  # empty grid
+        "step_exponent = 0\n",
+        "step_exponent = -4\n",
+    ],
+    ids=["int-overflow", "superexp-overflow", "empty", "zero-step", "negative-step"],
+)
+def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
+    # these ran to a traceback, a chain mismatch (exit 1), an "insufficient
+    # evidence" row (exit 0) and a range() error (exit 3)
+    cfg = write(tmp_path / "sc.cfg", config)
+    out = tmp_path / "sc"
+    assert run(["scales", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_sweep_report(tmp_path):

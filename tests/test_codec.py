@@ -319,6 +319,14 @@ def test_codebook_text_round_trips_bit_exactly(
     assert codebook_to_text(loaded) == text
 
 
+def test_codebook_body_writes_each_value_as_17_significant_digits():
+    words = np.array([[-0.0, 5e-324, 1e-310, 1e150], [0.1, 1.0 / 3.0, -2.5e-7, 0.0]])
+    cb = Codebook(4, 1e301, 0.0, "achievability", 1.0, words)
+    body = codebook_to_text(cb).splitlines()[-2:]
+    assert body == [" ".join(f"{v:.17g}" for v in row) for row in words.tolist()]
+    assert body[0] == "-0 4.9406564584124654e-324 9.9999999999999694e-311 9.9999999999999998e+149"
+
+
 def test_codebook_parser_rejects_malformed_documents():
     text = codebook_to_text(two_codeword_codebook(3, 1.0, 0.0, distance=0.5))
     lines = text.splitlines()

@@ -24,7 +24,6 @@ from difading import (
     type2_chebyshev_bound,
 )
 from difading import oracles, seeding
-from difading.estimation import CSV_HEADER
 from helpers import point_mass, two_codeword_codebook
 
 
@@ -125,7 +124,7 @@ def test_worst_case_singleton_equals_conditional():
     single = estimate_type1(cb, slow, 1, 0.1, plan, gain=1.2)
     worst = estimate_worst_case(cb, slow, 1, None, 0.1, [1.2], plan)
     assert worst.estimate == single.estimate
-    assert worst.argmax_gain == 1.2
+    assert worst.gain == 1.2
     assert len(worst.per_gain) == 1
 
 
@@ -350,28 +349,18 @@ def test_chebyshev_bound_formulas():
         type1_chebyshev_bound(16, 0.0, 1.0, 0.0, 1.0)
 
 
-def test_report_fields_and_csv_shape():
-    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
-    model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
-    report = estimate_type1(cb, model, 1, 0.1, TrialPlan(2_000, seed=11))
-    assert 0.0 <= report.estimate <= 1.0
-    assert report.stderr == pytest.approx(
-        math.sqrt(report.estimate * (1 - report.estimate) / report.trials), rel=1e-12
-    )
-    rows = report.csv_rows()
-    assert len(rows) == 1
-    assert len(rows[0]) == len(CSV_HEADER)
-
-
-def test_worst_case_csv_expands_per_gain():
-    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
-    slow = ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5))
-    worst = estimate_worst_case(
-        cb, slow, 1, 2, 0.1, [0.5, 1.0, 1.5], TrialPlan(1_000, seed=12)
-    )
-    rows = worst.csv_rows()
-    assert len(rows) == 3
-    assert [row[-1] for row in rows] == ["0.5", "1.0", "1.5"]
+def test_chebyshev_bounds_saturate_outside_the_float_range():
+    # gamma^4 underflows to 0.0: the direct form divides by zero
+    assert type1_chebyshev_bound(16, 0.0, 1.0, 1e-90, 1.0) == math.inf
+    assert type2_chebyshev_bound(16, 0.0, 1.0, 1e-90, 1.0, 0.75) == math.inf
+    # E[G^2] of a gain of 1e-170 underflows to 0.0 as well
+    assert type2_chebyshev_bound(16, 0.0, 1.0, 1e-170, 1.0, 0.0) == math.inf
+    # A^2 overflows: the bound underflows to 0.0 and the cross term stays finite
+    assert type1_chebyshev_bound(8, 0.0, 1e200, 0.5, 0.3) == 0.0
+    eta1 = 144.0 * 0.3 * 1.0 / (0.5**4 * 1e200)
+    assert type2_chebyshev_bound(8, 0.0, 1e200, 0.5, 0.3, 1.0) == eta1
+    # a representable value behind an overflowing power is still found
+    assert type1_chebyshev_bound(1, 0.0, 1e200, 1.0, 1e200) == pytest.approx(27.0, rel=1e-9)
 
 
 def test_trial_plan_validation():
