@@ -119,13 +119,18 @@ def dominates(
 
     Evaluates the log2-size difference log2 L2(n,b) - log2 L1(n,a) along the
     grid (loglog2 once the double exponential is involved) and requires a
-    strictly decreasing tail ending below margin_bits.
+    strictly decreasing tail ending below margin_bits.  Raises ValueError,
+    before any verdict (the same-family one included), when either size is
+    undefined at the largest n: a rate that is not positive, or a size that
+    overflows there.
     """
-    if not a > 0 or not b > 0:
-        raise ValueError(f"rates must be positive, got a={a}, b={b}")
     grid = DEFAULT_GRID if n_grid is None else tuple(n_grid)
-    if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
-        raise ValueError("n_grid must be strictly increasing")
+    if not grid or any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
+        raise ValueError("n_grid must be nonempty and strictly increasing")
+    domain = "loglog2" if "doubleexp" in (l1.kind, l2.kind) else "log2"
+    evaluate = loglog2_scale if domain == "loglog2" else log2_scale
+    evaluate(l1, grid[-1], a)  # a certificate needs both sizes at the largest n
+    evaluate(l2, grid[-1], b)
     if l1.kind == l2.kind and (l1.kind != "poly" or l1.k == l2.k):
         return DominanceResult(
             dominates=False,
@@ -136,8 +141,6 @@ def dominates(
             domain="log2",
             trail=(),
         )
-    domain = "loglog2" if "doubleexp" in (l1.kind, l2.kind) else "log2"
-    evaluate = loglog2_scale if domain == "loglog2" else log2_scale
     trail = []
     for n in grid:
         try:
@@ -145,7 +148,7 @@ def dominates(
         except ValueError:
             continue  # undefined at small n (log of a nonpositive value)
         trail.append((n, diff))
-    if len(trail) < 4 or trail[-1][0] != grid[-1]:
+    if len(trail) < 4:
         return DominanceResult(
             dominates=False,
             reason="insufficient evidence: grid leaves the difference undefined",
@@ -255,9 +258,6 @@ def converse_spacing(codebook: Codebook, b: float) -> SpacingCheck:
 class RegimeVerdict:
     """Capacity regime of one (flavor, scale, zero-in-closure) combination."""
 
-    flavor: str
-    scale_kind: str
-    zero_in_closure: bool
     verdict: str  # "zero" | "finite_band" | "infinite"
     band: tuple | None = None
 
@@ -283,13 +283,7 @@ def classify_regime(flavor: str, scale_kind: str, zero_in_closure: bool) -> Regi
     else:
         verdict = "zero"
     band = (FINITE_BAND_LOWER, FINITE_BAND_UPPER) if verdict == "finite_band" else None
-    return RegimeVerdict(
-        flavor=flavor,
-        scale_kind=scale_kind,
-        zero_in_closure=zero_in_closure,
-        verdict=verdict,
-        band=band,
-    )
+    return RegimeVerdict(verdict=verdict, band=band)
 
 
 def ri_capacity(g: float, power_budget: float, noise_variance: float) -> float:

@@ -6,10 +6,14 @@ writes CSV reports plus a human-readable summary that echoes the resolved
 configuration, and is byte-reproducible given the same seed.  Every CSV
 layout lives here: the estimate rows of simulate and near-codeword join the
 run's context (n, A, b, the channel model, delta) to what the estimators
-report.
+report, and pack and sweep report the same codebook facts (the sweep_report.csv
+columns) from one builder.  scales leaves each dominance certificate, whether
+it is defined at the largest n included, to analysis.dominates.  A fading
+family takes exactly the keys its FadingSpec constructor reads.
 
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
-usage error, 3 parameter precondition violated, 4 I/O failure.
+usage error (a fading key the family does not read, a non-positive scales
+rate), 3 parameter precondition violated, 4 I/O failure.
 """
 
 import argparse
@@ -108,26 +112,30 @@ SCHEMAS = {
 }
 
 
+# each fading family: its FadingSpec constructor, then the keys it requires and
+# the keys it may take, in argument order
+_FAMILIES = {
+    "uniform": (FadingSpec.uniform, ("g_min", "g_max"), ()),
+    "truncated_rayleigh": (
+        FadingSpec.truncated_rayleigh, ("rayleigh_scale", "g_min", "g_max"), ()
+    ),
+    "discrete": (FadingSpec.discrete, ("values",), ("weights",)),
+}
+
+
 def _fading_from(params: dict) -> FadingSpec:
     family = params["family"]
-    allow_zero = params["allow_zero"]
-    if family == "uniform":
-        if params["g_min"] is None or params["g_max"] is None:
-            raise ConfigError("uniform fading needs parameters 'g_min' and 'g_max'")
-        return FadingSpec.uniform(params["g_min"], params["g_max"], allow_zero=allow_zero)
-    if family == "truncated_rayleigh":
-        if params["rayleigh_scale"] is None or params["g_min"] is None or params["g_max"] is None:
-            raise ConfigError(
-                "truncated_rayleigh fading needs 'rayleigh_scale', 'g_min' and 'g_max'"
-            )
-        return FadingSpec.truncated_rayleigh(
-            params["rayleigh_scale"], params["g_min"], params["g_max"], allow_zero=allow_zero
-        )
-    if family == "discrete":
-        if params["values"] is None:
-            raise ConfigError("discrete fading needs parameter 'values'")
-        return FadingSpec.discrete(params["values"], params["weights"], allow_zero=allow_zero)
-    raise ConfigError(f"parameter 'family': unknown fading family {family!r}")
+    if family not in _FAMILIES:
+        raise ConfigError(f"parameter 'family': unknown fading family {family!r}")
+    make, required, optional = _FAMILIES[family]
+    read = ("family", "allow_zero") + required + optional
+    missing = [repr(key) for key in required if params[key] is None]
+    if missing:
+        raise ConfigError(f"{family} fading needs parameters {', '.join(missing)}")
+    unread = [repr(key) for key in _FADING_FIELDS if key not in read and params[key] is not None]
+    if unread:
+        raise ConfigError(f"{family} fading does not read parameters {', '.join(unread)}")
+    return make(*(params[key] for key in required + optional), allow_zero=params["allow_zero"])
 
 
 def _echo_lines(command: str, params: dict) -> list:
@@ -201,13 +209,39 @@ def _rate_note(value: float) -> str:
     return f"{value!r} (vacuous)" if value < 0 else repr(value)
 
 
-def _guaranteed_count_line(codebook, root_a: float, eps: float) -> str:
-    if root_a / math.sqrt(eps) <= 2.0:
+def _guaranteed_count_line(codebook) -> str:
+    if math.sqrt(codebook.power_budget) / math.sqrt(codebook.epsilon_n) <= 2.0:
         return "guaranteed_log2_count = n/a (radius ratio below 2)"
     bound = analysis.codebook_size_log2_bound(
         codebook.dimension, codebook.power_budget, codebook.slack
     )
     return f"guaranteed_log2_count = {bound!r}"
+
+
+def _codebook_with_facts(params, n: int, seed: int):
+    """Build the block-length-n codebook; return it with its facts, in sweep CSV column order."""
+    codebook = build_codebook(
+        n=n,
+        power_budget=params["power"],
+        b=params["b"],
+        schedule=params["schedule"],
+        seed=seed,
+        patience=params["patience"],
+        max_codewords=params["max_codewords"],
+    )
+    r0 = math.sqrt(codebook.epsilon_n)
+    return codebook, {
+        "n": n,
+        "epsilon_n": codebook.epsilon_n,
+        "r0": r0,
+        "r1": math.sqrt(codebook.power_budget) - r0,
+        "count": codebook.size,
+        "saturated": codebook.saturated,
+        "min_distance": codebook.min_distance,
+        "empirical_rate": analysis.empirical_rate(codebook),
+        "achievable_rate_lower_bound": analysis.achievable_rate_lower_bound(n, params["b"]),
+        "converse_rate_upper_bound": analysis.converse_rate_upper_bound(n, params["b"]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -216,31 +250,17 @@ def _guaranteed_count_line(codebook, root_a: float, eps: float) -> str:
 
 
 def _cmd_pack(params, out_dir: Path) -> int:
-    codebook = build_codebook(
-        n=params["n"],
-        power_budget=params["power"],
-        b=params["b"],
-        schedule=params["schedule"],
-        seed=params["seed"],
-        patience=params["patience"],
-        max_codewords=params["max_codewords"],
-    )
+    codebook, facts = _codebook_with_facts(params, params["n"], params["seed"])
     save_codebook(codebook, out_dir / "codebook.txt")
-    eps = codebook.epsilon_n
-    root_a = math.sqrt(codebook.power_budget)
-    lines = _echo_lines("pack", params)
+    del facts["n"]  # echoed with the configuration
+    lower = facts.pop("achievable_rate_lower_bound")
+    upper = facts.pop("converse_rate_upper_bound")
+    lines = _echo_lines("pack", params) + ["---"]
+    lines += [f"{key} = {value!r}" for key, value in facts.items()]
     lines += [
-        "---",
-        f"epsilon_n = {eps!r}",
-        f"r0 = {math.sqrt(eps)!r}",
-        f"r1 = {root_a - math.sqrt(eps)!r}",
-        f"count = {codebook.size}",
-        f"saturated = {codebook.saturated}",
-        f"min_distance = {codebook.min_distance!r}",
-        f"empirical_rate = {analysis.empirical_rate(codebook)!r}",
-        _guaranteed_count_line(codebook, root_a, eps),
-        f"achievable_rate_lower_bound = {_rate_note(analysis.achievable_rate_lower_bound(params['n'], params['b']))}",
-        f"converse_rate_upper_bound = {analysis.converse_rate_upper_bound(params['n'], params['b'])!r}",
+        _guaranteed_count_line(codebook),
+        f"achievable_rate_lower_bound = {_rate_note(lower)}",
+        f"converse_rate_upper_bound = {upper!r}",
         "codebook_file = codebook.txt",
     ]
     _write_text(out_dir / "pack_summary.txt", lines)
@@ -272,6 +292,10 @@ def _select_messages(params, size: int):
 
 
 def _cmd_simulate(params, out_dir: Path) -> int:
+    if params["grid_resolution"] < 2:  # fast fading reads no grid, but a bad one is a typo
+        raise ConfigError(
+            f"parameter 'grid_resolution': must be >= 2, got {params['grid_resolution']}"
+        )
     codebook = load_codebook(params["codebook"])
     fading = _fading_from(params)
     model = ChannelModel(
@@ -404,9 +428,9 @@ def _cmd_scales(params, out_dir: Path) -> int:
     grid = tuple(2**k for k in exponents)
     chain = analysis.scale_chain(params["poly_k"])
     default_mode = params["pairs"] is None
-    if default_mode:
+    if default_mode:  # every ordered pair of the chain, with the verdict its order implies
         pair_list = [
-            (chain[hi], chain[lo])
+            (chain[hi], chain[lo], hi > lo)
             for hi in range(len(chain))
             for lo in range(len(chain))
             if hi != lo
@@ -421,34 +445,29 @@ def _cmd_scales(params, out_dir: Path) -> int:
             left, _, right = item.partition(":")
             pair_list.append(
                 (_scale_by_name(left.strip(), params["poly_k"]),
-                 _scale_by_name(right.strip(), params["poly_k"]))
+                 _scale_by_name(right.strip(), params["poly_k"]), None)
             )
 
-    for pair in pair_list:  # a pair certifies nothing unless its sizes are finite at the largest n
-        evaluate = (analysis.loglog2_scale if "doubleexp" in (pair[0].kind, pair[1].kind)
-                    else analysis.log2_scale)
-        for scale, rate in zip(pair, (params["a"], params["b"])):
-            try:
-                if rate > 0:  # other rates are left to analysis.dominates (exit 3)
-                    evaluate(scale, grid[-1], rate)
-            except ValueError as exc:
-                raise ConfigError(f"parameter 'max_exponent': the {scale.label()} scale at rate "
-                                  f"{rate!r} has no finite size at n = 2^{exponents[-1]}") from exc
-    order = {scale.kind: pos for pos, scale in enumerate(chain)}
     rows = []
     evidence = []
     mismatches = 0
-    for dominator, dominated in pair_list:
-        result = analysis.dominates(
-            dominator,
-            dominated,
-            a=params["a"],
-            b=params["b"],
-            n_grid=grid,
-            margin_bits=params["margin_bits"],
-        )
-        expected = order[dominator.kind] > order[dominated.kind]
-        if default_mode and result.dominates != expected:
+    for dominator, dominated, expected in pair_list:
+        try:
+            result = analysis.dominates(
+                dominator,
+                dominated,
+                a=params["a"],
+                b=params["b"],
+                n_grid=grid,
+                margin_bits=params["margin_bits"],
+            )
+        except ValueError as exc:  # its message would spell out n, often hundreds of digits
+            raise ConfigError(
+                f"parameters 'a', 'b', 'max_exponent': pair {dominator.label()}:"
+                f"{dominated.label()} has no finite size at n = 2^{exponents[-1]} with rates "
+                f"a = {params['a']!r}, b = {params['b']!r}"
+            ) from exc
+        if expected is not None and result.dominates != expected:
             mismatches += 1
         rows.append(
             (
@@ -503,53 +522,19 @@ def _cmd_scales(params, out_dir: Path) -> int:
 
 
 def _cmd_sweep(params, out_dir: Path) -> int:
-    header = (
-        "n",
-        "epsilon_n",
-        "r0",
-        "r1",
-        "count",
-        "saturated",
-        "min_distance",
-        "empirical_rate",
-        "achievable_rate_lower_bound",
-        "converse_rate_upper_bound",
-    )
     if not params["n_values"]:
         raise ConfigError("parameter 'n_values': needs at least one block length")
     rows = []
     notes = []
     for n in params["n_values"]:
-        codebook = build_codebook(
-            n=n,
-            power_budget=params["power"],
-            b=params["b"],
-            schedule=params["schedule"],
-            seed=derive_seed(params["seed"], "sweep", n),
-            patience=params["patience"],
-            max_codewords=params["max_codewords"],
-        )
-        eps = codebook.epsilon_n
-        lower = analysis.achievable_rate_lower_bound(n, params["b"])
-        upper = analysis.converse_rate_upper_bound(n, params["b"])
-        rows.append(
-            (
-                n,
-                repr(eps),
-                repr(math.sqrt(eps)),
-                repr(math.sqrt(codebook.power_budget) - math.sqrt(eps)),
-                codebook.size,
-                codebook.saturated,
-                repr(codebook.min_distance),
-                repr(analysis.empirical_rate(codebook)),
-                repr(lower),
-                repr(upper),
-            )
-        )
+        _, facts = _codebook_with_facts(params, n, derive_seed(params["seed"], "sweep", n))
+        rows.append(facts.values())
         notes.append(
-            f"n={n}: count={codebook.size} lower_bound={_rate_note(lower)} upper_bound={upper!r}"
+            f"n={n}: count={facts['count']} "
+            f"lower_bound={_rate_note(facts['achievable_rate_lower_bound'])} "
+            f"upper_bound={facts['converse_rate_upper_bound']!r}"
         )
-    _write_csv(out_dir / "sweep_report.csv", header, rows)
+    _write_csv(out_dir / "sweep_report.csv", tuple(facts), rows)
     lines = _echo_lines("sweep", params) + ["---"] + notes + ["report_file = sweep_report.csv"]
     _write_text(out_dir / "sweep_summary.txt", lines)
     return EXIT_OK

@@ -136,8 +136,6 @@ def build_codebook(
             max_codewords=max_codewords,
         )
     )
-    if packing.count == 0:  # unreachable: the first candidate is always accepted
-        raise ValueError("packing produced no codewords")
     codebook = Codebook(
         dimension=n,
         power_budget=power_budget,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,30 @@ def test_dominance_validation():
         dominates(ScaleFn("exp"), ScaleFn("linear"), a=0.0)
     with pytest.raises(ValueError):
         dominates(ScaleFn("exp"), ScaleFn("linear"), n_grid=[16, 8])
+    with pytest.raises(ValueError):
+        dominates(ScaleFn("exp"), ScaleFn("linear"), n_grid=[])
+
+
+@pytest.mark.parametrize(
+    "l1, l2, a, b, n_grid",
+    [
+        # the superexp size n log2(n) is inf at n = 2^1020
+        (ScaleFn("superexp"), ScaleFn("exp"), 1.0, 1.0, [2**k for k in range(1004, 1021, 4)]),
+        # 2^1100 does not convert to a float, so no size is finite there
+        (ScaleFn("exp"), ScaleFn("linear"), 1.0, 1.0, [2**k for k in range(1084, 1101, 4)]),
+        # log2(log2(nR)) is not positive at the largest n: no loglog2 size
+        (ScaleFn("doubleexp"), ScaleFn("log"), 1.0, 2**-60, [2**k for k in range(4, 61, 4)]),
+        # the same-family verdict does not bypass the check
+        (ScaleFn("superexp"), ScaleFn("superexp"), 1.0, 1.0, [2**1016, 2**1020]),
+        (ScaleFn("exp"), ScaleFn("exp"), 1.0, -1.0, None),
+    ],
+    ids=["superexp-overflow", "int-overflow", "loglog-undefined", "same-family-overflow",
+         "same-family-negative-rate"],
+)
+def test_dominance_raises_when_a_size_is_undefined_at_the_largest_n(l1, l2, a, b, n_grid):
+    # these returned an "insufficient evidence" or "same scale family" verdict
+    with pytest.raises(ValueError):
+        dominates(l1, l2, a=a, b=b, n_grid=n_grid)
 
 
 # frozen by direct evaluation of the closed forms
@@ -243,6 +268,7 @@ def test_classify_regime_table(flavor, scale, zero_flag, expected):
         assert verdict.band == (0.25, 1.0)
     else:
         assert verdict.band is None
+    assert dataclasses.astuple(verdict) == (expected, verdict.band)
 
 
 def test_classify_regime_validation():

@@ -26,6 +26,11 @@ def pack_dir(tmp_path):
     return out
 
 
+# sha256 of pack_summary.txt for the pack_dir configuration, recorded before
+# pack and sweep shared one codebook builder
+_PINNED_PACK_SUMMARY = "664c54b97b4fb7856b505d599480476b371f0f0d5cc115adbc7fa6ceec3db98e"
+
+
 def test_pack_writes_codebook_and_summary(pack_dir):
     codebook = (pack_dir / "codebook.txt").read_text()
     assert codebook.startswith("format = difading-codebook-v1")
@@ -33,6 +38,8 @@ def test_pack_writes_codebook_and_summary(pack_dir):
     assert "command = pack" in summary
     assert "count = 48" in summary
     assert "epsilon_n" in summary
+    digest = hashlib.sha256((pack_dir / "pack_summary.txt").read_bytes()).hexdigest()
+    assert digest == _PINNED_PACK_SUMMARY
 
 
 def test_pack_is_byte_deterministic(tmp_path):
@@ -287,6 +294,56 @@ random_pairs = {count}
     assert not (out / "simulate_report.csv").exists()
 
 
+_UNIFORM = "family = uniform\ng_min = 0.5\ng_max = 1.5\n"
+
+
+@pytest.mark.parametrize(
+    "command, fading, message",
+    [
+        ("simulate", _UNIFORM + "values = 7, 8\n", "does not read parameters 'values'"),
+        ("simulate", _UNIFORM + "rayleigh_scale = 3\n",
+         "does not read parameters 'rayleigh_scale'"),
+        ("simulate", _UNIFORM + "weights = 1, 2\n", "does not read parameters 'weights'"),
+        ("near-codeword", "family = discrete\nvalues = 0.5, 1.0\ng_min = 0.2\n",
+         "does not read parameters 'g_min'"),
+        ("simulate", "family = uniform\ng_min = 0.5\n", "needs parameters 'g_max'"),
+        ("near-codeword", "family = truncated_rayleigh\ng_min = 0.5\ng_max = 1.5\n",
+         "needs parameters 'rayleigh_scale'"),
+    ],
+    ids=["uniform-values", "uniform-rayleigh-scale", "uniform-weights", "discrete-g-min",
+         "uniform-no-g-max", "rayleigh-no-scale"],
+)
+def test_fading_key_the_family_does_not_read_or_lacks_is_a_config_error(
+    pack_dir, tmp_path, capsys, command, fading, message
+):
+    # the unread keys were silently dropped (exit 0)
+    if command == "simulate":
+        head = (f"codebook = {pack_dir / 'codebook.txt'}\nflavor = fast\nsigma_z2 = 0.05\n"
+                "trials = 100\nmessage_i = 1\nmessage_j = 2\n")
+    else:
+        head = "n = 16\nb = 0.1\nsigma_z2 = 1.0\ntrials = 100\n"
+    cfg = write(tmp_path / "run.cfg", head + fading)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flavor, resolution", [("fast", -5), ("slow", 1), ("slow", 0)])
+def test_grid_resolution_below_two_is_a_config_error(pack_dir, tmp_path, capsys, flavor,
+                                                     resolution):
+    # fast fading ignored the value (exit 0); slow fading failed in support_grid (exit 3)
+    cfg = write(
+        tmp_path / "sim.cfg",
+        f"codebook = {pack_dir / 'codebook.txt'}\nflavor = {flavor}\n{_UNIFORM}"
+        f"sigma_z2 = 0.05\ntrials = 100\nmessage_i = 1\ngrid_resolution = {resolution}\n",
+    )
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "parameter 'grid_resolution'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_sweep_without_block_lengths_is_a_config_error(tmp_path, capsys):
     cfg = write(tmp_path / "sw.cfg", "n_values =\n")
     out = tmp_path / "o"
@@ -490,6 +547,41 @@ def test_scales_explicit_pairs(tmp_path):
     assert lines[2].split(",")[5] == "False"
 
 
+# sha256 of the four scales artifacts, recorded before analysis.dominates
+# became the one judge of whether a pair is defined at the largest n
+_SCALES_PAIRS = (
+    "pairs = superexp:exp, exp:superexp, doubleexp:poly, poly:log, linear:linear, "
+    "log:doubleexp\npoly_k = 3.5\na = 0.5\nb = 2.0\n"
+)
+_PINNED_SCALES = {
+    "default": {
+        "regimes_report.csv": "ff445e648791ab0810ba057231de77da3425619fc6a492899364438693e0abc0",
+        "scales_evidence.csv": "5d515149c0103933cca04a8b61c69e6f8e7ffa4ee12de6853547d8b4d1cac8cf",
+        "scales_report.csv": "29665337b84ed4f2b1aac170fd81fe3ffc4a67d01bd1ec82483d45be851b113b",
+        "scales_summary.txt": "fe10e6561cfa25f5f1e7ef7ff09d4e5123b14cc3e96e3856d3c3bd93b03e58af",
+    },
+    "pairs": {
+        "regimes_report.csv": "ff445e648791ab0810ba057231de77da3425619fc6a492899364438693e0abc0",
+        "scales_evidence.csv": "d6b40dfdb4c41fb097f9689932f2e869575f5ec88e3442f36bbca1651bf637cb",
+        "scales_report.csv": "9ef8e7187f4d49066d84ff9cc747127ede7a12137867387d429b1cc9d7bf613f",
+        "scales_summary.txt": "50185baaf0e5da1d75e2b648c5a68be98d1546f292f0b043b626320700065acb",
+    },
+}
+
+
+@pytest.mark.parametrize("case, config", [("default", ""), ("pairs", _SCALES_PAIRS)])
+def test_scales_artifacts_are_pinned(tmp_path, case, config):
+    cfg = write(tmp_path / "sc.cfg", config)
+    out = tmp_path / "sc"
+    assert run(["scales", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert _digests(out) == _PINNED_SCALES[case]
+
+
+def _digests(out_dir):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out_dir.iterdir()}
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -498,17 +590,27 @@ def test_scales_explicit_pairs(tmp_path):
         "min_exponent = 8\nmax_exponent = 4\npairs = exp:linear\n",  # empty grid
         "step_exponent = 0\n",
         "step_exponent = -4\n",
+        "a = 0\n",
     ],
-    ids=["int-overflow", "superexp-overflow", "empty", "zero-step", "negative-step"],
+    ids=["int-overflow", "superexp-overflow", "empty", "zero-step", "negative-step",
+         "zero-rate"],
 )
 def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     # these ran to a traceback, a chain mismatch (exit 1), an "insufficient
-    # evidence" row (exit 0) and a range() error (exit 3)
+    # evidence" row (exit 0) and a range() error (exit 3); the zero rate exited 3
     cfg = write(tmp_path / "sc.cfg", config)
     out = tmp_path / "sc"
     assert run(["scales", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+# sha256 of the sweep artifacts for the configuration below, recorded before
+# pack and sweep shared one codebook builder
+_PINNED_SWEEP = {
+    "sweep_report.csv": "58ad4325dcb0d6592a694ffcd2f1333f6eb4b9508ec2f4bd5681d9eeac118b10",
+    "sweep_summary.txt": "e442f866a078926545d043e21882e01b19ed36999dc807ca78d039b7de8c1cfc",
+}
 
 
 def test_sweep_report(tmp_path):
@@ -523,6 +625,7 @@ def test_sweep_report(tmp_path):
     assert lines[0].startswith("n,epsilon_n,r0,r1,count")
     summary = (out / "sweep_summary.txt").read_text()
     assert "n=32:" in summary and "n=64:" in summary
+    assert _digests(out) == _PINNED_SWEEP
 
 
 def test_out_env_var_sets_default_directory(tmp_path, monkeypatch):
