@@ -138,7 +138,7 @@ def dominates(
                 "same scale family: with equal rates the size ratio is constant in n, "
                 "so the limit cannot vanish for every rate choice"
             ),
-            domain="log2",
+            domain=domain,
             trail=(),
         )
     trail = []
@@ -201,13 +201,16 @@ def converse_rate_upper_bound(n: float, b: float) -> float:
     return 1.0 + b + math.log2(1.0 + n ** -(1.0 + b)) / math.log2(n)
 
 
-def codebook_size_log2_bound(n: int, power_budget: float, b: float) -> float:
-    """log2 of the guaranteed codeword count n * (log2(n^((1-b)/4) - 1) - 1).
+def codebook_size_log2_bound(
+    n: int, power_budget: float, b: float, schedule: str = "achievability"
+) -> float:
+    """log2 of the saturated-packing count bound 2^-n * (r1/r0)^n.
 
-    This is the saturated-packing count bound 2^-n * (r1/r0)^n evaluated for
-    the achievability radii, reported without materializing the codebook.
+    Evaluated for the radii r0 = sqrt(eps_n), r1 = sqrt(A) - r0 of the given
+    schedule, without materializing the codebook; for the achievability
+    schedule it is n * (log2(n^((1-b)/4) - 1) - 1) at A = 1.
     """
-    eps = epsilon_schedule(n, power_budget, b, "achievability")
+    eps = epsilon_schedule(n, power_budget, b, schedule)
     ratio = (math.sqrt(power_budget) - math.sqrt(eps)) / math.sqrt(eps)
     if ratio <= 0:
         raise ValueError(f"degenerate geometry: radius ratio {ratio} is not positive")

@@ -13,7 +13,8 @@ family takes exactly the keys its FadingSpec constructor reads.
 
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a fading key the family does not read, a non-positive scales
-rate), 3 parameter precondition violated, 4 I/O failure.
+rate, an unknown scale kind in 'pairs', a 'poly_k' below 1), 3 parameter
+precondition violated, 4 I/O failure.
 """
 
 import argparse
@@ -213,7 +214,7 @@ def _guaranteed_count_line(codebook) -> str:
     if math.sqrt(codebook.power_budget) / math.sqrt(codebook.epsilon_n) <= 2.0:
         return "guaranteed_log2_count = n/a (radius ratio below 2)"
     bound = analysis.codebook_size_log2_bound(
-        codebook.dimension, codebook.power_budget, codebook.slack
+        codebook.dimension, codebook.power_budget, codebook.slack, codebook.schedule
     )
     return f"guaranteed_log2_count = {bound!r}"
 
@@ -414,19 +415,16 @@ def _cmd_near_codeword(params, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _scale_by_name(name: str, poly_k: float) -> analysis.ScaleFn:
-    if name == "poly":
-        return analysis.ScaleFn("poly", k=poly_k)
-    return analysis.ScaleFn(name)
-
-
 def _cmd_scales(params, out_dir: Path) -> int:
     if params["step_exponent"] < 1 or params["min_exponent"] > params["max_exponent"]:
         raise ConfigError("parameters 'min_exponent', 'max_exponent', 'step_exponent': the grid "
                           "needs min_exponent <= max_exponent and step_exponent >= 1")
     exponents = range(params["min_exponent"], params["max_exponent"] + 1, params["step_exponent"])
     grid = tuple(2**k for k in exponents)
-    chain = analysis.scale_chain(params["poly_k"])
+    try:
+        chain = analysis.scale_chain(params["poly_k"])
+    except ValueError as exc:
+        raise ConfigError(f"parameter 'poly_k': {exc}") from exc
     default_mode = params["pairs"] is None
     if default_mode:  # every ordered pair of the chain, with the verdict its order implies
         pair_list = [
@@ -436,6 +434,7 @@ def _cmd_scales(params, out_dir: Path) -> int:
             if hi != lo
         ]
     else:
+        by_kind = {scale.kind: scale for scale in chain}
         pair_list = []
         for item in params["pairs"]:
             if ":" not in item:
@@ -443,10 +442,12 @@ def _cmd_scales(params, out_dir: Path) -> int:
                     f"parameter 'pairs': expected 'dominator:dominated', got {item!r}"
                 )
             left, _, right = item.partition(":")
-            pair_list.append(
-                (_scale_by_name(left.strip(), params["poly_k"]),
-                 _scale_by_name(right.strip(), params["poly_k"]), None)
-            )
+            names = (left.strip(), right.strip())
+            for name in names:
+                if name not in by_kind:
+                    raise ConfigError(f"parameter 'pairs': unknown scale kind {name!r} in "
+                                      f"{item!r}; choose from {', '.join(analysis.KINDS)}")
+            pair_list.append((by_kind[names[0]], by_kind[names[1]], None))
 
     rows = []
     evidence = []

@@ -9,6 +9,15 @@ at least the fraction ``2^-n`` of the big ball with small spheres (doubling
 the small radius covers everything, and doubling multiplies volumes by
 ``2^n``), hence contains at least ``2^-n * (r1/r0)^n`` spheres.
 
+Near saturation almost every candidate lands where an accepted center
+already excludes it.  While a grid of cells of side ``r0/4`` over the cube
+``[-r1, r1]^n`` (widened by 7 cells a side for the stencil) holds at most
+``2^20`` cells, which is n <= 3 at r1/r0 = 10 and never n = 100, the sampler
+keeps a dead-cell mask: on each acceptance it marks the cells that lie wholly
+within ``2*r0`` of the new center, and a candidate in a marked cell is
+rejected without a distance computation.  Every acceptance is still decided
+by the distance kernel, so the mask changes no packing.
+
 All volume computations run in the log domain to stay finite for large
 dimensions.
 """
@@ -26,6 +35,15 @@ _ROW_BLOCK = 256
 _CENTER_BLOCK = 4096
 # Microscopic slack for re-verifying distances computed through BLAS reductions.
 _FP_GUARD = 1e-12
+# Dead-cell mask: cells of side r0 / _CELLS_PER_R0, built only while its grid
+# holds at most _MAX_CELLS cells.  Finer cells were slower: the stencil grows
+# as (r0/h)^n.  _REACH is the largest stencil offset on one axis, where
+# (|k| + 1) h < 2 r0.
+_CELLS_PER_R0 = 4
+_MAX_CELLS = 2**20
+_REACH = 2 * _CELLS_PER_R0 - 2
+# Relative margin of the stencil, far above the rounding of the distance kernel.
+_STENCIL_GUARD = 1e-9
 
 
 def log_sphere_volume(n: int, r: float) -> float:
@@ -154,6 +172,57 @@ def _min_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(best, 0.0, out=best)
 
 
+class _DeadCells:
+    """Boolean grid over [-r1, r1]^n marking cells wholly within 2*r0 of an accepted center.
+
+    Cells have side h = r0/_CELLS_PER_R0.  The stencil holds the cell offsets
+    k with sum(((|k_i| + 1) h)^2) < (2 r0)^2 (1 - _STENCIL_GUARD): every point
+    of such a cell lies closer than 2*r0 to any point of the home cell, so
+    _min_dist_sq would reject a candidate in a marked cell as well.  The grid
+    extends _REACH + 1 cells beyond the cube on every side, so the stencil
+    around any point of the ball lies inside it and is kept as flat offsets.
+    """
+
+    def __init__(self, n: int, r0: float, r1: float, side: int):
+        self.h = r0 / _CELLS_PER_R0
+        self.origin = r1 + (_REACH + 1) * self.h
+        self.side = side
+        self.strides = side ** np.arange(n - 1, -1, -1)
+        self.dead = np.zeros(side**n, dtype=bool)
+        # int8 offsets and one axis at a time keep the box at n bytes per offset.
+        offsets = np.indices((2 * _REACH + 1,) * n, dtype=np.int8).reshape(n, -1) - _REACH
+        width_sq = sum(((np.abs(k) + 1) * self.h) ** 2 for k in offsets)
+        keep = width_sq < (2.0 * r0) ** 2 * (1.0 - _STENCIL_GUARD)
+        self.stencil = offsets[:, keep].T.astype(np.intp) @ self.strides
+
+    @classmethod
+    def for_config(cls, config: PackingConfig):
+        """The mask for this packing, or None when its grid would exceed _MAX_CELLS cells."""
+        per_axis = 2.0 * config.r1 * _CELLS_PER_R0 / config.r0 + 2 * (_REACH + 1)
+        if per_axis > _MAX_CELLS:
+            return None
+        side = math.ceil(per_axis)
+        if side**config.dimension > _MAX_CELLS:
+            return None
+        return cls(config.dimension, config.r0, config.r1, side)
+
+    def cells(self, points: np.ndarray) -> np.ndarray:
+        """Flat cell index of each point (of a 1-D point, its scalar index).
+
+        Per-axis indices are clipped to the cells whose whole stencil lies in
+        the grid, so no flat offset wraps to another cell through the strides.
+        The clip binds only a cell or more outside the ball; a coordinate of
+        sample_in_ball exceeds r1 in magnitude by an ulp at most.
+        """
+        index = np.floor((points + self.origin) / self.h).astype(np.intp)
+        np.clip(index, _REACH, self.side - 1 - _REACH, out=index)
+        return index @ self.strides
+
+    def mark(self, center: np.ndarray):
+        """Mark the center's cell and every stencil cell around it."""
+        self.dead[self.cells(center) + self.stencil] = True
+
+
 def generate_saturated_packing(config: PackingConfig) -> Packing:
     """Greedy packing by rejection sampling, deterministic in config.seed.
 
@@ -161,6 +230,12 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
     it keeps distance >= 2*r0 to every accepted center.  The run stops with
     saturated=True after ``saturation_patience`` consecutive rejections, or
     with saturated=False once ``max_codewords`` centers are accepted.
+
+    While its cell grid (side r0/4, over [-r1, r1]^n widened for the stencil)
+    has at most 2^20 cells, a dead-cell mask rejects a candidate whose cell
+    lies wholly within 2*r0 of an accepted center before any distance is
+    computed.  The other candidates of a batch go to _min_dist_sq as before,
+    so the packing is the same with or without the mask.
     """
     n = config.dimension
     rng = substream(config.seed, "packing")
@@ -169,13 +244,13 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
     rejects = 0
     saturated = False
     min_gap_sq = (2.0 * config.r0) ** 2
+    mask = _DeadCells.for_config(config)
     done = False
     while not done:
         batch = sample_in_ball(n, config.r1, rng, _BATCH)
+        alive = np.ones(_BATCH, dtype=bool) if mask is None else ~mask.dead[mask.cells(batch)]
         if count:
-            alive = _min_dist_sq(batch, centers[:count]) >= min_gap_sq
-        else:
-            alive = np.ones(_BATCH, dtype=bool)
+            alive[alive] = _min_dist_sq(batch[alive], centers[:count]) >= min_gap_sq
         pos = 0
         while True:
             rest = alive[pos:]
@@ -193,6 +268,8 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
                 centers = np.vstack([centers, np.empty_like(centers)])
             centers[count] = batch[idx]
             count += 1
+            if mask is not None:
+                mask.mark(batch[idx])
             if count >= config.max_codewords:
                 done = True
                 break

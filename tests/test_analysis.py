@@ -110,6 +110,9 @@ def test_dominance_evidence_trail():
     assert ns == sorted(ns)
     result2 = dominates(ScaleFn("doubleexp"), ScaleFn("exp"))
     assert result2.domain == "loglog2"
+    # the same-family verdict reports the domain its sizes were checked in
+    same = dominates(ScaleFn("doubleexp"), ScaleFn("doubleexp"))
+    assert (same.dominates, same.domain) == (False, "loglog2")
 
 
 def test_dominance_validation():

@@ -42,6 +42,22 @@ def test_pack_writes_codebook_and_summary(pack_dir):
     assert digest == _PINNED_PACK_SUMMARY
 
 
+def test_pack_count_bound_follows_the_schedule(tmp_path):
+    # the bound was evaluated at the achievability radii whatever the schedule,
+    # which printed -45.63 for this converse-spacing geometry
+    cfg = write(
+        tmp_path / "p.cfg",
+        "n = 40\nb = 0.3\nschedule = converse_spacing\npatience = 200\nmax_codewords = 20\n",
+    )
+    out = tmp_path / "pack"
+    assert run(["pack", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "pack_summary.txt").read_text().splitlines()
+    bound = float(next(line for line in lines if line.startswith("guaranteed_log2_count")).split()[-1])
+    # r1/r0 = 40^1.3 - 1, so the bound is 40 * (log2(40^1.3 - 1) - 1)
+    assert bound == pytest.approx(40 * (math.log2(40**1.3 - 1.0) - 1.0), rel=1e-12)
+    assert bound == pytest.approx(236.26, abs=0.01)
+
+
 def test_pack_is_byte_deterministic(tmp_path):
     cfg = write(tmp_path / "p.cfg", "n = 64\nseed = 7\npatience = 2000\nmax_codewords = 32\n")
     for name in ("a", "b"):
@@ -591,13 +607,16 @@ def _digests(out_dir):
         "step_exponent = 0\n",
         "step_exponent = -4\n",
         "a = 0\n",
+        "pairs = exp:cubic\n",
+        "poly_k = 0.5\n",
     ],
     ids=["int-overflow", "superexp-overflow", "empty", "zero-step", "negative-step",
-         "zero-rate"],
+         "zero-rate", "unknown-kind", "poly-k-below-1"],
 )
 def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     # these ran to a traceback, a chain mismatch (exit 1), an "insufficient
-    # evidence" row (exit 0) and a range() error (exit 3); the zero rate exited 3
+    # evidence" row (exit 0) and a range() error (exit 3); the zero rate, the
+    # unknown kind and the exponent below 1 exited 3
     cfg = write(tmp_path / "sc.cfg", config)
     out = tmp_path / "sc"
     assert run(["scales", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG

@@ -92,6 +92,92 @@ def test_criterion_packings_are_pinned(n, ratio, count, digest):
         assert estimate.density == 0.37184
 
 
+@st.composite
+def _mask_geometry(draw):
+    n = draw(st.integers(1, 3))
+    r0 = draw(st.floats(0.2, 3.0).filter(lambda r: r != 1.0))
+    cells_per_r1 = draw(st.floats(6.0, 40.0).filter(lambda c: c != int(c)))  # r1/h, non-integer
+    r1 = cells_per_r1 * r0 / geometry._CELLS_PER_R0
+    axis = draw(st.integers(0, n - 1))
+    edge = draw(st.sampled_from((None, -1.0, 1.0)))
+    if edge is None:  # a point in the ball
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        norm = np.linalg.norm(direction)
+        center = direction / norm * r1 * draw(st.floats(0.0, 1.0)) if norm > 0 else np.zeros(n)
+    else:  # +-r1 on an axis, or an ulp beyond it, as sample_in_ball can return
+        center = np.zeros(n)
+        center[axis] = edge * r1
+        if draw(st.booleans()):
+            center[axis] = np.nextafter(center[axis], 2.0 * center[axis])
+    return PackingConfig(n, r0, r1), center
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mask_geometry())
+def test_dead_cells_lie_within_two_r0_of_the_marking_center(data):
+    config, center = data
+    n, r0, r1 = config.dimension, config.r0, config.r1
+    mask = geometry._DeadCells.for_config(config)
+    assert mask is not None
+    mask.mark(center)
+    gap_sq = (2.0 * r0) ** 2
+    # distance to a center is convex, so a cell's farthest point is a corner
+    marked = np.stack(np.unravel_index(np.flatnonzero(mask.dead), (mask.side,) * n), axis=1)
+    assert len(marked) >= 1
+    corners = np.stack(np.meshgrid(*[(0, 1)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    points = ((marked[:, None, :] + corners[None, :, :]) * mask.h - mask.origin).reshape(-1, n)
+    assert (geometry._min_dist_sq(points, center[None]) < gap_sq).all()
+    # points classified into a dead cell, the ball's axis extremes among them
+    axis_ends = np.concatenate([np.eye(n) * r1, -np.eye(n) * r1])
+    beyond = np.nextafter(axis_ends, 2.0 * axis_ends)
+    rng = np.random.default_rng(0)
+    near = center + sample_in_ball(n, 2.0 * r0, rng, 4000)
+    probe = np.concatenate([axis_ends, beyond, near, points])
+    dead = mask.dead[mask.cells(probe)]
+    assert (geometry._min_dist_sq(probe[dead], center[None]) < gap_sq).all()
+
+
+def _reference_packing(config: PackingConfig):
+    """Greedy packing without the dead-cell mask, one candidate at a time.
+
+    Each batch is tested against the earlier batches' centers with
+    _min_dist_sq (infinite against none) and against its own acceptances
+    with the difference form.
+    """
+    rng = seeding.substream(config.seed, "packing")
+    gap_sq = (2.0 * config.r0) ** 2
+    centers = np.empty((0, config.dimension))
+    rejects = 0
+    while True:
+        batch = sample_in_ball(config.dimension, config.r1, rng, geometry._BATCH)
+        earlier = len(centers)
+        far = geometry._min_dist_sq(batch, centers) >= gap_sq
+        for candidate, ok in zip(batch, far):
+            diff = candidate - centers[earlier:]
+            if ok and (np.einsum("ij,ij->i", diff, diff) >= gap_sq).all():
+                centers = np.vstack([centers, candidate])
+                rejects = 0
+                continue
+            rejects += 1
+            if rejects >= config.saturation_patience:
+                return centers
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("seed", (7, 2024))
+def test_masked_packing_equals_reference_greedy(n, seed):
+    config = PackingConfig(n, 0.37, 0.37 * 7.3, seed=seed, saturation_patience=20_000)
+    assert geometry._DeadCells.for_config(config) is not None
+    packing = generate_saturated_packing(config)
+    assert packing.saturated
+    np.testing.assert_array_equal(packing.centers, _reference_packing(config))
+
+
+def test_high_dimensional_packings_build_no_mask():
+    assert geometry._DeadCells.for_config(PackingConfig(100, 0.1, 1.0)) is None
+    assert geometry._DeadCells.for_config(PackingConfig(4, 1.0, 10.0)) is None
+
+
 _COORDS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
