@@ -207,8 +207,9 @@ def codebook_size_log2_bound(
     """log2 of the saturated-packing count bound 2^-n * (r1/r0)^n.
 
     Evaluated for the radii r0 = sqrt(eps_n), r1 = sqrt(A) - r0 of the given
-    schedule, without materializing the codebook; for the achievability
-    schedule it is n * (log2(n^((1-b)/4) - 1) - 1) at A = 1.
+    schedule, without materializing the codebook: n * (log2(n^((1-b)/4) - 1) - 1)
+    for the achievability schedule, n * (log2(n^(1+b) - 1) - 1) for converse
+    spacing.
     """
     eps = epsilon_schedule(n, power_budget, b, schedule)
     ratio = (math.sqrt(power_budget) - math.sqrt(eps)) / math.sqrt(eps)
