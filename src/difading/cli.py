@@ -12,9 +12,10 @@ it is defined at the largest n included, to analysis.dominates.  A fading
 family takes exactly the keys its FadingSpec constructor reads.
 
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
-usage error (a fading key the family does not read, a non-positive scales
-rate, an unknown scale kind in 'pairs', a 'poly_k' below 1), 3 parameter
-precondition violated, 4 I/O failure.
+usage error (a value outside the interval or choices of its key in SCHEMAS, a
+fading law its family refuses, equal messages, a scales grid or pair with no
+certificate), 3 parameter precondition violated (a message index outside the
+loaded codebook, a malformed codebook), 4 I/O failure.
 """
 
 import argparse
@@ -24,8 +25,8 @@ import sys
 from pathlib import Path
 
 from . import analysis
-from .channel import ChannelModel, FadingSpec
-from .codec import build_codebook, delta_n, load_codebook, save_codebook
+from .channel import FLAVORS, ChannelModel, FadingSpec
+from .codec import SCHEDULES, build_codebook, delta_n, load_codebook, save_codebook
 from .config import ConfigError, Field, load_config, resolve
 from .estimation import (
     TrialPlan,
@@ -44,75 +45,6 @@ EXIT_IO = 4
 
 OUT_ENV = "DIFADING_OUT"
 
-_FADING_FIELDS = {
-    "family": Field("str"),
-    "g_min": Field("float", None),
-    "g_max": Field("float", None),
-    "rayleigh_scale": Field("float", None),
-    "values": Field("floats", None),
-    "weights": Field("floats", None),
-    "allow_zero": Field("bool", False),
-}
-
-SCHEMAS = {
-    "pack": {
-        "n": Field("int"),
-        "power": Field("float", 1.0),
-        "b": Field("float", 0.0),
-        "schedule": Field("str", "achievability"),
-        "seed": Field("int", 0),
-        "patience": Field("int", 100_000),
-        "max_codewords": Field("int", 100_000),
-    },
-    "simulate": {
-        "codebook": Field("str"),
-        "flavor": Field("str"),
-        "sigma_z2": Field("float"),
-        "trials": Field("int", 10_000),
-        "seed": Field("int", 0),
-        "message_i": Field("int", None),
-        "message_j": Field("int", None),
-        "random_pairs": Field("int", None),
-        "grid_resolution": Field("int", 33),
-        "delta": Field("float", None),
-        **_FADING_FIELDS,
-    },
-    "converse-check": {
-        "codebook": Field("str"),
-        "b": Field("float"),
-    },
-    "near-codeword": {
-        "n": Field("int"),
-        "power": Field("float", 1.0),
-        "b": Field("float"),
-        "sigma_z2": Field("float"),
-        "trials": Field("int", 10_000),
-        "seed": Field("int", 0),
-        "distance": Field("float", None),
-        **_FADING_FIELDS,
-    },
-    "scales": {
-        "pairs": Field("strs", None),
-        "a": Field("float", 1.0),
-        "b": Field("float", 1.0),
-        "poly_k": Field("float", 2.0),
-        "margin_bits": Field("float", analysis.DEFAULT_MARGIN_BITS),
-        "min_exponent": Field("int", 4),
-        "max_exponent": Field("int", 128),
-        "step_exponent": Field("int", 4),
-    },
-    "sweep": {
-        "n_values": Field("ints"),
-        "power": Field("float", 1.0),
-        "b": Field("float", 0.0),
-        "schedule": Field("str", "achievability"),
-        "seed": Field("int", 0),
-        "patience": Field("int", 20_000),
-        "max_codewords": Field("int", 2_000),
-    },
-}
-
-
 # each fading family: its FadingSpec constructor, then the keys it requires and
 # the keys it may take, in argument order
 _FAMILIES = {
@@ -123,11 +55,82 @@ _FAMILIES = {
     "discrete": (FadingSpec.discrete, ("values",), ("weights",)),
 }
 
+# pack and sweep refuse a block length n whose packing buffers, 4096 centers
+# and a batch of 2048 candidates of n floats each, would pass _PACK_BYTES
+_PACK_BYTES = 2**30
+_PACK_N = f"[2, {_PACK_BYTES // (8 * (4096 + 2048))}]"
+
+_FADING_FIELDS = {
+    "family": Field("str", choices=tuple(_FAMILIES)),
+    "g_min": Field("float", None, "[0, inf)"),
+    "g_max": Field("float", None),
+    "rayleigh_scale": Field("float", None, "(0, inf)"),
+    "values": Field("floats", None),
+    "weights": Field("floats", None, "[0, inf)"),
+    "allow_zero": Field("bool", False),
+}
+
+SCHEMAS = {
+    "pack": {
+        "n": Field("int", interval=_PACK_N),
+        "power": Field("float", 1.0, "(0, inf)"),
+        "b": Field("float", 0.0, "[0, 1)"),
+        "schedule": Field("str", "achievability", choices=SCHEDULES),
+        "seed": Field("int", 0),
+        "patience": Field("int", 100_000, "[1, inf)"),
+        "max_codewords": Field("int", 100_000, "[1, inf)"),
+    },
+    "simulate": {
+        "codebook": Field("str"),
+        "flavor": Field("str", choices=FLAVORS),
+        "sigma_z2": Field("float", interval="(0, inf)"),
+        "trials": Field("int", 10_000, "[1, inf)"),
+        "seed": Field("int", 0),
+        "message_i": Field("int", None, "[1, inf)"),
+        "message_j": Field("int", None, "[1, inf)"),
+        "random_pairs": Field("int", None, "[1, inf)"),
+        "grid_resolution": Field("int", 33, "[2, inf)"),
+        "delta": Field("float", None, "(0, inf)"),
+        **_FADING_FIELDS,
+    },
+    "converse-check": {
+        "codebook": Field("str"),
+        "b": Field("float", interval="[0, inf)"),
+    },
+    "near-codeword": {
+        "n": Field("int", interval="[2, inf)"),
+        "power": Field("float", 1.0, "(0, inf)"),
+        "b": Field("float", interval="[0, 1)"),
+        "sigma_z2": Field("float", interval="(0, inf)"),
+        "trials": Field("int", 10_000, "[1, inf)"),
+        "seed": Field("int", 0),
+        "distance": Field("float", None, "(0, inf)"),
+        **_FADING_FIELDS,
+    },
+    "scales": {
+        "pairs": Field("strs", None),
+        "a": Field("float", 1.0, "(0, inf)"),
+        "b": Field("float", 1.0, "(0, inf)"),
+        "poly_k": Field("float", 2.0, "[1, inf)"),
+        "margin_bits": Field("float", analysis.DEFAULT_MARGIN_BITS),
+        "min_exponent": Field("int", 4),
+        "max_exponent": Field("int", 128),
+        "step_exponent": Field("int", 4, "[1, inf)"),
+    },
+    "sweep": {
+        "n_values": Field("ints", interval=_PACK_N),
+        "power": Field("float", 1.0, "(0, inf)"),
+        "b": Field("float", 0.0, "[0, 1)"),
+        "schedule": Field("str", "achievability", choices=SCHEDULES),
+        "seed": Field("int", 0),
+        "patience": Field("int", 20_000, "[1, inf)"),
+        "max_codewords": Field("int", 2_000, "[1, inf)"),
+    },
+}
+
 
 def _fading_from(params: dict) -> FadingSpec:
     family = params["family"]
-    if family not in _FAMILIES:
-        raise ConfigError(f"parameter 'family': unknown fading family {family!r}")
     make, required, optional = _FAMILIES[family]
     read = ("family", "allow_zero") + required + optional
     missing = [repr(key) for key in required if params[key] is None]
@@ -136,7 +139,10 @@ def _fading_from(params: dict) -> FadingSpec:
     unread = [repr(key) for key in _FADING_FIELDS if key not in read and params[key] is not None]
     if unread:
         raise ConfigError(f"{family} fading does not read parameters {', '.join(unread)}")
-    return make(*(params[key] for key in required + optional), allow_zero=params["allow_zero"])
+    try:
+        return make(*(params[key] for key in required + optional), allow_zero=params["allow_zero"])
+    except ValueError as exc:  # a fact of several keys, such as g_min > g_max
+        raise ConfigError(f"{family} fading: {exc}") from exc
 
 
 def _echo_lines(command: str, params: dict) -> list:
@@ -273,10 +279,6 @@ def _select_messages(params, size: int):
     if params["random_pairs"] is not None:
         if params["message_i"] is not None or params["message_j"] is not None:
             raise ConfigError("give either 'random_pairs' or explicit messages, not both")
-        if params["random_pairs"] < 1:
-            raise ConfigError(
-                f"parameter 'random_pairs': must be >= 1, got {params['random_pairs']}"
-            )
         if size < 2:
             raise ValueError("random pairs need a codebook with at least 2 codewords")
         rng = substream(params["seed"], "pairs")
@@ -289,14 +291,12 @@ def _select_messages(params, size: int):
         raise ConfigError("provide 'message_i' (with optional 'message_j') or 'random_pairs'")
     i = params["message_i"]
     j = params["message_j"]
+    if j == i:
+        raise ConfigError(f"parameters 'message_i', 'message_j': both are {i}; a pair needs two")
     return [(i, j)]
 
 
 def _cmd_simulate(params, out_dir: Path) -> int:
-    if params["grid_resolution"] < 2:  # fast fading reads no grid, but a bad one is a typo
-        raise ConfigError(
-            f"parameter 'grid_resolution': must be >= 2, got {params['grid_resolution']}"
-        )
     codebook = load_codebook(params["codebook"])
     fading = _fading_from(params)
     model = ChannelModel(
@@ -416,15 +416,12 @@ def _cmd_near_codeword(params, out_dir: Path) -> int:
 
 
 def _cmd_scales(params, out_dir: Path) -> int:
-    if params["step_exponent"] < 1 or params["min_exponent"] > params["max_exponent"]:
-        raise ConfigError("parameters 'min_exponent', 'max_exponent', 'step_exponent': the grid "
-                          "needs min_exponent <= max_exponent and step_exponent >= 1")
+    if params["min_exponent"] > params["max_exponent"]:
+        raise ConfigError("parameters 'min_exponent', 'max_exponent': the grid needs "
+                          "min_exponent <= max_exponent")
     exponents = range(params["min_exponent"], params["max_exponent"] + 1, params["step_exponent"])
     grid = tuple(2**k for k in exponents)
-    try:
-        chain = analysis.scale_chain(params["poly_k"])
-    except ValueError as exc:
-        raise ConfigError(f"parameter 'poly_k': {exc}") from exc
+    chain = analysis.scale_chain(params["poly_k"])
     default_mode = params["pairs"] is None
     if default_mode:  # every ordered pair of the chain, with the verdict its order implies
         pair_list = [
@@ -523,8 +520,6 @@ def _cmd_scales(params, out_dir: Path) -> int:
 
 
 def _cmd_sweep(params, out_dir: Path) -> int:
-    if not params["n_values"]:
-        raise ConfigError("parameter 'n_values': needs at least one block length")
     rows = []
     notes = []
     for n in params["n_values"]:
@@ -581,8 +576,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     schema = SCHEMAS[args.command]
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"parameter 'threads': must be >= 1, got {args.threads}")
+        resolve({"threads": Field("int", None, "[1, inf)")}, {}, {"threads": args.threads})
         file_values = load_config(args.config, schema) if args.config else {}
         params = resolve(schema, file_values, {"seed": args.seed, "trials": args.trials})
         out_dir = Path(args.out or os.environ.get(OUT_ENV, "difading_out"))

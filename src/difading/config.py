@@ -2,7 +2,10 @@
 
 Values are typed by the schema; unknown keys are errors so misspellings never
 silently fall back to defaults.  Lists are comma separated.  Float values must
-be finite: nan and inf are refused.
+be finite: nan and inf are refused.  The schema is the one judge of a value on
+its own: a field may carry an interval, written as its error prints it
+("[2, inf)", "(0, 1]"), and a tuple of choices.  `resolve` checks every value,
+and each item of a list, against them, and a required list must not be empty.
 """
 
 import math
@@ -18,14 +21,19 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class Field:
-    """One config key: its type tag and default (required when no default)."""
+    """One config key: its type tag, default (required when no default) and allowed values."""
 
     type: str  # "int" | "float" | "str" | "bool" | "ints" | "floats" | "strs"
     default: object = _MISSING
+    interval: str | None = None  # the numbers allowed, e.g. "[0, 1)"
+    choices: tuple = ()  # the strings allowed, when not empty
 
-    @property
-    def required(self) -> bool:
-        return self.default is _MISSING
+
+def _inside(interval: str, x) -> bool:
+    """Whether x lies in an interval written like "[2, inf)" or "(0, 1]"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= x if interval[0] == "[" else lo < x
+    return above and (x <= hi if interval[-1] == "]" else x < hi)
 
 
 def _finite_float(raw: str) -> float:
@@ -84,20 +92,23 @@ def parse_config_text(text: str, schema: dict, source: str = "<config>") -> dict
 
 
 def resolve(schema: dict, file_values: dict, overrides: dict) -> dict:
-    """Apply defaults, then file values, then overrides; check required keys."""
+    """Apply defaults, then file values, then overrides; check required keys and allowed values."""
+    given = {key: value for key, value in overrides.items() if value is not None}
+    for key in given:
+        if key not in schema:
+            raise ConfigError(f"unknown override parameter {key!r}")
+    values = {**file_values, **given}
     resolved = {}
     for key, field in schema.items():
-        if key in overrides and overrides[key] is not None:
-            resolved[key] = overrides[key]
-        elif key in file_values:
-            resolved[key] = file_values[key]
-        elif field.required:
+        value = values.get(key, field.default)
+        if value is _MISSING or (value == [] and field.default is _MISSING):
             raise ConfigError(f"missing required parameter {key!r}")
-        else:
-            resolved[key] = field.default
-    for key in overrides:
-        if key not in schema and overrides[key] is not None:
-            raise ConfigError(f"unknown override parameter {key!r}")
+        for item in value if isinstance(value, list) else [value]:
+            if field.choices and item not in field.choices:
+                raise ConfigError(f"parameter {key!r}: {item!r} is not one of {field.choices}")
+            if field.interval and item is not None and not _inside(field.interval, item):
+                raise ConfigError(f"parameter {key!r}: {item!r} is outside {field.interval}")
+        resolved[key] = value
     return resolved
 
 

@@ -86,10 +86,10 @@ class PackingConfig:
     def __post_init__(self):
         if self.dimension < 1 or int(self.dimension) != self.dimension:
             raise ValueError(f"dimension must be a positive integer, got {self.dimension}")
-        if not self.r0 > 0:
-            raise ValueError(f"r0 must be positive, got {self.r0}")
-        if not self.r1 > 0:
-            raise ValueError(f"degenerate geometry: r1 must be positive, got {self.r1}")
+        if not 0 < self.r0 < math.inf:
+            raise ValueError(f"r0 must be positive and finite, got {self.r0}")
+        if not 0 < self.r1 < math.inf:
+            raise ValueError(f"degenerate geometry: r1 must be positive and finite, got {self.r1}")
         if self.saturation_patience < 1:
             raise ValueError(f"saturation_patience must be >= 1, got {self.saturation_patience}")
         if self.max_codewords < 1:

@@ -1,8 +1,15 @@
 import hashlib
+import io
 import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difading import ChannelModel, FadingSpec, TrialPlan, cli, seeding
 from difading import estimate_type1, estimate_worst_case
@@ -357,7 +364,156 @@ def test_grid_resolution_below_two_is_a_config_error(pack_dir, tmp_path, capsys,
     out = tmp_path / "o"
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "parameter 'grid_resolution'" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _config(base, change):
+    """base with each 'key = value' line of change in place of base's line for that key."""
+    keys = {line.partition("=")[0].strip() for line in change.splitlines()}
+    kept = [line for line in base.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + change.splitlines()) + "\n"
+
+
+_PACK = "n = 8\nseed = 1\npatience = 200\nmax_codewords = 4\n"
+_SWEEP = "n_values = 8\nseed = 1\npatience = 200\nmax_codewords = 4\n"
+_SIM_RUN = "flavor = fast\nsigma_z2 = 0.05\ntrials = 100\nmessage_i = 1\nmessage_j = 2\n"
+_NEAR_RUN = "n = 16\nb = 0.1\nsigma_z2 = 1.0\ntrials = 100\n"
+_RAYLEIGH = "family = truncated_rayleigh\nrayleigh_scale = 1\ng_min = 0.5\ng_max = 1.5\n"
+_DISCRETE = "family = discrete\nvalues = 0.5, 1.0\n"
+_REFUSED = [
+    ("pack", _PACK, "n = 0", "'n'"),
+    ("pack", _PACK, "n = 1", "'n'"),
+    ("pack", _PACK, "n = 100000000", "'n'"),  # refused before anything is allocated
+    ("pack", _PACK, "power = -1", "'power'"),
+    ("pack", _PACK, "b = 5", "'b'"),
+    ("pack", _PACK, "schedule = bogus", "'schedule'"),
+    ("pack", _PACK, "patience = 0", "'patience'"),
+    ("pack", _PACK, "max_codewords = 0", "'max_codewords'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "sigma_z2 = 0", "'sigma_z2'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "flavor = medium", "'flavor'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "trials = 0", "'trials'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "delta = -1", "'delta'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "g_min = -1", "'g_min'"),
+    ("simulate", _SIM_RUN + _RAYLEIGH, "rayleigh_scale = 0", "'rayleigh_scale'"),
+    ("simulate", _SIM_RUN + _DISCRETE, "weights = -1, 2", "'weights'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "message_j = 1", "'message_j'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "g_min = 2", "uniform fading"),
+    ("simulate", _SIM_RUN + _DISCRETE, "weights = 1", "discrete fading"),
+    ("simulate", _SIM_RUN + _DISCRETE, "weights = 0, 0", "discrete fading"),
+    ("simulate", _SIM_RUN + _RAYLEIGH, "g_min = 50\ng_max = 60", "truncated_rayleigh fading"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1", "'n'"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "b = 2", "'b'"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "power = 0", "'power'"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "sigma_z2 = 0", "'sigma_z2'"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "distance = -1", "'distance'"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "trials = 0", "'trials'"),
+    ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
+    ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),
+    ("sweep", _SWEEP, "b = 1", "'b'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, change, named",
+    _REFUSED,
+    ids=[f"{command}: {change}".replace("\n", "; ") for command, _, change, _ in _REFUSED],
+)
+def test_bad_value_is_a_config_error_naming_its_key(pack_dir, tmp_path, capsys, command, base,
+                                                    change, named):
+    # each exited 3 ("invalid parameter"); the oversized n ran out of memory
+    if command == "simulate":
+        base = f"codebook = {pack_dir / 'codebook.txt'}\n" + base
+    cfg = write(tmp_path / "run.cfg", _config(base, change))
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.fixture(scope="module")
+def tiny_codebook(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    cfg = write(out / "pack.cfg", "n = 100\npatience = 200\nmax_codewords = 3\n")
+    assert run(["pack", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    return out / "codebook.txt"
+
+
+# every run stays tiny: in-range values sit at the low end of each interval
+_FUZZ_BASE = {
+    "pack": "n = 2\npatience = 50\nmax_codewords = 3\n",
+    "simulate": "codebook = {codebook}\n" + _SIM_RUN.replace("100", "20") + _UNIFORM,
+    "converse-check": "codebook = {codebook}\nb = 0.1\n",
+    "near-codeword": _NEAR_RUN.replace("100", "20") + _UNIFORM,
+    "scales": "max_exponent = 24\n",
+    "sweep": "n_values = 2, 3\npatience = 50\nmax_codewords = 3\n",
+}
+_WRONG_TYPE = {"int": "1.5", "float": "x", "bool": "maybe", "ints": "2, x", "floats": "1, x"}
+
+
+def _in_range(draw, field):
+    """Text of an allowed value, at the low end of an interval (None: keep the base's line)."""
+    if field.choices:
+        return draw(st.sampled_from(field.choices))
+    if field.type == "bool":
+        return draw(st.sampled_from(("true", "false")))
+    if field.interval is None:
+        return None if "str" in field.type else str(draw(st.integers(-3, 8)))
+    low = float(field.interval[1:-1].split(",")[0])
+    low += 0.0 if field.interval[0] == "[" else 0.5
+    return str(int(low)) if "int" in field.type else str(low)
+
+
+def _out_of_range(draw, field):
+    """Text of an unknown choice, or of a value just past one end of the interval."""
+    if field.choices:
+        return "bogus"
+    low, high = (float(end) for end in field.interval[1:-1].split(","))
+    if math.isinf(high) or draw(st.booleans()):
+        value = low - (field.interval[0] == "[")
+    else:
+        value = high + (field.interval[-1] == "]")
+    return str(int(value)) if "int" in field.type else str(value)
+
+
+@st.composite
+def _fuzz_config(draw):
+    """(command, {key: value text}, the key the refusal must name or None)."""
+    command = draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    schema = cli.SCHEMAS[command]
+    bad = draw(st.sets(st.sampled_from(sorted(schema)), max_size=2))
+    changes = {}
+    out_key = type_key = None
+    for key, field in schema.items():
+        if key in bad and field.type in _WRONG_TYPE and draw(st.booleans()):
+            changes[key] = _WRONG_TYPE[field.type]
+            type_key = type_key or key
+        elif key in bad and (field.interval or field.choices):
+            changes[key] = _out_of_range(draw, field)
+            out_key = out_key or key
+        elif draw(st.integers(0, 15 if field.default is None else 3)) == 0:  # keep most unset
+            value = _in_range(draw, field)
+            if value is not None:
+                changes[key] = value
+    return command, changes, type_key or out_key
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fuzz_config())
+def test_cli_fuzz_exits_with_a_documented_status(tiny_codebook, case):
+    command, changes, named = case
+    base = _FUZZ_BASE[command].format(codebook=tiny_codebook)
+    change = "".join(f"{key} = {value}\n" for key, value in changes.items())
+    with tempfile.TemporaryDirectory() as work:
+        cfg = write(Path(work) / "run.cfg", _config(base, change))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = run([command, "--config", cfg, "--out", str(Path(work) / "o")])
+    assert not caught
+    assert isinstance(code, int) and 0 <= code <= 4
+    if named is not None:
+        assert code == cli.EXIT_CONFIG
+        assert f"'{named}'" in stderr.getvalue()
 
 
 def test_sweep_without_block_lengths_is_a_config_error(tmp_path, capsys):
@@ -446,9 +602,10 @@ _SIMULATE_DISCRETE = (
          cli.EXIT_PRECONDITION),
         ("converse-check", "b = 0.1\n", ("power_budget", "nan"), cli.EXIT_PRECONDITION),
         ("converse-check", "b = 0.1\n", ("epsilon_n", "-0.5"), cli.EXIT_PRECONDITION),
+        ("converse-check", "b = 0.1\n", ("dimension", "x"), cli.EXIT_PRECONDITION),
     ],
     ids=["fast-discrete-nan-value", "slow-nan-weight", "infinite-g-max", "codebook-nan-slack",
-         "codebook-nan-power-budget", "codebook-negative-epsilon"],
+         "codebook-nan-power-budget", "codebook-negative-epsilon", "codebook-malformed-dimension"],
 )
 def test_nonfinite_input_fails_at_the_boundary(pack_dir, tmp_path, command, config, header,
                                                 expected):
@@ -621,7 +778,7 @@ def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     out = tmp_path / "sc"
     assert run(["scales", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
 
 
 # sha256 of the sweep artifacts for the configuration below, recorded before

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,17 @@ def test_packing_config_validation():
         PackingConfig(2, 1.0, -0.5)
     with pytest.raises(ValueError):
         PackingConfig(2, 1.0, 1.0, saturation_patience=0)
+
+
+@pytest.mark.parametrize("r0, r1", [(1.0, math.inf), (math.inf, 1.0)])
+def test_packing_config_refuses_nonfinite_radii(r0, r1, monkeypatch):
+    # an infinite r1 sampled a whole batch before Packing refused the centers; an
+    # infinite r0 made numpy warn in the dead-cell grid and returned one "saturated" center
+    monkeypatch.setattr(geometry, "sample_in_ball", lambda *args: pytest.fail("batch sampled"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            generate_saturated_packing(PackingConfig(2, r0, r1))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
