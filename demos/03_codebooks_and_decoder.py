@@ -48,12 +48,12 @@ print(f"  min pairwise distance: {min_pairwise_distance(codebook.codewords):.4f}
 gamma = 0.5
 sigma_z2 = 0.05
 delta = delta_n(gamma, codebook.epsilon_n)
-rule = DecoderRule(codebook, sigma_z2, delta, flavor="fast")
+model = ChannelModel("fast", sigma_z2, FadingSpec.uniform(gamma, 1.5))
+rule = DecoderRule(codebook, model, delta)
 radius = math.sqrt(rule.threshold)
 print(f"\ndecoder: accept when ||y - g o u_j|| <= {radius:.4f} "
       f"(sigma_z2={sigma_z2}, delta_n={delta:.4f})")
 
-model = ChannelModel("fast", sigma_z2, FadingSpec.uniform(gamma, 1.5))
 trials = 1000
 chunk = realize(model, trials, n, seed=5, chunk=0)
 y = apply_channel(model, codebook.codeword(3), chunk, power)
@@ -68,7 +68,7 @@ print("\noverlapping decoding regions (legal for identification):")
 close = np.zeros((2, n))
 close[0, 0], close[1, 0] = 0.9 * radius, -0.9 * radius
 close_book = Codebook(n, power, b, "achievability", codebook.epsilon_n, close)
-close_rule = DecoderRule(close_book, sigma_z2, delta, flavor="fast")
+close_rule = DecoderRule(close_book, model, delta)
 midpoint = np.zeros(n)  # halfway between the two codewords, unit gain
 both = identify(close_rule, midpoint, 1, np.ones(n)) and identify(
     close_rule, midpoint, 2, np.ones(n)

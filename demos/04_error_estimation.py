@@ -16,6 +16,7 @@ import numpy as np
 from difading import (
     ChannelModel,
     Codebook,
+    DecoderRule,
     FadingSpec,
     TrialPlan,
     delta_n,
@@ -41,7 +42,7 @@ for n in (8, 16, 32):
     delta = epsilon_schedule(n, 1.0, 0.0, "achievability")
     book = two_codeword_book(n, 1.0, 0.0, 2.0 * math.sqrt(delta))
     model = ChannelModel("fast", 1.0, unit_gain)
-    report = estimate_type1(book, model, 1, delta, plan)
+    report = estimate_type1(DecoderRule(book, model, delta), 1, plan)
     oracle = oracles.chi2_sf(n * (1.0 + delta), n)
     print(f"  n={n:3d}  p_hat={report.estimate:.4f}  oracle={oracle:.4f}  "
           f"|z| = {abs(report.estimate - oracle) / report.stderr:.2f}")
@@ -52,7 +53,7 @@ for n in (8, 16, 32):
     distance = 2.0 * math.sqrt(eps)
     book = two_codeword_book(n, 1.0, 0.0, distance)
     model = ChannelModel("fast", 1.0, unit_gain)
-    report = estimate_type2(book, model, 1, 2, eps, plan)
+    report = estimate_type2(DecoderRule(book, model, eps), 1, 2, plan)
     oracle = oracles.noncentral_chi2_cdf(n * (1.0 + eps), n, n * distance**2)
     print(f"  n={n:3d}  p_hat={report.estimate:.4f}  oracle={oracle:.4f}  "
           f"|z| = {abs(report.estimate - oracle) / max(report.stderr, 1e-9):.2f}")
@@ -65,8 +66,9 @@ for sigma_z2 in (0.05, 0.001):
     book = two_codeword_book(n, 1.0, b, 2.0 * math.sqrt(eps))
     model = ChannelModel("fast", sigma_z2, fading)
     delta = delta_n(fading.gamma, eps)
-    r1 = estimate_type1(book, model, 1, delta, TrialPlan(20_000, seed=7))
-    r2 = estimate_type2(book, model, 1, 2, delta, TrialPlan(20_000, seed=7))
+    rule = DecoderRule(book, model, delta)
+    r1 = estimate_type1(rule, 1, TrialPlan(20_000, seed=7))
+    r2 = estimate_type2(rule, 1, 2, TrialPlan(20_000, seed=7))
     for rep in (r1, r2):
         status = "vacuous" if rep.chebyshev_bound > 1 else (
             "holds" if rep.estimate <= rep.chebyshev_bound + 3 * rep.stderr else "VIOLATED"

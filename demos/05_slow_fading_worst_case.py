@@ -19,6 +19,7 @@ import numpy as np
 from difading import (
     ChannelModel,
     Codebook,
+    DecoderRule,
     FadingSpec,
     TrialPlan,
     epsilon_schedule,
@@ -35,9 +36,9 @@ plan = TrialPlan(trials=20_000, seed=21)
 
 print("healthy support [0.5, 1.5]: worst case over a 9-point grid")
 spec = FadingSpec.uniform(0.5, 1.5)
-model = ChannelModel("slow", 0.05, spec)
-w1 = estimate_worst_case(book, model, 1, None, delta, spec.support_grid(9), plan)
-w2 = estimate_worst_case(book, model, 1, 2, delta, spec.support_grid(9), plan)
+rule = DecoderRule(book, ChannelModel("slow", 0.05, spec), delta)
+w1 = estimate_worst_case(rule, 1, None, spec.support_grid(9), plan)
+w2 = estimate_worst_case(rule, 1, 2, spec.support_grid(9), plan)
 print("  type I per gain :", [f"{r.gain:.2f}:{r.estimate:.4f}" for r in w1.per_gain])
 print("  (gain-free statistic, identical under common random numbers)")
 print("  type II per gain:", [f"{r.gain:.2f}:{r.estimate:.4f}" for r in w2.per_gain])
@@ -45,9 +46,9 @@ print(f"  worst type II = {w2.estimate:.4f} at g = {w2.gain}")
 
 print("\ndegenerate support {0, 1}: the decoder cannot win at g = 0")
 zero_spec = FadingSpec.discrete([0.0, 1.0], [0.5, 0.5], allow_zero=True)
-zero_model = ChannelModel("slow", 1.0, zero_spec)
-z1 = estimate_worst_case(book, zero_model, 1, None, delta, zero_spec.support_grid(), plan)
-z2 = estimate_worst_case(book, zero_model, 2, 1, delta, zero_spec.support_grid(), plan)
+zero_rule = DecoderRule(book, ChannelModel("slow", 1.0, zero_spec), delta)
+z1 = estimate_worst_case(zero_rule, 1, None, zero_spec.support_grid(), plan)
+z2 = estimate_worst_case(zero_rule, 2, 1, zero_spec.support_grid(), plan)
 p1 = next(r for r in z1.per_gain if r.gain == 0.0)
 p2 = next(r for r in z2.per_gain if r.gain == 0.0)
 print(f"  P(miss message 1 | g=0)        = {p1.estimate:.4f}")

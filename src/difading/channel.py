@@ -204,8 +204,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if not self.noise_variance > 0:
-            raise ValueError(f"noise variance must be positive, got {self.noise_variance}")
+        if not 0 < self.noise_variance < math.inf:
+            raise ValueError(f"noise variance must lie in (0, inf), got {self.noise_variance}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Each reads a flat `key = value` config file (flags override file values),
 writes CSV reports plus a human-readable summary that echoes the resolved
 configuration, and is byte-reproducible given the same seed.  Every CSV
 layout lives here: the estimate rows of simulate and near-codeword join the
-run's context (n, A, b, the channel model, delta) to what the estimators
+rule's context (n, A, b, the channel model, delta) to what the estimators
 report, and pack and sweep report the same codebook facts (the sweep_report.csv
 columns) from one builder.  scales leaves each dominance certificate, whether
 it is defined at the largest n included, to analysis.dominates.  A fading
@@ -14,8 +14,9 @@ family takes exactly the keys its FadingSpec constructor reads.
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
 fading law its family refuses, equal messages, a scales grid or pair with no
-certificate), 3 parameter precondition violated (a message index outside the
-loaded codebook, a malformed codebook), 4 I/O failure.
+certificate, a near-codeword distance outside the power ball, a config file
+that is not UTF-8), 3 parameter precondition violated (a message index outside
+the loaded codebook, a malformed codebook), 4 I/O failure.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import analysis
 from .channel import FLAVORS, ChannelModel, FadingSpec
-from .codec import SCHEDULES, build_codebook, delta_n, load_codebook, save_codebook
+from .codec import SCHEDULES, DecoderRule, build_codebook, delta_n, load_codebook, save_codebook
 from .config import ConfigError, Field, load_config, resolve
 from .estimation import (
     TrialPlan,
@@ -185,11 +186,12 @@ _ESTIMATE_HEADER = (
 )
 
 
-def _estimate_rows(report, n: int, power_budget: float, b: float, model, delta: float) -> list:
+def _estimate_rows(report, rule: DecoderRule) -> list:
     """_ESTIMATE_HEADER rows of one estimate: one per grid point of a worst case, else one."""
-    fading = model.fading
-    context = (str(n), repr(power_budget), repr(b), model.flavor, fading.family,
-               repr(fading.gamma), repr(fading.g_max), repr(model.noise_variance), repr(delta))
+    codebook, model, fading = rule.codebook, rule.model, rule.model.fading
+    context = (str(codebook.dimension), repr(codebook.power_budget), repr(codebook.slack),
+               model.flavor, fading.family, repr(fading.gamma), repr(fading.g_max),
+               repr(model.noise_variance), repr(rule.delta))
     return [
         context + (
             str(rep.i),
@@ -310,6 +312,7 @@ def _cmd_simulate(params, out_dir: Path) -> int:
         raise ConfigError(
             "parameter 'delta': required explicitly when the fading support reaches 0"
         )
+    rule = DecoderRule(codebook, model, delta)
     pairs = _select_messages(params, codebook.size)
     grid = fading.support_grid(params["grid_resolution"]) if model.flavor == "slow" else None
 
@@ -324,13 +327,12 @@ def _cmd_simulate(params, out_dir: Path) -> int:
             )
             row_index += 1
             if model.flavor == "slow":
-                report = estimate_worst_case(codebook, model, i, tj, delta, grid, plan)
+                report = estimate_worst_case(rule, i, tj, grid, plan)
             elif tj is None:
-                report = estimate_type1(codebook, model, i, delta, plan)
+                report = estimate_type1(rule, i, plan)
             else:
-                report = estimate_type2(codebook, model, i, tj, delta, plan)
-            rows.extend(_estimate_rows(report, codebook.dimension, codebook.power_budget,
-                                       codebook.slack, model, delta))
+                report = estimate_type2(rule, i, tj, plan)
+            rows.extend(_estimate_rows(report, rule))
             verdict = _bound_verdict(report.estimate, report.stderr, report.chebyshev_bound)
             failed = failed or verdict == "VIOLATION"
             label = f"{report.error_type} i={i}" + ("" if tj is None else f" j={tj}")
@@ -384,27 +386,28 @@ def _cmd_converse_check(params, out_dir: Path) -> int:
 
 
 def _cmd_near_codeword(params, out_dir: Path) -> int:
-    fading = _fading_from(params)
+    distance = params["distance"]
+    if distance is not None and 0.5 * distance > math.sqrt(params["power"]):
+        raise ConfigError(f"parameters 'distance', 'power': codewords {distance!r} apart lie "
+                          f"outside the power ball of radius sqrt({params['power']!r})")
     plan = TrialPlan(trials=params["trials"], seed=params["seed"])
     report = near_codeword_experiment(
         n=params["n"],
         power_budget=params["power"],
         b=params["b"],
         noise_variance=params["sigma_z2"],
-        fading=fading,
+        fading=_fading_from(params),
         plan=plan,
-        normalized_distance=params["distance"],
+        normalized_distance=distance,
     )
-    model = ChannelModel(flavor="fast", noise_variance=params["sigma_z2"], fading=fading)
-    context = (params["n"], params["power"], params["b"], model, report.delta)
-    rows = _estimate_rows(report.type1, *context) + _estimate_rows(report.type2, *context)
+    rows = _estimate_rows(report.type1, report.rule) + _estimate_rows(report.type2, report.rule)
     _write_csv(out_dir / "near_codeword_report.csv", _ESTIMATE_HEADER, rows)
     oracle_text = "none" if report.oracle_sum is None else repr(report.oracle_sum)
     lines = _echo_lines("near-codeword", params) + [
         "---",
         f"alpha_n = {report.alpha_n!r}",
         f"normalized_distance = {report.normalized_distance!r}",
-        f"delta = {report.delta!r}",
+        f"delta = {report.rule.delta!r}",
         f"p1 = {report.type1.estimate!r}",
         f"p2 = {report.type2.estimate!r}",
         f"error_sum = {report.error_sum!r}",

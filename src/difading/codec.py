@@ -9,13 +9,13 @@ shrinking-radius schedules are provided:
 * ``converse_spacing``: eps_n = A / n^(2(1+b)), used only for minimum-distance
   checks and the near-codeword experiment.
 
-``DecoderRule`` is the one decision rule of the package: "was message j
-sent?" is answered by comparing ||y - g o u_j||^2, the squared distance
-between the channel output and the gain-scaled codeword, against
-sigma_z2 + delta_n, with slack delta_n = gamma^2 * eps_n / 3.  Ties at the
-threshold accept (closed decision region).  It decides a whole chunk of
+``DecoderRule`` is the one decision rule of the package and holds all of it:
+the codebook, the channel model (noise variance sigma_z2, flavor) and the
+slack delta, usually delta_n = gamma^2 * eps_n / 3.  "Was message j sent?"
+is answered by comparing ||y - g o u_j||^2 against sigma_z2 + delta; ties at
+the threshold accept (closed decision region).  It decides a whole chunk of
 trials at once; ``identify`` is its one-trial case, and the Monte-Carlo
-estimators call it too.  Message indices are 1-based.
+estimators take it as their rule argument.  Message indices are 1-based.
 
 Codebooks are stored as self-describing text: ``key = value`` header lines,
 a ``centers:`` line, then one codeword per line at 17 significant digits, so
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import FLAVORS, check_power
+from .channel import ChannelModel, check_power
 from .geometry import PackingConfig, generate_saturated_packing, min_pairwise_distance
 
 SCHEDULES = ("achievability", "converse_spacing")
@@ -154,25 +154,20 @@ def build_codebook(
 
 @dataclass(frozen=True)
 class DecoderRule:
-    """Distance threshold test for one codebook at one noise level."""
+    """Distance threshold test for one codebook over one channel model, with slack delta."""
 
     codebook: Codebook
-    noise_variance: float
+    model: ChannelModel
     delta: float
-    flavor: str
 
     def __post_init__(self):
-        if not self.noise_variance > 0:
-            raise ValueError(f"noise variance must be positive, got {self.noise_variance}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must lie in (0, inf), got {self.delta}")
 
     @property
     def threshold(self) -> float:
         """Bound sigma_z2 + delta on the squared distance (the squared acceptance radius)."""
-        return self.noise_variance + self.delta
+        return self.model.noise_variance + self.delta
 
     def statistic(self, y: np.ndarray, j: int, gains: np.ndarray) -> np.ndarray:
         """||y - gains o u_j||^2 for every trial (row) of y.
@@ -198,7 +193,7 @@ def identify(rule: DecoderRule, y, j: int, csi) -> bool:
     n = rule.codebook.dimension
     if y.shape[1] != n:
         raise ValueError(f"output length {y.shape[1]} does not match block length {n}")
-    if rule.flavor == "fast":
+    if rule.model.flavor == "fast":
         gains = np.asarray(csi, dtype=np.float64).reshape(1, -1)
         if gains.shape[1] != n:
             raise ValueError(f"CSI length {gains.shape[1]} does not match block length {n}")

@@ -25,8 +25,9 @@ instead of drawing z:
 * fast type II: gains only on the coordinates where d_k != 0, then one
   noncentral chi-square draw with noncentrality sum_k g_k^2 d_k^2 / s^2.
 
-Every statistic is decided by DecoderRule.accepts.  The literal channel path
-(realize, apply_channel, identify) draws z itself; it has the same law.
+Every estimator takes the rule under test as one DecoderRule (codebook, channel
+model, delta) and decides every statistic by its accepts.  The literal channel
+path (realize, apply_channel, identify) draws z itself; it has the same law.
 
 Slow-fading errors are worst cases over the gain support; the sup is
 approximated on a finite grid with common random numbers, so per-gain
@@ -143,20 +144,17 @@ class NoiseStatistics:
 
 
 def _noise_statistics(
-    codebook: Codebook,
-    model: ChannelModel,
-    transmit: int,
-    test: int,
-    plan: TrialPlan,
+    rule: DecoderRule, transmit: int, test: int, plan: TrialPlan
 ) -> NoiseStatistics:
     """||z||^2 and d . z of the pair (transmit, test), drawn from their exact law.
 
     d = 0 draws s^2 chi2_n per trial; otherwise xi and chi2_{n-1} give
     d . z = s ||d|| xi and ||z||^2 = s^2 (xi^2 + chi2_{n-1}).
     """
+    codebook = rule.codebook
     d = codebook.codeword(transmit) - codebook.codeword(test)
     n = codebook.dimension
-    s2 = model.noise_variance / n
+    s2 = rule.model.noise_variance / n
     distance_sq = float(d @ d)
     cross_scale = math.sqrt(s2 * distance_sq)
 
@@ -177,8 +175,9 @@ def _noise_statistics(
     )
 
 
-def _estimate(codebook, model, i, j, delta, plan, gain, statistics) -> ErrorReport:
+def _estimate(rule, i, j, plan, gain, statistics) -> ErrorReport:
     """The one estimate body: type I when j is None, else type II (see the module docstring)."""
+    codebook, model = rule.codebook, rule.model
     if model.flavor == "fast":
         if gain is not None or statistics is not None:
             raise ValueError(
@@ -191,7 +190,6 @@ def _estimate(codebook, model, i, j, delta, plan, gain, statistics) -> ErrorRepo
         )
     elif not model.fading.contains(gain):
         raise ValueError(f"gain {gain} lies outside the fading support")
-    rule = DecoderRule(codebook, model.noise_variance, delta, model.flavor)
     if model.flavor == "fast" and j is not None:
         # gains only where d_k != 0 (none for d = 0); given them the statistic
         # is s^2 times a noncentral chi2_n with noncentrality sum_k g_k^2 d_k^2 / s^2
@@ -216,7 +214,7 @@ def _estimate(codebook, model, i, j, delta, plan, gain, statistics) -> ErrorRepo
         accepts = sum(run_chunks(run_chunk, plan.trials, _CHUNK))
     else:  # type I (d = 0, the gain drops out) or slow type II
         if statistics is None:
-            statistics = _noise_statistics(codebook, model, i, i if j is None else j, plan)
+            statistics = _noise_statistics(rule, i, i if j is None else j, plan)
         accepts = statistics.accept_count(0.0 if gain is None else float(gain), rule)
     estimate = 1.0 - accepts / plan.trials if j is None else accepts / plan.trials
     bound = None
@@ -238,10 +236,8 @@ def _estimate(codebook, model, i, j, delta, plan, gain, statistics) -> ErrorRepo
 
 
 def estimate_type1(
-    codebook: Codebook,
-    model: ChannelModel,
+    rule: DecoderRule,
     i: int,
-    delta: float,
     plan: TrialPlan,
     gain: float | None = None,
     *,
@@ -252,15 +248,13 @@ def estimate_type1(
     statistics, set only by estimate_worst_case, are the pair's precomputed
     slow-fading noise statistics; without them an estimate computes its own.
     """
-    return _estimate(codebook, model, i, None, delta, plan, gain, statistics)
+    return _estimate(rule, i, None, plan, gain, statistics)
 
 
 def estimate_type2(
-    codebook: Codebook,
-    model: ChannelModel,
+    rule: DecoderRule,
     i: int,
     j: int,
-    delta: float,
     plan: TrialPlan,
     gain: float | None = None,
     *,
@@ -272,17 +266,11 @@ def estimate_type2(
     """
     if i == j:
         raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
-    return _estimate(codebook, model, i, j, delta, plan, gain, statistics)
+    return _estimate(rule, i, j, plan, gain, statistics)
 
 
 def estimate_worst_case(
-    codebook: Codebook,
-    model: ChannelModel,
-    i: int,
-    j: int | None,
-    delta: float,
-    g_grid,
-    plan: TrialPlan,
+    rule: DecoderRule, i: int, j: int | None, g_grid, plan: TrialPlan
 ) -> ErrorReport:
     """Sup over the gain grid of the per-gain error (slow fading).
 
@@ -292,16 +280,16 @@ def estimate_worst_case(
     Returns the report of the worst grid point (its gain is the argmax) with
     every point's report in per_gain.
     """
-    if model.flavor != "slow":
+    if rule.model.flavor != "slow":
         raise ValueError("worst-case estimation applies to slow fading")
     grid = [float(g) for g in np.atleast_1d(np.asarray(g_grid, dtype=np.float64))]
     if not grid:
         raise ValueError("gain grid is empty")
-    statistics = _noise_statistics(codebook, model, i, i if j is None else j, plan)
+    statistics = _noise_statistics(rule, i, i if j is None else j, plan)
     reports = [
-        estimate_type1(codebook, model, i, delta, plan, gain=g, statistics=statistics)
+        estimate_type1(rule, i, plan, gain=g, statistics=statistics)
         if j is None
-        else estimate_type2(codebook, model, i, j, delta, plan, gain=g, statistics=statistics)
+        else estimate_type2(rule, i, j, plan, gain=g, statistics=statistics)
         for g in grid
     ]
     worst_index = int(np.argmax([rep.estimate for rep in reports]))
@@ -312,7 +300,7 @@ def estimate_worst_case(
 class NearCodewordReport:
     """Outcome of the two-near-codewords experiment at one block length."""
 
-    delta: float
+    rule: DecoderRule
     alpha_n: float  # codeword separation on the natural scale
     normalized_distance: float
     type1: ErrorReport
@@ -364,9 +352,9 @@ def near_codeword_experiment(
     )
     delta = delta_n(fading.gamma, epsilon_schedule(n, power_budget, b, "achievability"))
     model = ChannelModel(flavor="fast", noise_variance=noise_variance, fading=fading)
-    rule = DecoderRule(codebook, noise_variance, delta, model.flavor)
-    rep1 = estimate_type1(codebook, model, 1, delta, plan)
-    rep2 = estimate_type2(codebook, model, 2, 1, delta, plan)
+    rule = DecoderRule(codebook, model, delta)
+    rep1 = estimate_type1(rule, 1, plan)
+    rep2 = estimate_type2(rule, 2, 1, plan)
     error_sum = rep1.estimate + rep2.estimate
     joint = math.sqrt(rep1.stderr**2 + rep2.stderr**2)
 
@@ -377,7 +365,7 @@ def near_codeword_experiment(
         oracle_sum = oracles.chi2_sf(x, n) + oracles.noncentral_chi2_cdf(x, n, lam)
 
     return NearCodewordReport(
-        delta=delta,
+        rule=rule,
         alpha_n=alpha_n,
         normalized_distance=d_norm,
         type1=rep1,

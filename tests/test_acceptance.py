@@ -11,6 +11,7 @@ import pytest
 
 from difading import (
     ChannelModel,
+    DecoderRule,
     FadingSpec,
     PackingConfig,
     ScaleFn,
@@ -74,7 +75,8 @@ def test_criterion_2_type1_chi_square_oracle():
         delta = epsilon_schedule(n, 1.0, 0.0, "achievability")  # A / sqrt(n)
         codebook = two_codeword_codebook(n, 1.0, 0.0, distance=2.0 * math.sqrt(delta))
         model = ChannelModel("fast", 1.0, point_mass(1.0))
-        report = estimate_type1(codebook, model, 1, delta, TrialPlan(trials, seed=202))
+        rule = DecoderRule(codebook, model, delta)
+        report = estimate_type1(rule, 1, TrialPlan(trials, seed=202))
         oracle = oracles.chi2_sf(n * (1.0 + delta), n)
         worst.append((n, report.estimate, oracle, report.stderr))
         if n == 16:
@@ -94,7 +96,8 @@ def test_criterion_3_type2_noncentral_oracle():
         distance = 2.0 * math.sqrt(eps)
         codebook = two_codeword_codebook(n, 1.0, 0.0, distance=distance)
         model = ChannelModel("fast", 1.0, point_mass(1.0))
-        report = estimate_type2(codebook, model, 1, 2, delta, TrialPlan(trials, seed=303))
+        rule = DecoderRule(codebook, model, delta)
+        report = estimate_type2(rule, 1, 2, TrialPlan(trials, seed=303))
         lam = n * distance**2
         oracle = oracles.noncentral_chi2_cdf(n * (1.0 + delta), n, lam)
         worst.append((n, report.estimate, oracle, report.stderr))
@@ -117,8 +120,9 @@ def test_criterion_4_chebyshev_bound_soundness():
             for sigma_z2 in (1.0, 0.05, 0.001):
                 model = ChannelModel("fast", sigma_z2, fading)
                 plan = TrialPlan(trials, seed=404)
-                rep1 = estimate_type1(codebook, model, 1, delta, plan)
-                rep2 = estimate_type2(codebook, model, 1, 2, delta, plan)
+                rule = DecoderRule(codebook, model, delta)
+                rep1 = estimate_type1(rule, 1, plan)
+                rep2 = estimate_type2(rule, 1, 2, plan)
                 for rep in (rep1, rep2):
                     if rep.chebyshev_bound is None or rep.chebyshev_bound > 1.0:
                         continue
@@ -145,8 +149,9 @@ def test_criterion_5_degenerate_gain_forces_error_sum_one():
     delta = eps / 3.0
     plan = TrialPlan(trials, seed=505)
     grid = spec.support_grid()
-    w1 = estimate_worst_case(codebook, model, 1, None, delta, grid, plan)
-    w2 = estimate_worst_case(codebook, model, 2, 1, delta, grid, plan)
+    rule = DecoderRule(codebook, model, delta)
+    w1 = estimate_worst_case(rule, 1, None, grid, plan)
+    w2 = estimate_worst_case(rule, 2, 1, grid, plan)
     p1 = next(r for r in w1.per_gain if r.gain == 0.0)
     p2 = next(r for r in w2.per_gain if r.gain == 0.0)
     joint = math.sqrt(p1.stderr**2 + p2.stderr**2)

@@ -152,6 +152,16 @@ def test_gain_and_noise_streams_are_disjoint():
     assert np.array_equal(z_first, z_after)
 
 
+@pytest.mark.parametrize("flavor", ["fast", "slow"])
+def test_channel_model_validation(flavor):
+    spec = FadingSpec.uniform(0.5, 1.5)
+    for noise_variance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ChannelModel(flavor, noise_variance, spec)
+    with pytest.raises(ValueError):
+        ChannelModel("medium", 1.0, spec)
+
+
 def test_apply_channel_zero_input_returns_noise():
     model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
     realization = realize(model, 3, 8, seed=21, chunk=0)

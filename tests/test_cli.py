@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difading import ChannelModel, FadingSpec, TrialPlan, cli, seeding
+from difading import ChannelModel, DecoderRule, FadingSpec, TrialPlan, cli, seeding
 from difading import estimate_type1, estimate_worst_case
 from helpers import two_codeword_codebook
 
@@ -199,12 +199,13 @@ grid_resolution = 5
 def test_report_fields_and_csv_shape():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
     model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
-    report = estimate_type1(cb, model, 1, 0.1, TrialPlan(2_000, seed=11))
+    rule = DecoderRule(cb, model, 0.1)
+    report = estimate_type1(rule, 1, TrialPlan(2_000, seed=11))
     assert 0.0 <= report.estimate <= 1.0
     assert report.stderr == pytest.approx(
         math.sqrt(report.estimate * (1 - report.estimate) / report.trials), rel=1e-12
     )
-    rows = cli._estimate_rows(report, 8, 1.0, 0.0, model, 0.1)
+    rows = cli._estimate_rows(report, rule)
     assert len(rows) == 1
     assert len(rows[0]) == len(cli._ESTIMATE_HEADER)
 
@@ -212,10 +213,9 @@ def test_report_fields_and_csv_shape():
 def test_worst_case_csv_expands_per_gain():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
     slow = ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5))
-    worst = estimate_worst_case(
-        cb, slow, 1, 2, 0.1, [0.5, 1.0, 1.5], TrialPlan(1_000, seed=12)
-    )
-    rows = cli._estimate_rows(worst, 8, 1.0, 0.0, slow, 0.1)
+    rule = DecoderRule(cb, slow, 0.1)
+    worst = estimate_worst_case(rule, 1, 2, [0.5, 1.0, 1.5], TrialPlan(1_000, seed=12))
+    rows = cli._estimate_rows(worst, rule)
     assert len(rows) == 3
     assert [row[-1] for row in rows] == ["0.5", "1.0", "1.5"]
 
@@ -284,6 +284,15 @@ def test_missing_required_key_is_a_config_error(tmp_path):
 def test_bad_value_type_is_a_config_error(tmp_path):
     cfg = write(tmp_path / "p.cfg", "n = sixteen\n")
     assert run(["pack", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_bytes(b"n = 16\n\xff\n")
+    out = tmp_path / "o"
+    assert run(["pack", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_a_usage_error():
@@ -406,6 +415,7 @@ _REFUSED = [
     ("near-codeword", _NEAR_RUN + _UNIFORM, "power = 0", "'power'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "sigma_z2 = 0", "'sigma_z2'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "distance = -1", "'distance'"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "distance = 100", "'distance', 'power'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "trials = 0", "'trials'"),
     ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
     ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),

@@ -8,8 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from difading import codec, geometry
 from difading import (
+    ChannelModel,
     Codebook,
     DecoderRule,
+    FadingSpec,
     build_codebook,
     codebook_from_text,
     codebook_to_text,
@@ -20,6 +22,8 @@ from difading import (
     min_pairwise_distance,
 )
 from helpers import two_codeword_codebook
+
+_FADING = FadingSpec.uniform(0.5, 1.5)  # the decoder reads the realized gains, not their law
 
 
 def test_epsilon_schedule_values():
@@ -146,7 +150,7 @@ def test_codeword_returns_stored_codeword_one_based():
 
 def test_noiseless_round_trip_accepts():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.8)
-    rule = DecoderRule(cb, noise_variance=0.5, delta=0.1, flavor="fast")
+    rule = DecoderRule(cb, ChannelModel("fast", 0.5, _FADING), 0.1)
     gains = np.full(8, 1.3)
     y = gains * cb.codeword(1)
     assert identify(rule, y, 1, gains)
@@ -167,7 +171,7 @@ def test_delta_n_values_and_identity():
 
 def test_identify_threshold_and_tie():
     cb = two_codeword_codebook(4, 4.0, 0.0, distance=1.0)
-    rule = DecoderRule(cb, noise_variance=0.75, delta=0.25, flavor="fast")
+    rule = DecoderRule(cb, ChannelModel("fast", 0.75, _FADING), 0.25)
     assert rule.threshold == pytest.approx(1.0, rel=1e-12)
     gains = np.ones(4)
     u = cb.codeword(1)
@@ -183,7 +187,7 @@ def test_identify_wrong_codeword_rejection_condition():
     # message is rejected exactly when eps * (1 - gamma^2/3) > sigma_z2
     for eps, sigma_z2 in ((0.3, 0.1), (0.3, 0.25)):
         cb = two_codeword_codebook(16, 1.0, 0.0, distance=math.sqrt(eps))
-        rule = DecoderRule(cb, sigma_z2, delta_n(1.0, eps), flavor="fast")
+        rule = DecoderRule(cb, ChannelModel("fast", sigma_z2, _FADING), delta_n(1.0, eps))
         gains = np.ones(16)
         y = gains * cb.codeword(1)
         rejected = not identify(rule, y, 2, gains)
@@ -193,7 +197,7 @@ def test_identify_wrong_codeword_rejection_condition():
 def test_decoding_sets_overlap_for_close_codewords():
     sigma_z2, delta = 0.5, 0.1
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=1.0)  # 1.0 < 2 sqrt(0.6)
-    rule = DecoderRule(cb, sigma_z2, delta, flavor="fast")
+    rule = DecoderRule(cb, ChannelModel("fast", sigma_z2, _FADING), delta)
     gains = np.ones(8)
     midpoint = gains * 0.5 * (cb.codeword(1) + cb.codeword(2))
     assert identify(rule, midpoint, 1, gains)
@@ -202,19 +206,19 @@ def test_decoding_sets_overlap_for_close_codewords():
 
 def test_identify_slow_flavor_broadcasts_and_validates():
     cb = two_codeword_codebook(6, 1.0, 0.0, distance=0.5)
-    rule = DecoderRule(cb, 0.2, 0.05, flavor="slow")
+    rule = DecoderRule(cb, ChannelModel("slow", 0.2, _FADING), 0.05)
     y = 1.5 * cb.codeword(1)
     assert identify(rule, y, 1, 1.5)
     with pytest.raises(ValueError):
         identify(rule, y, 1, np.ones(6))
-    fast_rule = DecoderRule(cb, 0.2, 0.05, flavor="fast")
+    fast_rule = DecoderRule(cb, ChannelModel("fast", 0.2, _FADING), 0.05)
     with pytest.raises(ValueError):
         identify(fast_rule, y, 1, 1.5)
 
 
 def test_identify_dimension_mismatch():
     cb = two_codeword_codebook(6, 1.0, 0.0, distance=0.5)
-    rule = DecoderRule(cb, 0.2, 0.05, flavor="fast")
+    rule = DecoderRule(cb, ChannelModel("fast", 0.2, _FADING), 0.05)
     with pytest.raises(ValueError):
         identify(rule, np.zeros(5), 1, np.ones(6))
     with pytest.raises(ValueError):
@@ -228,13 +232,13 @@ def test_identify_invariant_under_simultaneous_permutation():
     words /= np.linalg.norm(words, axis=1, keepdims=True) * 2.0
     eps = epsilon_schedule(n, 1.0, 0.0, "achievability")
     cb = Codebook(n, 1.0, 0.0, "achievability", eps, words)
-    rule = DecoderRule(cb, 0.3, 0.1, flavor="fast")
+    rule = DecoderRule(cb, ChannelModel("fast", 0.3, _FADING), 0.1)
     for trial in range(20):
         perm = rng.permutation(n)
         y = rng.standard_normal(n)
         gains = rng.uniform(0.5, 1.5, n)
         permuted_cb = Codebook(n, 1.0, 0.0, "achievability", eps, words[:, perm])
-        permuted_rule = DecoderRule(permuted_cb, 0.3, 0.1, flavor="fast")
+        permuted_rule = DecoderRule(permuted_cb, rule.model, 0.1)
         for j in (1, 2, 3):
             assert identify(rule, y, j, gains) == identify(
                 permuted_rule, y[perm], j, gains[perm]
@@ -248,7 +252,7 @@ def test_batched_statistic_matches_identify_row_by_row(flavor):
     words = rng.standard_normal((3, n))
     words /= np.linalg.norm(words, axis=1, keepdims=True) * 2.0
     cb = Codebook(n, 1.0, 0.0, "achievability", 0.1, words)
-    rule = DecoderRule(cb, 0.3, 0.1, flavor=flavor)
+    rule = DecoderRule(cb, ChannelModel(flavor, 0.3, _FADING), 0.1)
     gains = rng.uniform(0.5, 1.5, (trials, n) if flavor == "fast" else trials)
     sent = words[rng.integers(0, 3, trials)]  # each trial sends a random message
     y = (gains if flavor == "fast" else gains[:, None]) * sent
@@ -267,12 +271,11 @@ def test_batched_statistic_matches_identify_row_by_row(flavor):
 
 def test_decoder_rule_validation():
     cb = two_codeword_codebook(4, 1.0, 0.0, distance=0.5)
+    model = ChannelModel("fast", 1.0, _FADING)
     with pytest.raises(ValueError):
-        DecoderRule(cb, 0.0, 0.1, "fast")
+        DecoderRule(cb, model, 0.0)
     with pytest.raises(ValueError):
-        DecoderRule(cb, 1.0, 0.0, "fast")
-    with pytest.raises(ValueError):
-        DecoderRule(cb, 1.0, 0.1, "medium")
+        DecoderRule(cb, model, math.inf)
 
 
 def test_codebook_serialization_round_trip():

@@ -30,7 +30,7 @@ from helpers import point_mass, two_codeword_codebook
 def test_type1_noiseless_limit_never_rejects():
     cb = two_codeword_codebook(16, 1.0, 0.0, distance=1.0)
     model = ChannelModel("fast", 1e-12, FadingSpec.uniform(0.5, 1.5))
-    report = estimate_type1(cb, model, 1, delta=0.25, plan=TrialPlan(10_000, seed=1))
+    report = estimate_type1(DecoderRule(cb, model, 0.25), 1, plan=TrialPlan(10_000, seed=1))
     assert report.estimate == 0.0
 
 
@@ -39,7 +39,7 @@ def test_type1_matches_chi_square_oracle():
     delta = 0.25
     cb = two_codeword_codebook(n, 1.0, 0.0, distance=1.0)
     model = ChannelModel("fast", 1.0, point_mass(1.0))
-    report = estimate_type1(cb, model, 1, delta, TrialPlan(50_000, seed=2))
+    report = estimate_type1(DecoderRule(cb, model, delta), 1, TrialPlan(50_000, seed=2))
     oracle = oracles.chi2_sf(n * (1.0 + delta), n)
     assert oracle == pytest.approx(0.2202, abs=5e-4)
     assert abs(report.estimate - oracle) <= 3.0 * report.stderr
@@ -53,7 +53,7 @@ def test_type2_matches_noncentral_oracle():
     delta = delta_n(1.0, eps)
     cb = two_codeword_codebook(n, 1.0, 0.0, distance=distance)
     model = ChannelModel("fast", sigma_z2, point_mass(1.0))
-    report = estimate_type2(cb, model, 1, 2, delta, TrialPlan(50_000, seed=3))
+    report = estimate_type2(DecoderRule(cb, model, delta), 1, 2, TrialPlan(50_000, seed=3))
     lam = n * distance**2 / sigma_z2
     oracle = oracles.noncentral_chi2_cdf(n * (sigma_z2 + delta) / sigma_z2, n, lam)
     assert abs(report.estimate - oracle) <= 3.0 * max(report.stderr, 1e-6)
@@ -66,7 +66,8 @@ def test_type2_low_noise_spec_example_is_negligible():
     eps = epsilon_schedule(n, 1.0, 0.0, "achievability")
     cb = two_codeword_codebook(n, 1.0, 0.0, distance=2.0 * math.sqrt(eps))
     model = ChannelModel("fast", 0.01, point_mass(1.0))
-    report = estimate_type2(cb, model, 1, 2, delta_n(1.0, eps), TrialPlan(10_000, seed=4))
+    rule = DecoderRule(cb, model, delta_n(1.0, eps))
+    report = estimate_type2(rule, 1, 2, TrialPlan(10_000, seed=4))
     lam = n * (2.0 * math.sqrt(eps)) ** 2 / 0.01
     oracle = oracles.noncentral_chi2_cdf(n * (0.01 + delta_n(1.0, eps)) / 0.01, n, lam)
     assert oracle < 1e-20
@@ -81,8 +82,9 @@ def test_identical_codewords_make_errors_complementary():
     cb = Codebook(n, 1.0, 0.0, "achievability", eps, words)
     model = ChannelModel("fast", 0.5, point_mass(1.0))
     plan = TrialPlan(20_000, seed=5)
-    rep1 = estimate_type1(cb, model, 1, 0.1, plan)
-    rep2 = estimate_type2(cb, model, 1, 2, 0.1, plan)
+    rule = DecoderRule(cb, model, 0.1)
+    rep1 = estimate_type1(rule, 1, plan)
+    rep2 = estimate_type2(rule, 1, 2, plan)
     joint = math.sqrt(rep1.stderr**2 + rep2.stderr**2)
     assert abs(rep1.estimate + rep2.estimate - 1.0) <= 3.0 * max(joint, 1e-9)
 
@@ -91,7 +93,7 @@ def test_type2_deterministic_rejection_when_far():
     n = 8
     cb = two_codeword_codebook(n, 4.0, 0.0, distance=3.0)
     model = ChannelModel("fast", 1e-10, point_mass(1.0))
-    report = estimate_type2(cb, model, 1, 2, delta=0.5, plan=TrialPlan(5_000, seed=6))
+    report = estimate_type2(DecoderRule(cb, model, 0.5), 1, 2, plan=TrialPlan(5_000, seed=6))
     assert report.estimate == 0.0
 
 
@@ -99,7 +101,7 @@ def test_type2_rejects_equal_messages():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
     model = ChannelModel("fast", 1.0, point_mass(1.0))
     with pytest.raises(ValueError):
-        estimate_type2(cb, model, 1, 1, 0.1, TrialPlan(10, seed=0))
+        estimate_type2(DecoderRule(cb, model, 0.1), 1, 1, TrialPlan(10, seed=0))
 
 
 def test_gain_argument_policy():
@@ -107,13 +109,14 @@ def test_gain_argument_policy():
     fast = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
     slow = ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5))
     plan = TrialPlan(10, seed=0)
+    slow_rule = DecoderRule(cb, slow, 0.1)
     with pytest.raises(ValueError):
-        estimate_type1(cb, fast, 1, 0.1, plan, gain=1.0)
+        estimate_type1(DecoderRule(cb, fast, 0.1), 1, plan, gain=1.0)
     with pytest.raises(ValueError):
-        estimate_type1(cb, slow, 1, 0.1, plan)
+        estimate_type1(slow_rule, 1, plan)
     with pytest.raises(ValueError):
-        estimate_type1(cb, slow, 1, 0.1, plan, gain=0.1)  # outside support
-    report = estimate_type1(cb, slow, 1, 0.1, plan, gain=1.0)
+        estimate_type1(slow_rule, 1, plan, gain=0.1)  # outside support
+    report = estimate_type1(slow_rule, 1, plan, gain=1.0)
     assert 0.0 <= report.estimate <= 1.0
 
 
@@ -121,8 +124,9 @@ def test_worst_case_singleton_equals_conditional():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
     slow = ChannelModel("slow", 0.5, point_mass(1.2))
     plan = TrialPlan(5_000, seed=7)
-    single = estimate_type1(cb, slow, 1, 0.1, plan, gain=1.2)
-    worst = estimate_worst_case(cb, slow, 1, None, 0.1, [1.2], plan)
+    rule = DecoderRule(cb, slow, 0.1)
+    single = estimate_type1(rule, 1, plan, gain=1.2)
+    worst = estimate_worst_case(rule, 1, None, [1.2], plan)
     assert worst.estimate == single.estimate
     assert worst.gain == 1.2
     assert len(worst.per_gain) == 1
@@ -132,7 +136,7 @@ def test_worst_case_type1_is_gain_free_under_crn():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
     slow = ChannelModel("slow", 0.5, FadingSpec.uniform(0.5, 1.5))
     plan = TrialPlan(4_000, seed=8)
-    worst = estimate_worst_case(cb, slow, 1, None, 0.1, [0.5, 1.0, 1.5], plan)
+    worst = estimate_worst_case(DecoderRule(cb, slow, 0.1), 1, None, [0.5, 1.0, 1.5], plan)
     estimates = {rep.estimate for rep in worst.per_gain}
     assert len(estimates) == 1  # the type-I statistic does not depend on the gain
 
@@ -145,8 +149,9 @@ def test_worst_case_degenerate_gain_sums_to_one():
     slow = ChannelModel("slow", 1.0, spec)
     plan = TrialPlan(10_000, seed=9)
     delta = eps / 3.0
-    w1 = estimate_worst_case(cb, slow, 1, None, delta, spec.support_grid(), plan)
-    w2 = estimate_worst_case(cb, slow, 2, 1, delta, spec.support_grid(), plan)
+    rule = DecoderRule(cb, slow, delta)
+    w1 = estimate_worst_case(rule, 1, None, spec.support_grid(), plan)
+    w2 = estimate_worst_case(rule, 2, 1, spec.support_grid(), plan)
     p1_zero = next(r for r in w1.per_gain if r.gain == 0.0)
     p2_zero = next(r for r in w2.per_gain if r.gain == 0.0)
     joint = math.sqrt(p1_zero.stderr**2 + p2_zero.stderr**2)
@@ -159,9 +164,9 @@ def test_worst_case_validation():
     fast = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
     plan = TrialPlan(10, seed=0)
     with pytest.raises(ValueError):
-        estimate_worst_case(cb, fast, 1, None, 0.1, [1.0], plan)
+        estimate_worst_case(DecoderRule(cb, fast, 0.1), 1, None, [1.0], plan)
     with pytest.raises(ValueError):
-        estimate_worst_case(cb, slow, 1, None, 0.1, [], plan)
+        estimate_worst_case(DecoderRule(cb, slow, 0.1), 1, None, [], plan)
 
 
 def test_common_random_numbers_pair_noise_across_gains():
@@ -181,7 +186,7 @@ _LAW_DELTAS = (0.05, 0.15, 0.4)
 
 def _literal_statistics(model, cb, test, plan):
     """||y - g o u_test||^2 of the literal path (realize, apply_channel) with u_1 sent."""
-    rule = DecoderRule(cb, model.noise_variance, 0.2, model.flavor)
+    rule = DecoderRule(cb, model, 0.2)
     full, rem = divmod(plan.trials, 4096)
     chunks = []
     for k, size in enumerate([4096] * full + ([rem] if rem else [])):
@@ -219,10 +224,10 @@ def test_fast_estimator_matches_channel_path_and_chi2_law(error_type):
     for delta in _LAW_DELTAS:
         x = (sigma_z2 + delta) / s2
         if error_type == "type1":
-            accept = 1.0 - estimate_type1(cb, model, 1, delta, plan).estimate
+            accept = 1.0 - estimate_type1(DecoderRule(cb, model, delta), 1, plan).estimate
             oracle = stats.chi2.cdf(x, n)
         else:
-            accept = estimate_type2(cb, model, 1, 2, delta, plan).estimate
+            accept = estimate_type2(DecoderRule(cb, model, delta), 1, 2, plan).estimate
             # the pair differs on one axis: average the law over that axis' gain
             oracle = integrate.quad(
                 lambda g: stats.ncx2.cdf(x, n, (g * distance) ** 2 / s2), spec.gamma, spec.g_max
@@ -239,13 +244,15 @@ def test_type1_draws_no_gains(monkeypatch):
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
     spec = FadingSpec.uniform(0.5, 1.5)
     plan = TrialPlan(5_000, seed=17)
-    expected = estimate_type1(cb, ChannelModel("fast", 1.0, spec), 1, 0.1, plan).estimate
+    fast_rule = DecoderRule(cb, ChannelModel("fast", 1.0, spec), 0.1)
+    slow_rule = DecoderRule(cb, ChannelModel("slow", 1.0, spec), 0.1)
+    expected = estimate_type1(fast_rule, 1, plan).estimate
     monkeypatch.setattr(FadingSpec, "sample", no_gains)
-    fast = estimate_type1(cb, ChannelModel("fast", 1.0, spec), 1, 0.1, plan)
-    slow = estimate_worst_case(cb, ChannelModel("slow", 1.0, spec), 1, None, 0.1, [0.5, 1.5], plan)
+    fast = estimate_type1(fast_rule, 1, plan)
+    slow = estimate_worst_case(slow_rule, 1, None, [0.5, 1.5], plan)
     assert fast.estimate == slow.estimate == expected  # same noise, same ||z||^2
     with pytest.raises(AssertionError, match="drew fading gains"):
-        estimate_type2(cb, ChannelModel("fast", 1.0, spec), 1, 2, 0.1, plan)
+        estimate_type2(fast_rule, 1, 2, plan)
 
 
 def test_worst_case_matches_channel_path_and_chi2_law():
@@ -267,8 +274,9 @@ def test_worst_case_matches_channel_path_and_chi2_law():
     }
     for delta in _LAW_DELTAS:
         x = (sigma_z2 + delta) / s2
-        worst1 = estimate_worst_case(cb, model, 1, None, delta, grid, plan)
-        worst2 = estimate_worst_case(cb, model, 1, 2, delta, grid, plan)
+        rule = DecoderRule(cb, model, delta)
+        worst1 = estimate_worst_case(rule, 1, None, grid, plan)
+        worst2 = estimate_worst_case(rule, 1, 2, grid, plan)
         for g, rep1, rep2 in zip(grid, worst1.per_gain, worst2.per_gain):
             assert rep1.gain == rep2.gain == g
             for test, accept, oracle in (
@@ -290,11 +298,12 @@ def test_block_length_one_matches_the_chi2_law():
     slow = ChannelModel("slow", sigma_z2, point_mass(1.2))
     missed = stats.chi2.sf(x, 1)
     confused = stats.ncx2.cdf(x, 1, (1.2 * d) ** 2 / sigma_z2)
+    fast_rule, slow_rule = DecoderRule(cb, fast, delta), DecoderRule(cb, slow, delta)
     reports = (
-        (estimate_type1(cb, fast, 1, delta, plan), missed),
-        (estimate_type2(cb, fast, 1, 2, delta, plan), confused),
-        (estimate_worst_case(cb, slow, 1, None, delta, [1.2], plan), missed),
-        (estimate_worst_case(cb, slow, 1, 2, delta, [1.2], plan), confused),
+        (estimate_type1(fast_rule, 1, plan), missed),
+        (estimate_type2(fast_rule, 1, 2, plan), confused),
+        (estimate_worst_case(slow_rule, 1, None, [1.2], plan), missed),
+        (estimate_worst_case(slow_rule, 1, 2, [1.2], plan), confused),
     )
     for report, oracle in reports:
         assert abs(report.estimate - oracle) <= 4.0 * math.sqrt(oracle * (1 - oracle) / plan.trials)
@@ -312,8 +321,9 @@ def test_identical_codewords_draw_no_gains(monkeypatch):
     model = ChannelModel("fast", 0.5, FadingSpec.uniform(0.5, 1.5))
     plan = TrialPlan(5_000, seed=19)
     monkeypatch.setattr(FadingSpec, "sample", no_gains)
-    rep1 = estimate_type1(cb, model, 1, 0.1, plan)
-    rep2 = estimate_type2(cb, model, 1, 2, 0.1, plan)
+    rule = DecoderRule(cb, model, 0.1)
+    rep1 = estimate_type1(rule, 1, plan)
+    rep2 = estimate_type2(rule, 1, 2, plan)
     joint = math.sqrt(rep1.stderr**2 + rep2.stderr**2)
     assert abs(rep1.estimate + rep2.estimate - 1.0) <= 3.0 * joint
 
@@ -332,7 +342,7 @@ def test_fast_type2_draws_gains_only_where_the_pair_differs(monkeypatch):
         return sample(self, rng, size)
 
     monkeypatch.setattr(FadingSpec, "sample", counted)
-    estimate_type2(cb, model, 1, 2, 0.1, TrialPlan(trials, seed=20))
+    estimate_type2(DecoderRule(cb, model, 0.1), 1, 2, TrialPlan(trials, seed=20))
     assert drawn == [m * 4096, m * (trials - 4096)]  # m gains per trial, one draw per chunk
 
 
@@ -407,12 +417,13 @@ def test_workers_do_not_change_the_estimate(flavor, monkeypatch):
     model = ChannelModel(flavor, 1.0, FadingSpec.uniform(0.5, 1.5))
     plan = TrialPlan(20_000, seed=15)
 
+    rule = DecoderRule(cb, model, 0.1)
+
     def estimate(workers):
         monkeypatch.setattr(seeding, "_WORKERS", workers)
         if flavor == "fast":
-            return (estimate_type1(cb, model, 1, 0.1, plan),
-                    estimate_type2(cb, model, 1, 2, 0.1, plan))
-        return estimate_worst_case(cb, model, 1, 2, 0.1, [0.5, 1.0, 1.5], plan)
+            return estimate_type1(rule, 1, plan), estimate_type2(rule, 1, 2, plan)
+        return estimate_worst_case(rule, 1, 2, [0.5, 1.0, 1.5], plan)
 
     reports = [estimate(workers) for workers in (1, 2, 4)]
     assert reports[0] == reports[1] == reports[2]
