@@ -14,9 +14,11 @@ family takes exactly the keys its FadingSpec constructor reads.
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
 fading law its family refuses, equal messages, a scales grid or pair with no
-certificate, a near-codeword distance outside the power ball, a config file
-that is not UTF-8), 3 parameter precondition violated (a message index outside
-the loaded codebook, a malformed codebook), 4 I/O failure.
+certificate, a near-codeword distance outside the power ball or fading support
+reaching 0, a config file that is not UTF-8), 3 parameter precondition violated
+(a message index outside the loaded codebook, a malformed codebook), 4 I/O
+failure.  The output directory is made by the first artifact written, so a
+run that exits 2, 3 or 4 before writing leaves none behind.
 """
 
 import argparse
@@ -157,13 +159,12 @@ def _echo_lines(command: str, params: dict) -> list:
 
 
 def _write_text(path: Path, lines) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)  # made by the first artifact, not before
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    out = [",".join(header)]
-    out.extend(",".join(str(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_text(path, [",".join(header)] + [",".join(str(cell) for cell in row) for row in rows])
 
 
 _ESTIMATE_HEADER = (
@@ -260,6 +261,7 @@ def _codebook_with_facts(params, n: int, seed: int):
 
 def _cmd_pack(params, out_dir: Path) -> int:
     codebook, facts = _codebook_with_facts(params, params["n"], params["seed"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_codebook(codebook, out_dir / "codebook.txt")
     del facts["n"]  # echoed with the configuration
     lower = facts.pop("achievable_rate_lower_bound")
@@ -390,13 +392,16 @@ def _cmd_near_codeword(params, out_dir: Path) -> int:
     if distance is not None and 0.5 * distance > math.sqrt(params["power"]):
         raise ConfigError(f"parameters 'distance', 'power': codewords {distance!r} apart lie "
                           f"outside the power ball of radius sqrt({params['power']!r})")
+    fading = _fading_from(params)
+    if not fading.gamma > 0:  # no delta key to fall back on: the slack gamma^2 eps_n / 3 is 0
+        raise ConfigError(f"{fading.family} fading: near-codeword needs a support above 0")
     plan = TrialPlan(trials=params["trials"], seed=params["seed"])
     report = near_codeword_experiment(
         n=params["n"],
         power_budget=params["power"],
         b=params["b"],
         noise_variance=params["sigma_z2"],
-        fading=_fading_from(params),
+        fading=fading,
         plan=plan,
         normalized_distance=distance,
     )
@@ -583,7 +588,6 @@ def main(argv=None) -> int:
         file_values = load_config(args.config, schema) if args.config else {}
         params = resolve(schema, file_values, {"seed": args.seed, "trials": args.trials})
         out_dir = Path(args.out or os.environ.get(OUT_ENV, "difading_out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](params, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,7 +19,8 @@ estimators take it as their rule argument.  Message indices are 1-based.
 
 Codebooks are stored as self-describing text: ``key = value`` header lines,
 a ``centers:`` line, then one codeword per line at 17 significant digits, so
-a file round-trips bit for bit.
+a file round-trips bit for bit.  ``config`` reads the header against the
+``_HEADER`` schema; a malformed file raises a plain ``ValueError``.
 """
 
 import math
@@ -29,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelModel, check_power
+from .config import ConfigError, Field, parse_config_text, resolve
 from .geometry import PackingConfig, generate_saturated_packing, min_pairwise_distance
 
 SCHEDULES = ("achievability", "converse_spacing")
@@ -209,33 +211,23 @@ def identify(rule: DecoderRule, y, j: int, csi) -> bool:
 # ---------------------------------------------------------------------------
 
 CODEBOOK_FORMAT = "difading-codebook-v1"
-_HEADER_KEYS = (
-    "dimension", "power_budget", "slack", "schedule", "epsilon_n", "seed", "saturated", "count"
-)
+# the lines above 'centers:'; Codebook judges what the values say about a codebook
+_HEADER = {
+    "format": Field("str", choices=(CODEBOOK_FORMAT,)),
+    "dimension": Field("int", interval="[1, inf)"),
+    "power_budget": Field("float"),
+    "slack": Field("float"),
+    "schedule": Field("str"),
+    "epsilon_n": Field("float"),
+    "seed": Field("str"),  # none or an int
+    "saturated": Field("str", choices=("none", "true", "false")),
+    "min_distance": Field("str", None),  # written for the reader, never read back
+    "count": Field("int", interval="[1, inf)"),
+}
 
 
 def _format_float(x: float) -> str:
     return f"{x:.17g}"
-
-
-def parse_header_lines(lines):
-    """Split 'key = value' lines (until a 'centers:' sentinel) into a dict."""
-    header = {}
-    body_start = None
-    for pos, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped == "centers:":
-            body_start = pos + 1
-            break
-        if "=" not in stripped:
-            raise ValueError(f"malformed header line: {line!r}")
-        key, _, value = stripped.partition("=")
-        header[key.strip()] = value.strip()
-    if body_start is None:
-        raise ValueError("missing 'centers:' section")
-    return header, body_start
 
 
 def codebook_to_text(codebook: Codebook) -> str:
@@ -260,30 +252,30 @@ def codebook_to_text(codebook: Codebook) -> str:
 
 def codebook_from_text(text: str) -> Codebook:
     lines = text.splitlines()
-    header, body_start = parse_header_lines(lines)
-    if header.get("format") != CODEBOOK_FORMAT:
-        raise ValueError(f"unsupported format {header.get('format')!r}")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise ValueError(f"codebook header lacks {', '.join(missing)}")
-    count = int(header["count"])
-    dimension = int(header["dimension"])
+    body_start = next((pos + 1 for pos, line in enumerate(lines) if line.strip() == "centers:"),
+                      None)
+    if body_start is None:
+        raise ValueError("missing 'centers:' section")
+    try:
+        values = parse_config_text("\n".join(lines[: body_start - 1]), _HEADER, "header")
+        header = resolve(_HEADER, values, {})
+    except ConfigError as exc:  # a malformed codebook is a failed precondition, not a config error
+        raise ValueError(f"malformed codebook: {exc}") from None
+    count, dimension = header["count"], header["dimension"]
     words = np.loadtxt(lines[body_start:], dtype=np.float64, comments=None, ndmin=2)
     if words.shape != (count, dimension):
         raise ValueError(
             f"expected {count} codeword rows of {dimension} values, found shape {words.shape}"
         )
-    seed = None if header["seed"] == "none" else int(header["seed"])
-    saturated = None if header["saturated"] == "none" else header["saturated"] == "true"
     return Codebook(
         dimension=dimension,
-        power_budget=float(header["power_budget"]),
-        slack=float(header["slack"]),
+        power_budget=header["power_budget"],
+        slack=header["slack"],
         schedule=header["schedule"],
-        epsilon_n=float(header["epsilon_n"]),
+        epsilon_n=header["epsilon_n"],
         codewords=words,
-        seed=seed,
-        saturated=saturated,
+        seed=None if header["seed"] == "none" else int(header["seed"]),
+        saturated=None if header["saturated"] == "none" else header["saturated"] == "true",
     )
 
 

@@ -1,4 +1,4 @@
-"""Flat `key = value` experiment configuration with per-command schemas.
+"""Flat `key = value` text against a schema: command configs and codebook headers.
 
 Values are typed by the schema; unknown keys are errors so misspellings never
 silently fall back to defaults.  Lists are comma separated.  Float values must
@@ -6,6 +6,8 @@ be finite: nan and inf are refused.  The schema is the one judge of a value on
 its own: a field may carry an interval, written as its error prints it
 ("[2, inf)", "(0, 1]"), and a tuple of choices.  `resolve` checks every value,
 and each item of a list, against them, and a required list must not be empty.
+`codec` reads the header of a codebook file here and re-raises a `ConfigError`
+as a plain `ValueError`: a malformed codebook is no config mistake.
 """
 
 import math

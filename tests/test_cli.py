@@ -358,7 +358,7 @@ def test_fading_key_the_family_does_not_read_or_lacks_is_a_config_error(
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flavor, resolution", [("fast", -5), ("slow", 1), ("slow", 0)])
@@ -373,7 +373,7 @@ def test_grid_resolution_below_two_is_a_config_error(pack_dir, tmp_path, capsys,
     out = tmp_path / "o"
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "parameter 'grid_resolution'" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def _config(base, change):
@@ -406,6 +406,7 @@ _REFUSED = [
     ("simulate", _SIM_RUN + _RAYLEIGH, "rayleigh_scale = 0", "'rayleigh_scale'"),
     ("simulate", _SIM_RUN + _DISCRETE, "weights = -1, 2", "'weights'"),
     ("simulate", _SIM_RUN + _UNIFORM, "message_j = 1", "'message_j'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "random_pairs = 2", "'random_pairs'"),
     ("simulate", _SIM_RUN + _UNIFORM, "g_min = 2", "uniform fading"),
     ("simulate", _SIM_RUN + _DISCRETE, "weights = 1", "discrete fading"),
     ("simulate", _SIM_RUN + _DISCRETE, "weights = 0, 0", "discrete fading"),
@@ -417,6 +418,10 @@ _REFUSED = [
     ("near-codeword", _NEAR_RUN + _UNIFORM, "distance = -1", "'distance'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "distance = 100", "'distance', 'power'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "trials = 0", "'trials'"),
+    # no delta key can stand in for the slack gamma^2 eps_n / 3 (these exited 3)
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "g_min = 0.0\nallow_zero = true", "uniform fading"),
+    ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 0.0, 1.0\nallow_zero = true",
+     "discrete fading"),
     ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
     ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),
     ("sweep", _SWEEP, "b = 1", "'b'"),
@@ -437,7 +442,7 @@ def test_bad_value_is_a_config_error_naming_its_key(pack_dir, tmp_path, capsys, 
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert named in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -548,7 +553,9 @@ seed = 1
 message_i = 9999
 """,
     )
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_PRECONDITION
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert not out.exists()
 
 
 def test_missing_codebook_file_maps_to_exit_4(tmp_path):
@@ -565,7 +572,9 @@ seed = 1
 message_i = 1
 """,
     )
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_IO
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_IO
+    assert not out.exists()
 
 
 def test_converse_check_pass_and_exit_codes(pack_dir, tmp_path):
@@ -584,6 +593,38 @@ def test_converse_check_rejects_nan_codeword(pack_dir, tmp_path):
     out = tmp_path / "cc"
     assert run(["converse-check", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
     assert not (out / "converse_summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "key, new",
+    [
+        ("seed", "{line}\nseed = 7"),
+        ("count", "{line}\ncolour = blue"),
+        ("saturated", "saturated = maybe"),
+        ("count", "count = 0"),
+    ],
+    ids=["repeated-key", "unknown-key", "saturated-maybe", "count-zero"],
+)
+def test_malformed_codebook_header_exits_3_and_writes_nothing(tiny_codebook, tmp_path, key,
+                                                              new):
+    # each loaded (the later seed, the key ignored, saturated False) or, for
+    # count = 0, failed after numpy's "input contained no data" warning
+    text = tiny_codebook.read_text()
+    if new == "count = 0":
+        text = text[: text.index("centers:")] + "centers:\n"  # the rows count promises
+    lines = [new.format(line=line) if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    book = write(tmp_path / "book.txt", "\n".join(lines) + "\n")
+    cfg = write(tmp_path / "cc.cfg", f"codebook = {book}\nb = 0.1\n")
+    out = tmp_path / "o"
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(["converse-check", "--config", cfg, "--out", str(out)])
+    assert code == cli.EXIT_PRECONDITION
+    assert "malformed codebook" in stderr.getvalue()
+    assert not caught
+    assert not out.exists()
 
 
 def _with_header(codebook_text, key, value):
@@ -628,7 +669,7 @@ def test_nonfinite_input_fails_at_the_boundary(pack_dir, tmp_path, command, conf
     cfg = write(tmp_path / "run.cfg", f"codebook = {book}\n" + config)
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", str(out)]) == expected
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_near_codeword_summary_fields(tmp_path):
@@ -788,7 +829,7 @@ def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     out = tmp_path / "sc"
     assert run(["scales", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 # sha256 of the sweep artifacts for the configuration below, recorded before

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from difading import codec, geometry
+from difading.config import ConfigError
 from difading import (
     ChannelModel,
     Codebook,
@@ -346,11 +347,45 @@ def test_codebook_parser_rejects_malformed_documents():
         "ragged row": with_row(1, lines[body + 1] + " 0.0"),
         "short row": with_row(1, "-0.25 0"),
         "non-numeric row": with_row(0, "0.25 abc 0"),
+        # the next three loaded (seed 7, the key ignored, saturated as False);
+        # count = 0 reached np.loadtxt, which warned "input contained no data"
+        "repeated key": text.replace("seed = none\n", "seed = 1\nseed = 7\n"),
+        "unknown key": text.replace("count = 2\n", "count = 2\ncolour = blue\n"),
+        "saturated outside none/true/false": text.replace("saturated = none", "saturated = maybe"),
+        "count = 0": text[: body].replace("count = 2", "count = 0"),
     }
     for case, doc in malformed.items():
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             codebook_from_text(doc)
+        assert not isinstance(caught.value, ConfigError), case  # a malformed codebook exits 3
         assert doc != text, case
+
+
+_HEADER_TEXT = codebook_to_text(two_codeword_codebook(3, 1.0, 0.0, distance=0.5))
+_HEADER_LINES = _HEADER_TEXT[: _HEADER_TEXT.index("centers:")].splitlines()
+_BODY = _HEADER_TEXT[_HEADER_TEXT.index("centers:"):]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    header=st.lists(
+        st.sampled_from(_HEADER_LINES)
+        | st.builds(
+            "{} = {}".format,
+            st.sampled_from([line.partition(" =")[0] for line in _HEADER_LINES] + ["colour"]),
+            st.sampled_from(["none", "true", "maybe", "0", "-1", "2", "3", "1e400", "nan", "x",
+                             codec.CODEBOOK_FORMAT, "achievability", ""]) | st.text(max_size=8),
+        )
+        | st.text(max_size=12),
+        max_size=14,
+    )
+)
+def test_codebook_header_errors_are_value_errors_never_config_errors(header):
+    # a malformed codebook is a failed precondition (exit 3), not a config error (exit 2)
+    try:
+        codebook_from_text("\n".join(header) + "\n" + _BODY)
+    except ValueError as exc:
+        assert not isinstance(exc, ConfigError)
 
 
 def test_codebook_determinism_in_seed():
