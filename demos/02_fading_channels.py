@@ -16,8 +16,6 @@ from difading import (
     FadingSpec,
     apply_channel,
     realize,
-    sample_fading,
-    sample_noise,
     substream,
 )
 
@@ -36,16 +34,17 @@ for label, spec in specs.items():
     )
 
 print()
-print("fast vs slow gains for a chunk of 2 trials of one block each (n = 6):")
+print("fast vs slow gains (the decoder's CSI) for a chunk of 2 trials of one block each (n = 6):")
 spec = FadingSpec.uniform(0.5, 1.5)
-print("  fast:", np.round(sample_fading(spec, "fast", 2, 6, substream(2, "gains")), 3).tolist())
-print("  slow:", np.round(sample_fading(spec, "slow", 2, 6, substream(2, "gains")), 3).tolist())
+for flavor in ("fast", "slow"):
+    gains = realize(ChannelModel(flavor, 1.0, spec), 2, 6, seed=2, chunk=0).gains
+    print(f"  {flavor}:", np.round(gains, 3).tolist())
 
 print()
 print("normalized channel: ||x|| <= sqrt(A), noise variance sigma^2/n per symbol")
 n, sigma_z2, trials = 64, 2.0, 20_000
 model = ChannelModel("fast", sigma_z2, spec)
-noise = sample_noise(sigma_z2, trials, n, substream(3, "noise"))
+noise = realize(model, trials, n, seed=3, chunk=0).noise
 print(f"  mean noise energy ||z||^2 over {trials} trials: {(noise**2).sum(axis=1).mean():.4f} "
       f"(sigma^2 = {sigma_z2})")
 x = np.full(n, 0.9 / math.sqrt(n))

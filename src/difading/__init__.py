@@ -30,8 +30,6 @@ from .channel import (
     FadingSpec,
     apply_channel,
     realize,
-    sample_fading,
-    sample_noise,
 )
 from .codec import (
     Codebook,

@@ -8,12 +8,13 @@ Supports touching zero are refused unless explicitly opted in, since every
 constructive decoder bound divides by gamma.
 
 The channel runs on the normalized scale: inputs satisfy ||x|| <= sqrt(A)
-and the noise has variance sigma_z2 / n per symbol.  It is drawn a chunk of
-trials at a time, the gains from the (seed, "gains", chunk) substream and the
-noise from the (seed, "noise", chunk) substream; a single trial is a chunk of
-one.  This literal path is the channel model that the demos and tests run;
-the Monte-Carlo estimators draw the decoder statistic from its exact
-chi-square law instead (see difading.estimation), from the same substreams.
+and the noise has variance sigma_z2 / n per symbol.  realize draws it a chunk
+of trials at a time, the gains from the (seed, "gains", chunk) substream and
+the noise from the (seed, "noise", chunk) substream; ChannelModel.gain_shape
+alone says how many gains (the decoder's CSI) a chunk holds.  This literal
+path is the channel model that the demos and tests run; the Monte-Carlo
+estimators draw the decoder statistic from its exact chi-square law instead
+(see difading.estimation), from the same substreams.
 """
 
 import math
@@ -207,13 +208,16 @@ class ChannelModel:
         if not 0 < self.noise_variance < math.inf:
             raise ValueError(f"noise variance must lie in (0, inf), got {self.noise_variance}")
 
+    def gain_shape(self, trials: int, n: int) -> tuple:
+        """Shape of the gains (the CSI) of trials blocks: one per symbol (fast) or block (slow)."""
+        return (trials, n) if self.flavor == "fast" else (trials,)
+
 
 @dataclass(frozen=True)
 class ChannelRealization:
     """A chunk of realized channels, one row per trial.
 
-    gains is (trials, n) for fast fading and (trials,) for slow fading;
-    noise is (trials, n).
+    gains has the shape ChannelModel.gain_shape(trials, n); noise is (trials, n).
     """
 
     gains: np.ndarray
@@ -229,33 +233,15 @@ class ChannelRealization:
         object.__setattr__(self, "noise", noise)
 
 
-def sample_fading(spec: FadingSpec, flavor: str, trials: int, n: int, rng: np.random.Generator):
-    """Gains of a chunk: fast (trials, n), i.i.d. per symbol; slow (trials,), one per block."""
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n}")
-    if flavor == "fast":
-        return spec.sample(rng, trials * n).reshape(trials, n)
-    return spec.sample(rng, trials)
-
-
-def sample_noise(
-    noise_variance: float, trials: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(trials, n) i.i.d. zero-mean Gaussians of variance sigma_z2 / n."""
-    if not noise_variance > 0:
-        raise ValueError(f"noise variance must be positive, got {noise_variance}")
-    if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n}")
-    return rng.standard_normal((trials, n)) * math.sqrt(noise_variance / n)
-
-
 def realize(model: ChannelModel, trials: int, n: int, seed: int, chunk: int) -> ChannelRealization:
-    """Chunk `chunk` of trials, drawn from the disjoint gains and noise substreams of seed."""
-    gains = sample_fading(model.fading, model.flavor, trials, n, substream(seed, "gains", chunk))
-    noise = sample_noise(model.noise_variance, trials, n, substream(seed, "noise", chunk))
-    return ChannelRealization(gains=gains, noise=noise)
+    """Chunk `chunk` of trials, drawn from the disjoint gains and noise substreams of seed:
+    gains of shape model.gain_shape(trials, n), (trials, n) noise of variance sigma_z2 / n."""
+    if n < 1:
+        raise ValueError(f"block length must be >= 1, got {n}")
+    shape = model.gain_shape(trials, n)
+    gains = model.fading.sample(substream(seed, "gains", chunk), math.prod(shape)).reshape(shape)
+    noise = substream(seed, "noise", chunk).standard_normal((trials, n))
+    return ChannelRealization(gains=gains, noise=noise * math.sqrt(model.noise_variance / n))
 
 
 def apply_channel(
@@ -271,7 +257,7 @@ def apply_channel(
     if x.shape[0] != n:
         raise ValueError(f"noise length {n} does not match input length {x.shape[0]}")
     gains = realization.gains
-    expected = (trials, n) if model.flavor == "fast" else (trials,)
+    expected = model.gain_shape(trials, n)
     if gains.shape != expected:
         raise ValueError(
             f"{model.flavor} fading needs gains of shape {expected}, got {gains.shape}"

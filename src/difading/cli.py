@@ -58,8 +58,9 @@ _FAMILIES = {
     "discrete": (FadingSpec.discrete, ("values",), ("weights",)),
 }
 
-# pack and sweep refuse a block length n whose packing buffers, 4096 centers
-# and a batch of 2048 candidates of n floats each, would pass _PACK_BYTES
+# pack and sweep refuse a block length n whose first packing buffers, 4096 centers
+# and a batch of 2048 candidates of n floats each, would pass _PACK_BYTES; the
+# center storage doubles past 4096 accepted centers, which this bound does not cover
 _PACK_BYTES = 2**30
 _PACK_N = f"[2, {_PACK_BYTES // (8 * (4096 + 2048))}]"
 

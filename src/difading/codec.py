@@ -171,12 +171,22 @@ class DecoderRule:
         """Bound sigma_z2 + delta on the squared distance (the squared acceptance radius)."""
         return self.model.noise_variance + self.delta
 
-    def statistic(self, y: np.ndarray, j: int, gains: np.ndarray) -> np.ndarray:
+    def statistic(self, y, j: int, gains) -> np.ndarray:
         """||y - gains o u_j||^2 for every trial (row) of y.
 
-        y is (trials, n); gains (the CSI) is (trials, n) for fast fading and
-        (trials,) for slow fading.
+        y is (trials, n); gains (the CSI) has the shape
+        model.gain_shape(trials, n).  Any other shape raises ValueError.
         """
+        y = np.asarray(y, dtype=np.float64)
+        gains = np.asarray(gains, dtype=np.float64)
+        n = self.codebook.dimension
+        if y.ndim != 2 or y.shape[1] != n:
+            raise ValueError(f"outputs must have shape (trials, {n}), got {y.shape}")
+        expected = self.model.gain_shape(y.shape[0], n)
+        if gains.shape != expected:
+            raise ValueError(
+                f"{self.model.flavor} fading needs CSI of shape {expected}, got {gains.shape}"
+            )
         resid = y - gains.reshape(y.shape[0], -1) * self.codebook.codeword(j)
         return np.einsum("ij,ij->i", resid, resid)
 
@@ -192,18 +202,7 @@ def identify(rule: DecoderRule, y, j: int, csi) -> bool:
     normalized channel output.
     """
     y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    n = rule.codebook.dimension
-    if y.shape[1] != n:
-        raise ValueError(f"output length {y.shape[1]} does not match block length {n}")
-    if rule.model.flavor == "fast":
-        gains = np.asarray(csi, dtype=np.float64).reshape(1, -1)
-        if gains.shape[1] != n:
-            raise ValueError(f"CSI length {gains.shape[1]} does not match block length {n}")
-    else:
-        if np.ndim(csi) != 0:
-            raise ValueError("slow fading expects scalar CSI")
-        gains = np.array([float(csi)])
-    return bool(rule.accepts(rule.statistic(y, j, gains))[0])
+    return bool(rule.accepts(rule.statistic(y, j, np.asarray(csi, dtype=np.float64)[None]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +261,8 @@ def codebook_from_text(text: str) -> Codebook:
     except ConfigError as exc:  # a malformed codebook is a failed precondition, not a config error
         raise ValueError(f"malformed codebook: {exc}") from None
     count, dimension = header["count"], header["dimension"]
+    if not any(line.strip() for line in lines[body_start:]):  # np.loadtxt would warn
+        raise ValueError(f"malformed codebook: count = {count} but no rows after 'centers:'")
     words = np.loadtxt(lines[body_start:], dtype=np.float64, comments=None, ndmin=2)
     if words.shape != (count, dimension):
         raise ValueError(

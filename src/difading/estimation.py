@@ -22,12 +22,14 @@ instead of drawing z:
 * slow type II at gain g: g^2 ||d||^2 + 2 g (d . z) + ||z||^2 with
   d . z = s ||d|| xi and ||z||^2 = s^2 (xi^2 + chi2_{n-1}), xi standard normal,
   so two scalars per trial serve every grid point;
-* fast type II: gains only on the coordinates where d_k != 0, then one
+* fast type II: gains only on the coordinates where d_k != 0, drawn by
+  FadingSpec.sample from the (seed, "gains", chunk) substream, then one
   noncentral chi-square draw with noncentrality sum_k g_k^2 d_k^2 / s^2.
 
 Every estimator takes the rule under test as one DecoderRule (codebook, channel
 model, delta) and decides every statistic by its accepts.  The literal channel
-path (realize, apply_channel, identify) draws z itself; it has the same law.
+path (realize, apply_channel, then DecoderRule.statistic or identify) draws z
+itself; it has the same law.
 
 Slow-fading errors are worst cases over the gain support; the sup is
 approximated on a finite grid with common random numbers, so per-gain
@@ -48,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracles
-from .channel import ChannelModel, FadingSpec, sample_fading
+from .channel import ChannelModel, FadingSpec
 from .codec import Codebook, DecoderRule, delta_n, epsilon_schedule
 from .seeding import run_chunks, substream
 
@@ -202,9 +204,8 @@ def _estimate(rule, i, j, plan, gain, statistics) -> ErrorReport:
             index, size = item
             noncentrality = 0.0
             if weights.size:
-                gains = sample_fading(
-                    model.fading, "fast", size, weights.size, substream(plan.seed, "gains", index)
-                )
+                rng = substream(plan.seed, "gains", index)
+                gains = model.fading.sample(rng, size * weights.size).reshape(size, -1)
                 # squared in place: a second (chunk, m) temporary is given back
                 # to the system on free and faulted in again by the next chunk
                 noncentrality = np.square(gains, out=gains) @ weights

@@ -11,22 +11,19 @@ from difading import (
     FadingSpec,
     apply_channel,
     realize,
-    sample_fading,
-    sample_noise,
     substream,
 )
 from helpers import point_mass
 
 
 def test_point_mass_fast_gains_are_constant():
-    gains = sample_fading(point_mass(1.0), "fast", 3, 4, substream(0, "gains"))
+    gains = realize(ChannelModel("fast", 1.0, point_mass(1.0)), 3, 4, seed=0, chunk=0).gains
     assert np.array_equal(gains, np.ones((3, 4)))
 
 
 def test_uniform_slow_gain_mean_matches_oracle():
-    spec = FadingSpec.uniform(0.5, 1.5)
-    rng = substream(123, "gains")
-    draws = sample_fading(spec, "slow", 100_000, 8, rng)
+    model = ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5))
+    draws = realize(model, 100_000, 8, seed=123, chunk=0).gains
     assert draws.shape == (100_000,)
     assert draws.min() >= 0.5 and draws.max() <= 1.5
     stderr = (1.0 / math.sqrt(12.0)) / math.sqrt(draws.size)
@@ -34,8 +31,8 @@ def test_uniform_slow_gain_mean_matches_oracle():
 
 
 def test_discrete_frequencies_match_binomial_oracle():
-    spec = FadingSpec.discrete([0.5, 2.0], [0.3, 0.7])
-    gains = sample_fading(spec, "fast", 10, 10_000, substream(5, "gains"))
+    model = ChannelModel("fast", 1.0, FadingSpec.discrete([0.5, 2.0], [0.3, 0.7]))
+    gains = realize(model, 10, 10_000, seed=5, chunk=0).gains
     freq = float(np.mean(gains == 2.0))
     stderr = math.sqrt(0.7 * 0.3 / gains.size)
     assert abs(freq - 0.7) <= 3.0 * stderr
@@ -111,45 +108,40 @@ def test_support_grid_contains_endpoints():
     assert disc.support_grid().tolist() == [0.5, 2.0]
 
 
+_UNIT_NOISE = ChannelModel("fast", 1.0, point_mass(1.0))
+
+
 def test_noise_variance_matches_chi_square_oracle():
     n = 100_000
-    noise = sample_noise(1.0, 1, n, substream(2, "noise"))
+    noise = realize(_UNIT_NOISE, 1, n, seed=2, chunk=0).noise
     sample_var = n * float(np.mean(noise**2))  # each entry has variance sigma_z2 / n
     assert abs(sample_var - 1.0) <= 3.0 * math.sqrt(2.0 / n)
 
 
 def test_normalized_noise_energy_is_one_on_average():
     n, trials = 16, 100_000
-    rng = substream(3, "noise")
-    z = sample_noise(1.0, trials, n, rng)
+    z = realize(_UNIT_NOISE, trials, n, seed=3, chunk=0).noise
     energy = (z**2).sum(axis=1)
     stderr = energy.std() / math.sqrt(trials)
     assert abs(energy.mean() - 1.0) <= 3.0 * stderr
 
 
-def test_single_sample_noise_variance():
-    draws = np.array(
-        [sample_noise(4.0, 1, 1, substream(4, "noise", t))[0, 0] for t in range(20_000)]
-    )
+def test_single_draw_noise_variance():
+    model = ChannelModel("slow", 4.0, point_mass(1.0))
+    draws = np.array([realize(model, 1, 1, seed=4, chunk=t).noise[0, 0] for t in range(20_000)])
     sample_var = float(np.mean(draws**2))
     assert abs(sample_var - 4.0) <= 3.0 * 4.0 * math.sqrt(2.0 / draws.size)
 
 
-def test_noise_rejects_bad_variance():
-    with pytest.raises(ValueError):
-        sample_noise(0.0, 1, 4, substream(0, "noise"))
-    with pytest.raises(ValueError):
-        sample_noise(-1.0, 1, 4, substream(0, "noise"))
-
-
 def test_gain_and_noise_streams_are_disjoint():
-    # drawing one stream never shifts the other, regardless of order
-    g_first = sample_fading(FadingSpec.uniform(0.5, 1.5), "fast", 2, 32, substream(9, "gains"))
-    z_after = sample_noise(1.0, 2, 32, substream(9, "noise"))
-    z_first = sample_noise(1.0, 2, 32, substream(9, "noise"))
-    g_after = sample_fading(FadingSpec.uniform(0.5, 1.5), "fast", 2, 32, substream(9, "gains"))
-    assert np.array_equal(g_first, g_after)
-    assert np.array_equal(z_first, z_after)
+    # drawing more or fewer gains never shifts the noise, and the noise law never the gains
+    spec = FadingSpec.uniform(0.5, 1.5)
+    fast = realize(ChannelModel("fast", 1.0, spec), 2, 32, seed=9, chunk=0)
+    slow = realize(ChannelModel("slow", 1.0, spec), 2, 32, seed=9, chunk=0)
+    louder = realize(ChannelModel("fast", 4.0, spec), 2, 32, seed=9, chunk=0)
+    assert np.array_equal(fast.noise, slow.noise)
+    assert np.array_equal(fast.gains, louder.gains)
+    assert np.array_equal(2.0 * fast.noise, louder.noise)
 
 
 @pytest.mark.parametrize("flavor", ["fast", "slow"])

@@ -385,7 +385,8 @@ def _config(base, change):
 
 _PACK = "n = 8\nseed = 1\npatience = 200\nmax_codewords = 4\n"
 _SWEEP = "n_values = 8\nseed = 1\npatience = 200\nmax_codewords = 4\n"
-_SIM_RUN = "flavor = fast\nsigma_z2 = 0.05\ntrials = 100\nmessage_i = 1\nmessage_j = 2\n"
+_SIM_NO_PAIR = "flavor = fast\nsigma_z2 = 0.05\ntrials = 100\n"
+_SIM_RUN = _SIM_NO_PAIR + "message_i = 1\nmessage_j = 2\n"
 _NEAR_RUN = "n = 16\nb = 0.1\nsigma_z2 = 1.0\ntrials = 100\n"
 _RAYLEIGH = "family = truncated_rayleigh\nrayleigh_scale = 1\ng_min = 0.5\ng_max = 1.5\n"
 _DISCRETE = "family = discrete\nvalues = 0.5, 1.0\n"
@@ -407,6 +408,8 @@ _REFUSED = [
     ("simulate", _SIM_RUN + _DISCRETE, "weights = -1, 2", "'weights'"),
     ("simulate", _SIM_RUN + _UNIFORM, "message_j = 1", "'message_j'"),
     ("simulate", _SIM_RUN + _UNIFORM, "random_pairs = 2", "'random_pairs'"),
+    ("simulate", _SIM_NO_PAIR + _UNIFORM, "# neither message_i nor random_pairs", "'message_i'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "flavor = slow\ng_min = 0.0\nallow_zero = true", "'delta'"),
     ("simulate", _SIM_RUN + _UNIFORM, "g_min = 2", "uniform fading"),
     ("simulate", _SIM_RUN + _DISCRETE, "weights = 1", "discrete fading"),
     ("simulate", _SIM_RUN + _DISCRETE, "weights = 0, 0", "discrete fading"),
@@ -556,6 +559,13 @@ message_i = 9999
     out = tmp_path / "o"
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
     assert not out.exists()
+    # a random pair needs two codewords: a book of the first codeword alone has one
+    lines = (pack_dir / "codebook.txt").read_text().splitlines()
+    one = _with_header("\n".join(lines[: lines.index("centers:") + 2]), "count", "1")
+    cfg = write(tmp_path / "pairs.cfg", f"codebook = {write(tmp_path / 'one.txt', one)}\n"
+                + _SIM_NO_PAIR + _UNIFORM + "random_pairs = 1\n")
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert not out.exists()
 
 
 def test_missing_codebook_file_maps_to_exit_4(tmp_path):
@@ -602,16 +612,17 @@ def test_converse_check_rejects_nan_codeword(pack_dir, tmp_path):
         ("count", "{line}\ncolour = blue"),
         ("saturated", "saturated = maybe"),
         ("count", "count = 0"),
+        ("count", "count = 1"),
     ],
-    ids=["repeated-key", "unknown-key", "saturated-maybe", "count-zero"],
+    ids=["repeated-key", "unknown-key", "saturated-maybe", "count-zero", "blank-body"],
 )
 def test_malformed_codebook_header_exits_3_and_writes_nothing(tiny_codebook, tmp_path, key,
                                                               new):
     # each loaded (the later seed, the key ignored, saturated False) or, for
-    # count = 0, failed after numpy's "input contained no data" warning
+    # a body without rows, failed after numpy's "input contained no data" warning
     text = tiny_codebook.read_text()
-    if new == "count = 0":
-        text = text[: text.index("centers:")] + "centers:\n"  # the rows count promises
+    if new.startswith("count = "):  # drop the rows count promises, keep only blank lines
+        text = text[: text.index("centers:")] + "centers:\n\n \t\n"
     lines = [new.format(line=line) if line.startswith(f"{key} =") else line
              for line in text.splitlines()]
     book = write(tmp_path / "book.txt", "\n".join(lines) + "\n")
@@ -745,6 +756,26 @@ def test_bound_outside_the_float_range_saturates(tmp_path, power, g_min, message
         assert verdict in line
 
 
+def test_zero_fading_support_runs_with_an_explicit_delta_and_no_bound(pack_dir, tmp_path):
+    # every Chebyshev bound divides by gamma = 0: the run reports none and judges nothing
+    cfg = write(
+        tmp_path / "sim.cfg",
+        f"codebook = {pack_dir / 'codebook.txt'}\n" + _SIM_RUN.replace("fast", "slow")
+        + "family = uniform\ng_min = 0.0\ng_max = 1.5\nallow_zero = true\ndelta = 0.05\n"
+        + "grid_resolution = 3\n",
+    )
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "simulate_summary.txt").read_text().splitlines()
+    assert lines[lines.index("---") + 1] == "delta = 0.05"  # the slack the rule used
+    verdicts = [line for line in lines if line.startswith(("type1 ", "type2 "))]
+    assert len(verdicts) == 2
+    assert all("bound=none verdict=no-bound" in line for line in verdicts)
+    header, *rows = (out / "simulate_report.csv").read_text().splitlines()
+    bound = header.split(",").index("bound")
+    assert len(rows) == 2 * 3 and all(row.split(",")[bound] == "" for row in rows)
+
+
 def test_scales_default_reproduces_chain(tmp_path):
     out = tmp_path / "sc"
     assert run(["scales", "--out", str(out)]) == cli.EXIT_OK
@@ -817,9 +848,10 @@ def _digests(out_dir):
         "a = 0\n",
         "pairs = exp:cubic\n",
         "poly_k = 0.5\n",
+        "pairs = exp\n",  # no 'dominator:dominated' colon
     ],
     ids=["int-overflow", "superexp-overflow", "empty", "zero-step", "negative-step",
-         "zero-rate", "unknown-kind", "poly-k-below-1"],
+         "zero-rate", "unknown-kind", "poly-k-below-1", "pair-without-colon"],
 )
 def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     # these ran to a traceback, a chain mismatch (exit 1), an "insufficient

@@ -270,6 +270,22 @@ def test_batched_statistic_matches_identify_row_by_row(flavor):
             assert decisions[t] == identify(rule, y[t], j, g)
 
 
+@pytest.mark.parametrize("flavor", ["fast", "slow"])
+def test_batched_statistic_refuses_shapes_the_channel_does_not_give(flavor):
+    # each of these broadcast to a statistic without complaint
+    cb = two_codeword_codebook(4, 1.0, 0.0, distance=0.5)
+    rule = DecoderRule(cb, ChannelModel(flavor, 1.0, _FADING), 0.1)
+    y = np.zeros((3, 4))
+    other_flavor = (3,) if flavor == "fast" else (3, 4)
+    for shape in (other_flavor, (3, 1)):
+        with pytest.raises(ValueError, match="CSI of shape"):
+            rule.statistic(y, 1, np.ones(shape))
+    csi = np.ones(rule.model.gain_shape(3, 4))
+    assert rule.statistic(y, 1, csi).shape == (3,)
+    with pytest.raises(ValueError, match="outputs must have shape"):
+        rule.statistic(np.zeros((3, 1)), 1, csi)  # block length 1, not 4
+
+
 def test_decoder_rule_validation():
     cb = two_codeword_codebook(4, 1.0, 0.0, distance=0.5)
     model = ChannelModel("fast", 1.0, _FADING)
@@ -352,7 +368,9 @@ def test_codebook_parser_rejects_malformed_documents():
         "repeated key": text.replace("seed = none\n", "seed = 1\nseed = 7\n"),
         "unknown key": text.replace("count = 2\n", "count = 2\ncolour = blue\n"),
         "saturated outside none/true/false": text.replace("saturated = none", "saturated = maybe"),
-        "count = 0": text[: body].replace("count = 2", "count = 0"),
+        "count = 0": "\n".join(lines[:body]).replace("count = 2", "count = 0") + "\n",
+        # np.loadtxt warned "input contained no data" on a body with no rows
+        "blank body": "\n".join(lines[:body]).replace("count = 2", "count = 1") + "\n\n \t\n",
     }
     for case, doc in malformed.items():
         with pytest.raises(ValueError) as caught:

@@ -243,6 +243,17 @@ def test_max_codewords_cap_disables_saturation_flag():
     assert not packing.saturated
 
 
+def test_center_storage_grows_past_its_first_block():
+    # the packer stores 4096 centers at first and doubles that storage when it is full
+    def pack(cap):
+        config = PackingConfig(1, 1.0, 8000.0, seed=0, saturation_patience=2000, max_codewords=cap)
+        return generate_saturated_packing(config)
+
+    grown, first_block = pack(5000), pack(4096)
+    assert grown.count == 5000 and first_block.count == 4096
+    assert np.array_equal(grown.centers[:4096], first_block.centers)
+
+
 def test_packing_config_validation():
     with pytest.raises(ValueError):
         PackingConfig(2, 0.0, 1.0)
