@@ -38,6 +38,7 @@ from .estimation import (
     estimate_worst_case,
     near_codeword_experiment,
 )
+from .geometry import MAX_DIMENSION
 from .seeding import derive_seed, substream
 
 EXIT_OK = 0
@@ -58,11 +59,7 @@ _FAMILIES = {
     "discrete": (FadingSpec.discrete, ("values",), ("weights",)),
 }
 
-# pack and sweep refuse a block length n whose first packing buffers, 4096 centers
-# and a batch of 2048 candidates of n floats each, would pass _PACK_BYTES; the
-# center storage doubles past 4096 accepted centers, which this bound does not cover
-_PACK_BYTES = 2**30
-_PACK_N = f"[2, {_PACK_BYTES // (8 * (4096 + 2048))}]"
+_PACK_N = f"[2, {MAX_DIMENSION}]"
 
 _FADING_FIELDS = {
     "family": Field("str", choices=tuple(_FAMILIES)),
@@ -118,7 +115,7 @@ SCHEMAS = {
         "poly_k": Field("float", 2.0, "[1, inf)"),
         "margin_bits": Field("float", analysis.DEFAULT_MARGIN_BITS),
         "min_exponent": Field("int", 4),
-        "max_exponent": Field("int", 128),
+        "max_exponent": Field("int", 128, "[1, 1023]"),
         "step_exponent": Field("int", 4, "[1, inf)"),
     },
     "sweep": {

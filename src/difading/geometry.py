@@ -23,6 +23,7 @@ dimensions.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,8 @@ from .seeding import run_chunks, substream
 _BATCH = 2048
 _ROW_BLOCK = 256
 _CENTER_BLOCK = 4096
+# Largest n whose rejection-test buffers, 2*blk.T of a center block and a batch, fit in 1 GiB.
+MAX_DIMENSION = 2**30 // (8 * (_CENTER_BLOCK + _BATCH))
 # Microscopic slack for re-verifying distances computed through BLAS reductions.
 _FP_GUARD = 1e-12
 # Dead-cell mask: cells of side r0 / _CELLS_PER_R0, built only while its grid
@@ -84,8 +87,12 @@ class PackingConfig:
     max_codewords: int = 1_000_000
 
     def __post_init__(self):
-        if self.dimension < 1 or int(self.dimension) != self.dimension:
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension}")
+        for name in ("dimension", "saturation_patience", "max_codewords"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= self.dimension <= MAX_DIMENSION:
+            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.dimension}")
         if not 0 < self.r0 < math.inf:
             raise ValueError(f"r0 must be positive and finite, got {self.r0}")
         if not 0 < self.r1 < math.inf:
@@ -229,56 +236,50 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
     Candidates are drawn uniformly in the r1-ball; a candidate is accepted iff
     it keeps distance >= 2*r0 to every accepted center.  The run stops with
     saturated=True after ``saturation_patience`` consecutive rejections, or
-    with saturated=False once ``max_codewords`` centers are accepted.
+    with saturated=False once ``max_codewords`` centers are accepted.  Each
+    batch appends its acceptances at once, so only accepted centers are stored.
 
     While its cell grid (side r0/4, over [-r1, r1]^n widened for the stencil)
     has at most 2^20 cells, a dead-cell mask rejects a candidate whose cell
     lies wholly within 2*r0 of an accepted center before any distance is
-    computed.  The other candidates of a batch go to _min_dist_sq as before,
-    so the packing is the same with or without the mask.
+    computed.  The other candidates still go to _min_dist_sq, so the packing
+    is the same with or without the mask.
     """
     n = config.dimension
     rng = substream(config.seed, "packing")
-    centers = np.empty((min(config.max_codewords, 4096), n))
-    count = 0
+    centers = np.empty((0, n))
     rejects = 0
-    saturated = False
+    saturated = None
     min_gap_sq = (2.0 * config.r0) ** 2
     mask = _DeadCells.for_config(config)
-    done = False
-    while not done:
+    while saturated is None:
         batch = sample_in_ball(n, config.r1, rng, _BATCH)
         alive = np.ones(_BATCH, dtype=bool) if mask is None else ~mask.dead[mask.cells(batch)]
-        if count:
-            alive[alive] = _min_dist_sq(batch[alive], centers[:count]) >= min_gap_sq
-        pos = 0
-        while True:
-            rest = alive[pos:]
-            idx = pos + int(np.argmax(rest)) if rest.any() else None
-            gap = (idx if idx is not None else _BATCH) - pos
-            if rejects + gap >= config.saturation_patience:
+        alive[alive] = _min_dist_sq(batch[alive], centers) >= min_gap_sq
+        taken = []
+        last = -1
+        for idx in np.flatnonzero(alive):
+            if not alive[idx]:  # killed by an earlier acceptance in this batch
+                continue
+            if rejects + idx - last - 1 >= config.saturation_patience:
                 saturated = True
-                done = True
-                break
-            if idx is None:
-                rejects += gap
                 break
             rejects = 0
-            if count == centers.shape[0]:  # grow storage
-                centers = np.vstack([centers, np.empty_like(centers)])
-            centers[count] = batch[idx]
-            count += 1
+            taken.append(idx)
+            last = idx
             if mask is not None:
                 mask.mark(batch[idx])
-            if count >= config.max_codewords:
-                done = True
+            if len(centers) + len(taken) >= config.max_codewords:
+                saturated = False
                 break
-            tail = batch[idx + 1 :]
-            if tail.size:
-                diff = tail - batch[idx]
-                alive[idx + 1 :] &= np.einsum("ij,ij->i", diff, diff) >= min_gap_sq
-            pos = idx + 1
-    packing = Packing(config=config, centers=centers[:count].copy(), saturated=saturated)
+            diff = batch[idx + 1 :] - batch[idx]
+            alive[idx + 1 :] &= np.einsum("ij,ij->i", diff, diff) >= min_gap_sq
+        else:
+            rejects += _BATCH - 1 - last
+            if rejects >= config.saturation_patience:
+                saturated = True
+        centers = np.concatenate([centers, batch[taken]])
+    packing = Packing(config=config, centers=centers, saturated=saturated)
     packing.check_invariants()
     return packing
 

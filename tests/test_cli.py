@@ -849,9 +849,11 @@ def _digests(out_dir):
         "pairs = exp:cubic\n",
         "poly_k = 0.5\n",
         "pairs = exp\n",  # no 'dominator:dominated' colon
+        "max_exponent = 100000\n",  # refused before the 2^k grid is built
     ],
     ids=["int-overflow", "superexp-overflow", "empty", "zero-step", "negative-step",
-         "zero-rate", "unknown-kind", "poly-k-below-1", "pair-without-colon"],
+         "zero-rate", "unknown-kind", "poly-k-below-1", "pair-without-colon",
+         "huge-max-exponent"],
 )
 def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     # these ran to a traceback, a chain mismatch (exit 1), an "insufficient
@@ -860,7 +862,10 @@ def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     cfg = write(tmp_path / "sc.cfg", config)
     out = tmp_path / "sc"
     assert run(["scales", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if config == "max_exponent = 100000\n":
+        assert "'max_exponent'" in err and "[1, 1023]" in err
     assert not out.exists()
 
 

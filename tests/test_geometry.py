@@ -143,7 +143,7 @@ def _reference_packing(config: PackingConfig):
 
     Each batch is tested against the earlier batches' centers with
     _min_dist_sq (infinite against none) and against its own acceptances
-    with the difference form.
+    with the difference form.  Returns the centers and the saturation flag.
     """
     rng = seeding.substream(config.seed, "packing")
     gap_sq = (2.0 * config.r0) ** 2
@@ -158,20 +158,47 @@ def _reference_packing(config: PackingConfig):
             if ok and (np.einsum("ij,ij->i", diff, diff) >= gap_sq).all():
                 centers = np.vstack([centers, candidate])
                 rejects = 0
+                if len(centers) == config.max_codewords:
+                    return centers, False
                 continue
             rejects += 1
             if rejects >= config.saturation_patience:
-                return centers
+                return centers, True
 
 
-@pytest.mark.parametrize("n", (2, 3))
-@pytest.mark.parametrize("seed", (7, 2024))
-def test_masked_packing_equals_reference_greedy(n, seed):
-    config = PackingConfig(n, 0.37, 0.37 * 7.3, seed=seed, saturation_patience=20_000)
-    assert geometry._DeadCells.for_config(config) is not None
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(PackingConfig(n, 0.37, 0.37 * 7.3, seed=seed, saturation_patience=20_000)
+          for n in (2, 3) for seed in (7, 2024)),
+        # almost every candidate accepted until the cap
+        PackingConfig(100, 0.316, 0.684, seed=3, saturation_patience=2000, max_codewords=300),
+        # 18 centers, saturated
+        PackingConfig(20, 1.0, 1.6, seed=4, saturation_patience=3000),
+        PackingConfig(20, 1.0, 2.5, seed=5, saturation_patience=3000, max_codewords=400),
+    ],
+    ids=["n2-seed7", "n2-seed2024", "n3-seed7", "n3-seed2024", "n100-capped", "n20-saturated",
+         "n20-capped"],
+)
+def test_packing_equals_reference_greedy(config):
+    # the n <= 3 packings run the dead-cell mask, the others the distance kernel alone
+    assert (geometry._DeadCells.for_config(config) is not None) == (config.dimension <= 3)
     packing = generate_saturated_packing(config)
-    assert packing.saturated
-    np.testing.assert_array_equal(packing.centers, _reference_packing(config))
+    centers, saturated = _reference_packing(config)
+    assert packing.saturated == saturated
+    np.testing.assert_array_equal(packing.centers, centers)
+
+
+@pytest.mark.parametrize("patience, seed", [(2, 0), (4, 1), (7, 0)])
+def test_rejection_streak_carries_across_batch_ends(monkeypatch, patience, seed):
+    # with 3 candidates a batch most streaks span a batch end, where an
+    # off-by-one in the streak count changes the packing
+    monkeypatch.setattr(geometry, "_BATCH", 3)
+    config = PackingConfig(2, 1.0, 6.0, seed=seed, saturation_patience=patience)
+    packing = generate_saturated_packing(config)
+    centers, saturated = _reference_packing(config)
+    assert packing.saturated == saturated
+    np.testing.assert_array_equal(packing.centers, centers)
 
 
 def test_high_dimensional_packings_build_no_mask():
@@ -244,7 +271,7 @@ def test_max_codewords_cap_disables_saturation_flag():
 
 
 def test_center_storage_grows_past_its_first_block():
-    # the packer stores 4096 centers at first and doubles that storage when it is full
+    # past one _min_dist_sq block of 4096 centers; the packer stores exactly the accepted ones
     def pack(cap):
         config = PackingConfig(1, 1.0, 8000.0, seed=0, saturation_patience=2000, max_codewords=cap)
         return generate_saturated_packing(config)
@@ -261,6 +288,15 @@ def test_packing_config_validation():
         PackingConfig(2, 1.0, -0.5)
     with pytest.raises(ValueError):
         PackingConfig(2, 1.0, 1.0, saturation_patience=0)
+    # a float or bool count passed `int(x) != x`, and most then made numpy raise TypeError
+    for field, value in [("dimension", 2.0), ("dimension", True), ("saturation_patience", 10.0),
+                         ("max_codewords", 10.5), ("max_codewords", 2.0)]:
+        with pytest.raises(ValueError, match=field):
+            PackingConfig(**{"dimension": 2, "r0": 1.0, "r1": 3.0, field: value})
+    assert PackingConfig(np.int64(2), 1.0, 3.0, max_codewords=np.int32(5)).dimension == 2
+    assert PackingConfig(geometry.MAX_DIMENSION, 1.0, 2.0).dimension == 21845
+    with pytest.raises(ValueError, match="dimension"):
+        PackingConfig(geometry.MAX_DIMENSION + 1, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("r0, r1", [(1.0, math.inf), (math.inf, 1.0)])
