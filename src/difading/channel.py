@@ -31,7 +31,11 @@ _NORM_SLACK = 1.0 + 1e-12
 
 
 def _rayleigh_sf(x: float, scale: float) -> float:
-    return math.exp(-0.5 * (x / scale) ** 2)
+    """P(R > x) for R ~ Rayleigh(scale); 0.0 where (x / scale)^2 leaves the float range."""
+    try:
+        return math.exp(-0.5 * (x / scale) ** 2)
+    except OverflowError:
+        return 0.0
 
 
 def _truncated_rayleigh_moments(scale: float, lo: float, hi: float):
@@ -44,7 +48,9 @@ def _truncated_rayleigh_moments(scale: float, lo: float, hi: float):
     root_half_pi = math.sqrt(0.5 * math.pi)
     erf_term = math.erf(hi / (scale * math.sqrt(2.0))) - math.erf(lo / (scale * math.sqrt(2.0)))
     mean = (lo * s_lo - hi * s_hi + scale * root_half_pi * erf_term) / z
-    second = ((lo**2 + 2.0 * scale**2) * s_lo - (hi**2 + 2.0 * scale**2) * s_hi) / z
+    # hi^2 may overflow where its tail has underflowed to 0
+    tail_hi = (hi**2 + 2.0 * scale**2) * s_hi if s_hi else 0.0
+    second = ((lo**2 + 2.0 * scale**2) * s_lo - tail_hi) / z
     return mean, second
 
 
@@ -77,6 +83,8 @@ class FadingSpec:
             )
         if self.gamma > self.g_max:
             raise ValueError(f"gamma={self.gamma} exceeds g_max={self.g_max}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.second_moment)):
+            raise ValueError("fading moments leave the float range")
         if self.second_moment < self.mean**2 - 1e-15:
             raise ValueError("second moment below squared mean")
 
@@ -99,11 +107,14 @@ class FadingSpec:
         cls, scale: float, lo: float, hi: float, allow_zero: bool = False
     ) -> "FadingSpec":
         """Rayleigh(scale) amplitude conditioned on lo <= G <= hi."""
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         if lo < 0 or hi <= lo:
             raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
-        mean, second = _truncated_rayleigh_moments(scale, lo, hi)
+        try:
+            mean, second = _truncated_rayleigh_moments(scale, lo, hi)
+        except OverflowError as exc:  # lo^2 or scale^2
+            raise ValueError("fading moments leave the float range") from exc
         return cls(
             family="truncated_rayleigh",
             gamma=lo,

@@ -16,12 +16,12 @@ squared norm is s^2 times a noncentral chi-square with n degrees of freedom and
 noncentrality ||g o d||^2 / s^2, and the estimators draw it from that law
 instead of drawing z:
 
-* type I (d = 0, either flavor): the gains cancel, the statistic is ||z||^2 =
-  s^2 chi2_n, one chi-square draw per trial and no gains (its bound has no
-  fading moment);
+* d = 0 (type I, either flavor, or two equal codewords): the gains cancel,
+  the statistic is ||z||^2 = s^2 chi2_n, one chi-square draw per trial and no
+  gains (the type I bound has no fading moment);
 * slow type II at gain g: g^2 ||d||^2 + 2 g (d . z) + ||z||^2 with
   d . z = s ||d|| xi and ||z||^2 = s^2 (xi^2 + chi2_{n-1}), xi standard normal,
-  so two scalars per trial serve every grid point;
+  decided at every grid gain on the same draws;
 * fast type II: gains only on the coordinates where d_k != 0, drawn by
   FadingSpec.sample from the (seed, "gains", chunk) substream, then one
   noncentral chi-square draw with noncentrality sum_k g_k^2 d_k^2 / s^2.
@@ -31,17 +31,15 @@ model, delta) and decides every statistic by its accepts.  The literal channel
 path (realize, apply_channel, then DecoderRule.statistic or identify) draws z
 itself; it has the same law.
 
-Slow-fading errors are worst cases over the gain support; the sup is
-approximated on a finite grid with common random numbers, so per-gain
-estimates differ only through the gain (paired trials).  A worst case is the
-report of its worst grid point, with every point's report in per_gain.
-
-Reports carry only what the estimators compute; cli lays them out as CSV rows.
+Slow-fading errors are worst cases over the gain support, approximated on a
+finite grid with common random numbers (paired trials).  A worst case is the
+report of its worst grid point, with every point's report in per_gain.  Reports
+carry only what the estimators compute; cli lays them out as CSV rows.
 
 Trials are simulated in chunks of 4096 through seeding.run_chunks, each from
-its own (seed, label, chunk index) streams; reductions are plain sums of
-acceptance counts, or per-trial statistics kept in chunk order, so estimates
-are the same for any pool size.
+its own (seed, label, chunk index) streams and reduced at once to its
+acceptance counts at every gain.  The counts are summed in chunk order, so
+estimates are the same for any pool size and no per-trial array outlives its chunk.
 """
 
 import math
@@ -52,7 +50,7 @@ import numpy as np
 from . import oracles
 from .channel import ChannelModel, FadingSpec
 from .codec import Codebook, DecoderRule, delta_n, epsilon_schedule
-from .seeding import run_chunks, substream
+from .seeding import require_integer, run_chunks, substream
 
 _CHUNK = 4096
 
@@ -65,6 +63,7 @@ class TrialPlan:
     seed: int = 0
 
     def __post_init__(self):
+        require_integer("trials", self.trials)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
@@ -126,97 +125,57 @@ def type2_chebyshev_bound(
     return type1_chebyshev_bound(n, b, power_budget, gamma, noise_variance) + eta1
 
 
-@dataclass(frozen=True)
-class NoiseStatistics:
-    """Per-trial noise statistics of one (transmit, test) pair.
+def _accept_counts(rule: DecoderRule, i: int, j: int | None, plan: TrialPlan, gains) -> list:
+    """Acceptances of message j (i when j is None) with u_i sent, one count per gain.
 
-    noise_energy holds ||z||^2 and cross holds d . z for every trial, with
-    d = u_transmit - u_test; together with ||d||^2 they give the decoder's
-    statistic at any fixed gain without touching the noise again.
+    Each chunk is drawn once from its law in the module docstring and reduced to
+    its counts; d = 0 and fast type II (gains = [None]) decide once for all gains.
     """
-
-    distance_sq: float
-    noise_energy: np.ndarray
-    cross: np.ndarray
-
-    def accept_count(self, gain: float, rule: DecoderRule) -> int:
-        """Trials in which the rule accepts ||g d + z||^2 at gain g."""
-        stat = gain * gain * self.distance_sq + 2.0 * gain * self.cross + self.noise_energy
-        return int(rule.accepts(stat).sum())
-
-
-def _noise_statistics(
-    rule: DecoderRule, transmit: int, test: int, plan: TrialPlan
-) -> NoiseStatistics:
-    """||z||^2 and d . z of the pair (transmit, test), drawn from their exact law.
-
-    d = 0 draws s^2 chi2_n per trial; otherwise xi and chi2_{n-1} give
-    d . z = s ||d|| xi and ||z||^2 = s^2 (xi^2 + chi2_{n-1}).
-    """
-    codebook = rule.codebook
-    d = codebook.codeword(transmit) - codebook.codeword(test)
-    n = codebook.dimension
-    s2 = rule.model.noise_variance / n
+    model, n = rule.model, rule.codebook.dimension
+    s2 = model.noise_variance / n
+    d = rule.codebook.codeword(i) - rule.codebook.codeword(i if j is None else j)
     distance_sq = float(d @ d)
-    cross_scale = math.sqrt(s2 * distance_sq)
+    weights = d[d != 0.0] ** 2 / s2
 
     def run_chunk(item):
         index, size = item
         rng = substream(plan.seed, "noise", index)
-        if distance_sq == 0.0:
-            return s2 * rng.chisquare(n, size), np.zeros(size)
-        xi = rng.standard_normal(size)
-        rest = rng.chisquare(n - 1, size) if n > 1 else 0.0  # numpy refuses chi2_0
-        return s2 * (xi * xi + rest), cross_scale * xi
+        if distance_sq == 0.0:  # type I or two equal codewords: the gain cancels
+            stat = s2 * rng.chisquare(n, size)
+        elif model.flavor == "fast":
+            drawn = model.fading.sample(substream(plan.seed, "gains", index), size * weights.size)
+            # squared in place: no second (chunk, m) temporary to fault in per chunk
+            noncentrality = np.square(drawn, out=drawn).reshape(size, -1) @ weights
+            stat = s2 * rng.noncentral_chisquare(n, noncentrality, size)
+        else:  # slow type II: one row per gain, every row on the same draws
+            xi = rng.standard_normal(size)
+            rest = rng.chisquare(n - 1, size) if n > 1 else 0.0  # numpy refuses chi2_0
+            g = np.asarray(gains)[:, None]
+            stat = 2.0 * g * (math.sqrt(s2 * distance_sq) * xi)  # 2 g (d . z)
+            stat += g * g * distance_sq
+            stat += s2 * (xi * xi + rest)  # ||z||^2
+        return np.broadcast_to(rule.accepts(stat).sum(axis=-1), len(gains))
 
-    parts = run_chunks(run_chunk, plan.trials, _CHUNK)
-    return NoiseStatistics(
-        distance_sq=distance_sq,
-        noise_energy=np.concatenate([energy for energy, _ in parts]),
-        cross=np.concatenate([cross for _, cross in parts]),
-    )
+    return np.sum(run_chunks(run_chunk, plan.trials, _CHUNK), axis=0).tolist()
 
 
-def _estimate(rule, i, j, plan, gain, statistics) -> ErrorReport:
+def _estimate(rule, i, j, plan, gain, accepts) -> ErrorReport:
     """The one estimate body: type I when j is None, else type II (see the module docstring)."""
     codebook, model = rule.codebook, rule.model
     if model.flavor == "fast":
-        if gain is not None or statistics is not None:
-            raise ValueError(
-                "fast fading draws per-symbol gains; pass neither a fixed gain nor statistics"
-            )
+        if gain is not None:
+            raise ValueError("fast fading draws per-symbol gains; pass no fixed gain")
     elif gain is None:
-        raise ValueError(
-            "slow-fading errors are worst cases over the gain; pass gain=... for a "
-            "conditional estimate or use estimate_worst_case"
-        )
+        raise ValueError("slow-fading errors are worst cases over the gain; pass gain=... "
+                         "for a conditional estimate or use estimate_worst_case")
     elif not model.fading.contains(gain):
         raise ValueError(f"gain {gain} lies outside the fading support")
-    if model.flavor == "fast" and j is not None:
-        # gains only where d_k != 0 (none for d = 0); given them the statistic
-        # is s^2 times a noncentral chi2_n with noncentrality sum_k g_k^2 d_k^2 / s^2
-        n = codebook.dimension
-        s2 = model.noise_variance / n
-        d = codebook.codeword(i) - codebook.codeword(j)
-        weights = d[d != 0.0] ** 2 / s2
-
-        def run_chunk(item):
-            index, size = item
-            noncentrality = 0.0
-            if weights.size:
-                rng = substream(plan.seed, "gains", index)
-                gains = model.fading.sample(rng, size * weights.size).reshape(size, -1)
-                # squared in place: a second (chunk, m) temporary is given back
-                # to the system on free and faulted in again by the next chunk
-                noncentrality = np.square(gains, out=gains) @ weights
-            rng = substream(plan.seed, "noise", index)
-            return int(rule.accepts(s2 * rng.noncentral_chisquare(n, noncentrality, size)).sum())
-
-        accepts = sum(run_chunks(run_chunk, plan.trials, _CHUNK))
-    else:  # type I (d = 0, the gain drops out) or slow type II
-        if statistics is None:
-            statistics = _noise_statistics(rule, i, i if j is None else j, plan)
-        accepts = statistics.accept_count(0.0 if gain is None else float(gain), rule)
+    if accepts is None:
+        accepts = _accept_counts(rule, i, j, plan, [gain])[0]
+    else:
+        require_integer("accepts", accepts)
+        if not 0 <= accepts <= plan.trials:
+            raise ValueError(f"accepts must lie in [0, {plan.trials}], got {accepts}")
     estimate = 1.0 - accepts / plan.trials if j is None else accepts / plan.trials
     bound = None
     if model.fading.gamma > 0:
@@ -242,14 +201,14 @@ def estimate_type1(
     plan: TrialPlan,
     gain: float | None = None,
     *,
-    statistics: NoiseStatistics | None = None,
+    accepts: int | None = None,
 ) -> ErrorReport:
     """Missed-identification rate: transmit u_i, count rejections of message i.
 
-    statistics, set only by estimate_worst_case, are the pair's precomputed
-    slow-fading noise statistics; without them an estimate computes its own.
+    accepts, set only by estimate_worst_case, is the acceptance count it has
+    already drawn at this gain; without it an estimate draws its own.
     """
-    return _estimate(rule, i, None, plan, gain, statistics)
+    return _estimate(rule, i, None, plan, gain, accepts)
 
 
 def estimate_type2(
@@ -259,15 +218,15 @@ def estimate_type2(
     plan: TrialPlan,
     gain: float | None = None,
     *,
-    statistics: NoiseStatistics | None = None,
+    accepts: int | None = None,
 ) -> ErrorReport:
     """False-identification rate: transmit u_i, count acceptances of message j != i.
 
-    statistics as for estimate_type1.
+    accepts as for estimate_type1.
     """
     if i == j:
         raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
-    return _estimate(rule, i, j, plan, gain, statistics)
+    return _estimate(rule, i, j, plan, gain, accepts)
 
 
 def estimate_worst_case(
@@ -275,26 +234,26 @@ def estimate_worst_case(
 ) -> ErrorReport:
     """Sup over the gain grid of the per-gain error (slow fading).
 
-    All grid points share the same noise draws (common random numbers), so
-    the per-point estimates differ only through the gain.  The noise
-    statistics ||z||^2 and d . z are drawn once and serve every grid point.
-    Returns the report of the worst grid point (its gain is the argmax) with
-    every point's report in per_gain.
+    One pass decides every chunk at every grid point on the same draws, so the
+    per-point estimates differ only through the gain; estimate_type1 or
+    estimate_type2 then reports each point from its count.  Returns the report
+    of the worst grid point (its gain is the argmax), every point's in per_gain.
     """
     if rule.model.flavor != "slow":
         raise ValueError("worst-case estimation applies to slow fading")
     grid = [float(g) for g in np.atleast_1d(np.asarray(g_grid, dtype=np.float64))]
     if not grid:
         raise ValueError("gain grid is empty")
-    statistics = _noise_statistics(rule, i, i if j is None else j, plan)
-    reports = [
-        estimate_type1(rule, i, plan, gain=g, statistics=statistics)
-        if j is None
-        else estimate_type2(rule, i, j, plan, gain=g, statistics=statistics)
-        for g in grid
-    ]
-    worst_index = int(np.argmax([rep.estimate for rep in reports]))
-    return replace(reports[worst_index], per_gain=tuple(reports))
+    if i == j:
+        raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
+    for g in grid:
+        if not rule.model.fading.contains(g):
+            raise ValueError(f"gain {g} lies outside the fading support")
+    counts = _accept_counts(rule, i, j, plan, grid)
+    estimate = estimate_type1 if j is None else estimate_type2
+    messages = (i,) if j is None else (i, j)
+    reports = [estimate(rule, *messages, plan, gain=g, accepts=c) for g, c in zip(grid, counts)]
+    return replace(max(reports, key=lambda rep: rep.estimate), per_gain=tuple(reports))
 
 
 @dataclass(frozen=True)

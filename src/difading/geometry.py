@@ -23,13 +23,12 @@ dimensions.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .seeding import run_chunks, substream
+from .seeding import require_integer, run_chunks, substream
 
 _BATCH = 2048
 _ROW_BLOCK = 256
@@ -88,9 +87,7 @@ class PackingConfig:
 
     def __post_init__(self):
         for name in ("dimension", "saturation_patience", "max_codewords"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if not 1 <= self.dimension <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.dimension}")
         if not 0 < self.r0 < math.inf:
@@ -318,6 +315,7 @@ def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> D
     16384 through seeding.run_chunks; each chunk draws from its own (seed,
     "density", chunk) substream, so the estimate is the same for any pool size.
     """
+    require_integer("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if packing.count == 0:

@@ -11,6 +11,7 @@ so a reduction over them is the same for any pool size.
 """
 
 import hashlib
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,6 +22,12 @@ try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity query on this platform
     _WORKERS = os.cpu_count() or 1
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValueError naming the argument unless value is an integer (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def label_entropy(label: str) -> int:

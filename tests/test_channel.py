@@ -92,6 +92,21 @@ def test_fading_spec_validation():
         FadingSpec.discrete([1.0, 2.0], [0.5])
     with pytest.raises(ValueError):
         FadingSpec.truncated_rayleigh(-1.0, 0.5, 1.0)
+    # a NaN scale gave NaN moments; overflowing moments raised OverflowError
+    for scale in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FadingSpec.truncated_rayleigh(scale, 0.5, 1.5)
+    with pytest.raises(ValueError, match="zero mass"):
+        FadingSpec.truncated_rayleigh(1e-300, 0.5, 1.5)
+    with pytest.raises(ValueError, match="float range"):
+        FadingSpec.uniform(0.5, 1e200)
+    with pytest.raises(ValueError, match="float range"):
+        FadingSpec.discrete([1e200])
+    with pytest.raises(ValueError, match="float range"):
+        FadingSpec.truncated_rayleigh(1e190, 0.5, 1e200)
+    # a tail that underflows to 0 adds nothing: the moments stay those of [0.5, 50]
+    wide, capped = (FadingSpec.truncated_rayleigh(1.0, 0.5, hi) for hi in (1e200, 50.0))
+    assert (wide.mean, wide.second_moment) == (capped.mean, capped.second_moment)
     # a NaN value or weight compares False against every bound, so needs its own check
     with pytest.raises(ValueError, match="finite"):
         FadingSpec.discrete([1.0, math.nan], [1.0, 0.0])

@@ -414,6 +414,10 @@ _REFUSED = [
     ("simulate", _SIM_RUN + _DISCRETE, "weights = 1", "discrete fading"),
     ("simulate", _SIM_RUN + _DISCRETE, "weights = 0, 0", "discrete fading"),
     ("simulate", _SIM_RUN + _RAYLEIGH, "g_min = 50\ng_max = 60", "truncated_rayleigh fading"),
+    # fading laws whose moments leave the float range (these exited 1 with an OverflowError)
+    ("simulate", _SIM_RUN + _RAYLEIGH, "rayleigh_scale = 1e-300", "truncated_rayleigh fading"),
+    ("simulate", _SIM_RUN + _UNIFORM, "g_max = 1e200", "uniform fading"),
+    ("simulate", _SIM_RUN + _DISCRETE, "values = 1e200", "discrete fading"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1", "'n'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "b = 2", "'b'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "power = 0", "'power'"),
@@ -425,6 +429,9 @@ _REFUSED = [
     ("near-codeword", _NEAR_RUN + _UNIFORM, "g_min = 0.0\nallow_zero = true", "uniform fading"),
     ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 0.0, 1.0\nallow_zero = true",
      "discrete fading"),
+    ("near-codeword", _NEAR_RUN + _RAYLEIGH, "rayleigh_scale = 1e-300", "truncated_rayleigh fading"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "g_max = 1e200", "uniform fading"),
+    ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e200", "discrete fading"),
     ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
     ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),
     ("sweep", _SWEEP, "b = 1", "'b'"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from difading import (
     type1_chebyshev_bound,
     type2_chebyshev_bound,
 )
-from difading import oracles, seeding
+from difading import estimation, oracles, seeding
 from helpers import point_mass, two_codeword_codebook
 
 
@@ -158,6 +159,30 @@ def test_worst_case_degenerate_gain_sums_to_one():
     assert abs(p1_zero.estimate + p2_zero.estimate - 1.0) <= 3.0 * max(joint, 1e-9)
 
 
+def test_worst_case_counts_equal_the_per_gain_reference():
+    # the kernel decides every gain of a chunk as one block; the reference
+    # decides one gain at a time, as g^2 ||d||^2 + 2 g (d . z) + ||z||^2
+    n, sigma_z2, delta, trials = 8, 0.5, 0.1, 9_000
+    cb = two_codeword_codebook(n, 1.0, 0.0, distance=0.5)
+    spec = FadingSpec.discrete([-0.7, 0.4, 1.3])
+    plan = TrialPlan(trials, seed=22)
+    s2 = sigma_z2 / n
+    d = cb.codeword(1) - cb.codeword(2)
+    distance_sq = float(d @ d)
+    energy, cross = [], []
+    for k, size in enumerate((4096, 4096, 808)):
+        rng = substream(plan.seed, "noise", k)
+        xi = rng.standard_normal(size)
+        energy.append(s2 * (xi * xi + rng.chisquare(n - 1, size)))
+        cross.append(math.sqrt(s2 * distance_sq) * xi)
+    energy, cross = np.concatenate(energy), np.concatenate(cross)
+    rule = DecoderRule(cb, ChannelModel("slow", sigma_z2, spec), delta)
+    worst = estimate_worst_case(rule, 1, 2, spec.support_grid(), plan)
+    for rep in worst.per_gain:
+        stat = rep.gain * rep.gain * distance_sq + 2.0 * rep.gain * cross + energy
+        assert 0 < rep.estimate == np.count_nonzero(stat <= sigma_z2 + delta) / trials
+
+
 def test_worst_case_validation():
     cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
     slow = ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5))
@@ -167,6 +192,43 @@ def test_worst_case_validation():
         estimate_worst_case(DecoderRule(cb, fast, 0.1), 1, None, [1.0], plan)
     with pytest.raises(ValueError):
         estimate_worst_case(DecoderRule(cb, slow, 0.1), 1, None, [], plan)
+
+
+def test_worst_case_refuses_bad_input_before_any_chunk_runs(monkeypatch):
+    # a gain outside the support, or i = j, used to surface only after every
+    # chunk of noise had been drawn
+    def no_draws(*args):
+        raise AssertionError("a chunk was drawn")
+
+    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
+    rule = DecoderRule(cb, ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5)), 0.1)
+    plan = TrialPlan(10_000, seed=0)
+    monkeypatch.setattr(estimation, "substream", no_draws)
+    for j, grid in ((None, [0.5, 1.7]), (2, [0.4, 1.0]), (1, [0.5, 1.0])):
+        with pytest.raises(ValueError, match="outside the fading support|distinct messages"):
+            estimate_worst_case(rule, 1, j, grid, plan)
+
+
+def test_estimates_hold_no_per_trial_array():
+    # each chunk is reduced to its counts: the peak must not grow with the
+    # trial count (storing ||z||^2 and d . z for a million trials took 30 MB)
+    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
+    spec = FadingSpec.uniform(0.5, 1.5)
+    slow_rule = DecoderRule(cb, ChannelModel("slow", 1.0, spec), 0.1)
+    fast_rule = DecoderRule(cb, ChannelModel("fast", 1.0, spec), 0.1)
+    plan = TrialPlan(1_000_000, seed=21)
+    for estimate in (
+        lambda: estimate_worst_case(slow_rule, 1, None, [0.5, 1.0, 1.5], plan),
+        lambda: estimate_worst_case(slow_rule, 1, 2, [0.5, 1.0, 1.5], plan),
+        lambda: estimate_type1(fast_rule, 1, plan),
+    ):
+        tracemalloc.start()
+        try:
+            estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_common_random_numbers_pair_noise_across_gains():
@@ -378,6 +440,22 @@ def test_trial_plan_validation():
         TrialPlan(0, seed=0)
     with pytest.raises(ValueError):
         TrialPlan(-5, seed=0)
+    # 2.5 failed inside a worker with a numpy TypeError; True ran one trial
+    for bad in (2.5, 100.0, True, "10"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            TrialPlan(bad, seed=0)
+    assert TrialPlan(np.int64(10), seed=0).trials == 10
+
+
+def test_accepts_keyword_is_a_count_of_the_trials():
+    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.5)
+    rule = DecoderRule(cb, ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5)), 0.1)
+    plan = TrialPlan(10, seed=0)
+    assert estimate_type2(rule, 1, 2, plan, gain=1.0, accepts=3).estimate == 0.3
+    assert estimate_type1(rule, 1, plan, gain=1.0, accepts=np.int64(10)).estimate == 0.0
+    for bad in (11, -1, 2.5, True):
+        with pytest.raises(ValueError, match="accepts"):
+            estimate_type1(rule, 1, plan, gain=1.0, accepts=bad)
 
 
 def test_near_codeword_mechanism_and_witness():

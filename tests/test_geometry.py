@@ -354,6 +354,11 @@ def test_density_rejects_zero_samples():
     packing = Packing(PackingConfig(2, 1.0, 1.0, seed=0), np.zeros((1, 2)), True)
     with pytest.raises(ValueError):
         estimate_packing_density(packing, samples=0)
+    # 100.5 failed inside a worker with a numpy TypeError
+    for bad in (100.5, 100.0, True):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            estimate_packing_density(packing, samples=bad)
+    assert estimate_packing_density(packing, samples=np.int64(100)).samples == 100
 
 
 def test_density_split_is_deterministic_in_seed():
