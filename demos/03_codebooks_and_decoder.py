@@ -21,7 +21,6 @@ import numpy as np
 
 from difading import (
     ChannelModel,
-    Codebook,
     DecoderRule,
     FadingSpec,
     apply_channel,
@@ -32,6 +31,7 @@ from difading import (
     min_pairwise_distance,
     realize,
     save_codebook,
+    two_codeword_codebook,
 )
 
 n, power, b = 100, 1.0, 0.0
@@ -65,9 +65,7 @@ print("  trial 0 alone: identify(3)?", identify(rule, y[0], 3, chunk.gains[0]))
 
 print("\noverlapping decoding regions (legal for identification):")
 # any pair closer than 2x the acceptance radius is claimed by both messages at once
-close = np.zeros((2, n))
-close[0, 0], close[1, 0] = 0.9 * radius, -0.9 * radius
-close_book = Codebook(n, power, b, "achievability", codebook.epsilon_n, close)
+close_book = two_codeword_codebook(n, power, b, 1.8 * radius)
 close_rule = DecoderRule(close_book, model, delta)
 midpoint = np.zeros(n)  # halfway between the two codewords, unit gain
 both = identify(close_rule, midpoint, 1, np.ones(n)) and identify(

@@ -11,11 +11,8 @@ the same plus 144 sigma^2 E[G^2]/(gamma^4 A n^b) (type II).
 
 import math
 
-import numpy as np
-
 from difading import (
     ChannelModel,
-    Codebook,
     DecoderRule,
     FadingSpec,
     TrialPlan,
@@ -23,15 +20,9 @@ from difading import (
     epsilon_schedule,
     estimate_type1,
     estimate_type2,
+    two_codeword_codebook,
 )
 from difading import oracles
-
-
-def two_codeword_book(n, power, b, distance):
-    eps = epsilon_schedule(n, power, b, "achievability")
-    words = np.zeros((2, n))
-    words[0, 0], words[1, 0] = 0.5 * distance, -0.5 * distance
-    return Codebook(n, power, b, "achievability", eps, words)
 
 
 unit_gain = FadingSpec.uniform(1.0, 1.0)
@@ -40,7 +31,7 @@ plan = TrialPlan(trials=100_000, seed=42)
 print("type I vs the chi-square survival oracle (g = 1, sigma_z2 = 1):")
 for n in (8, 16, 32):
     delta = epsilon_schedule(n, 1.0, 0.0, "achievability")
-    book = two_codeword_book(n, 1.0, 0.0, 2.0 * math.sqrt(delta))
+    book = two_codeword_codebook(n, 1.0, 0.0, 2.0 * math.sqrt(delta))
     model = ChannelModel("fast", 1.0, unit_gain)
     report = estimate_type1(DecoderRule(book, model, delta), 1, plan)
     oracle = oracles.chi2_sf(n * (1.0 + delta), n)
@@ -51,7 +42,7 @@ print("\ntype II vs the noncentral chi-square oracle (codewords 2 sqrt(eps) apar
 for n in (8, 16, 32):
     eps = epsilon_schedule(n, 1.0, 0.0, "achievability")
     distance = 2.0 * math.sqrt(eps)
-    book = two_codeword_book(n, 1.0, 0.0, distance)
+    book = two_codeword_codebook(n, 1.0, 0.0, distance)
     model = ChannelModel("fast", 1.0, unit_gain)
     report = estimate_type2(DecoderRule(book, model, eps), 1, 2, plan)
     oracle = oracles.noncentral_chi2_cdf(n * (1.0 + eps), n, n * distance**2)
@@ -63,7 +54,7 @@ fading = FadingSpec.uniform(0.5, 1.5)
 for sigma_z2 in (0.05, 0.001):
     n, b = 32, 0.5
     eps = epsilon_schedule(n, 1.0, b, "achievability")
-    book = two_codeword_book(n, 1.0, b, 2.0 * math.sqrt(eps))
+    book = two_codeword_codebook(n, 1.0, b, 2.0 * math.sqrt(eps))
     model = ChannelModel("fast", sigma_z2, fading)
     delta = delta_n(fading.gamma, eps)
     rule = DecoderRule(book, model, delta)

@@ -14,23 +14,19 @@ probabilities sum to one no matter the code.
 
 import math
 
-import numpy as np
-
 from difading import (
     ChannelModel,
-    Codebook,
     DecoderRule,
     FadingSpec,
     TrialPlan,
     epsilon_schedule,
     estimate_worst_case,
+    two_codeword_codebook,
 )
 
 n = 16
 eps = epsilon_schedule(n, 1.0, 0.0, "achievability")
-words = np.zeros((2, n))
-words[0, 0], words[1, 0] = math.sqrt(eps), -math.sqrt(eps)
-book = Codebook(n, 1.0, 0.0, "achievability", eps, words)
+book = two_codeword_codebook(n, 1.0, 0.0, 2.0 * math.sqrt(eps))
 delta = eps / 3.0
 plan = TrialPlan(trials=20_000, seed=21)
 

@@ -42,6 +42,7 @@ from .codec import (
     identify,
     load_codebook,
     save_codebook,
+    two_codeword_codebook,
 )
 from .estimation import (
     ErrorReport,

@@ -14,11 +14,13 @@ family takes exactly the keys its FadingSpec constructor reads.
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
 fading law its family refuses, equal messages, a scales grid or pair with no
-certificate, a near-codeword distance outside the power ball or fading support
-reaching 0, a config file that is not UTF-8), 3 parameter precondition violated
-(a message index outside the loaded codebook, a malformed codebook), 4 I/O
-failure.  The output directory is made by the first artifact written, so a
-run that exits 2, 3 or 4 before writing leaves none behind.
+certificate, a near-codeword distance outside the power ball, a default slack
+gamma^2 eps_n / 3 that the fading support makes 0 or underflows to 0, a config
+file that is not UTF-8), 3 parameter precondition violated (a message index
+outside the loaded codebook, a malformed codebook, a fast type II
+noncentrality past the float range), 4 I/O failure.  The output directory is
+made by the first artifact written, so a run that exits 2, 3 or 4 before
+writing leaves none behind.
 """
 
 import argparse
@@ -29,7 +31,8 @@ from pathlib import Path
 
 from . import analysis
 from .channel import FLAVORS, ChannelModel, FadingSpec
-from .codec import SCHEDULES, DecoderRule, build_codebook, delta_n, load_codebook, save_codebook
+from .codec import SCHEDULES, DecoderRule, build_codebook, delta_n, epsilon_schedule
+from .codec import load_codebook, save_codebook
 from .config import ConfigError, Field, load_config, resolve
 from .estimation import (
     TrialPlan,
@@ -306,12 +309,11 @@ def _cmd_simulate(params, out_dir: Path) -> int:
     )
     if params["delta"] is not None:
         delta = params["delta"]
-    elif fading.gamma > 0:
-        delta = delta_n(fading.gamma, codebook.epsilon_n)
     else:
-        raise ConfigError(
-            "parameter 'delta': required explicitly when the fading support reaches 0"
-        )
+        try:
+            delta = delta_n(fading.gamma, codebook.epsilon_n)
+        except ValueError as exc:  # the support reaches 0 or the slack underflows
+            raise ConfigError(f"parameter 'delta': required explicitly here ({exc})") from exc
     rule = DecoderRule(codebook, model, delta)
     pairs = _select_messages(params, codebook.size)
     grid = fading.support_grid(params["grid_resolution"]) if model.flavor == "slow" else None
@@ -391,8 +393,12 @@ def _cmd_near_codeword(params, out_dir: Path) -> int:
         raise ConfigError(f"parameters 'distance', 'power': codewords {distance!r} apart lie "
                           f"outside the power ball of radius sqrt({params['power']!r})")
     fading = _fading_from(params)
-    if not fading.gamma > 0:  # no delta key to fall back on: the slack gamma^2 eps_n / 3 is 0
-        raise ConfigError(f"{fading.family} fading: near-codeword needs a support above 0")
+    try:  # no delta key to fall back on: the slack gamma^2 eps_n / 3 must be positive
+        delta_n(fading.gamma, epsilon_schedule(params["n"], params["power"], params["b"],
+                                               "achievability"))
+    except ValueError as exc:
+        raise ConfigError(f"{fading.family} fading: near-codeword needs a slack above 0 "
+                          f"({exc})") from exc
     plan = TrialPlan(trials=params["trials"], seed=params["seed"])
     report = near_codeword_experiment(
         n=params["n"],

@@ -9,6 +9,9 @@ shrinking-radius schedules are provided:
 * ``converse_spacing``: eps_n = A / n^(2(1+b)), used only for minimum-distance
   checks and the near-codeword experiment.
 
+``two_codeword_codebook`` builds the one two-codeword pair (+-d/2 on the first
+axis) that the near-codeword experiment, the demos and the tests run.
+
 ``DecoderRule`` is the one decision rule of the package and holds all of it:
 the codebook, the channel model (noise variance sigma_z2, flavor) and the
 slack delta, usually delta_n = gamma^2 * eps_n / 3.  "Was message j sent?"
@@ -52,12 +55,15 @@ def epsilon_schedule(n: int, power_budget: float, b: float, schedule: str) -> fl
 
 
 def delta_n(gamma: float, epsilon_n: float) -> float:
-    """Decoder threshold slack gamma^2 * eps_n / 3."""
+    """Decoder threshold slack gamma^2 * eps_n / 3; a slack that underflows to 0 is refused."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not epsilon_n > 0:
         raise ValueError(f"epsilon_n must be positive, got {epsilon_n}")
-    return gamma * gamma * epsilon_n / 3.0
+    delta = gamma * gamma * epsilon_n / 3.0
+    if not delta > 0:
+        raise ValueError(f"slack gamma^2 eps_n / 3 underflows to 0 at gamma = {gamma}")
+    return delta
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,18 @@ class Codebook:
         if not 1 <= i <= self.size:
             raise IndexError(f"message index {i} outside 1..{self.size}")
         return self.codewords[i - 1]
+
+
+def two_codeword_codebook(
+    n: int, power_budget: float, b: float, distance: float, schedule: str = "achievability"
+) -> Codebook:
+    """The pair +-distance/2 on the first axis, eps_n from the schedule; Codebook checks power."""
+    if not distance > 0:
+        raise ValueError(f"codeword distance must be positive, got {distance}")
+    words = np.zeros((2, n))
+    words[:, 0] = 0.5 * distance, -0.5 * distance
+    eps = epsilon_schedule(n, power_budget, b, schedule)
+    return Codebook(n, power_budget, b, schedule, eps, words)
 
 
 def build_codebook(

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import oracles
 from .channel import ChannelModel, FadingSpec
-from .codec import Codebook, DecoderRule, delta_n, epsilon_schedule
+from .codec import DecoderRule, delta_n, epsilon_schedule, two_codeword_codebook
 from .seeding import require_integer, run_chunks, substream
 
 _CHUNK = 4096
@@ -130,12 +130,19 @@ def _accept_counts(rule: DecoderRule, i: int, j: int | None, plan: TrialPlan, ga
 
     Each chunk is drawn once from its law in the module docstring and reduced to
     its counts; d = 0 and fast type II (gains = [None]) decide once for all gains.
+    A fast type II noncentrality past the float range raises ValueError: numpy
+    would draw inf from it and reject every trial.
     """
     model, n = rule.model, rule.codebook.dimension
     s2 = model.noise_variance / n
     d = rule.codebook.codeword(i) - rule.codebook.codeword(i if j is None else j)
     distance_sq = float(d @ d)
-    weights = d[d != 0.0] ** 2 / s2
+    with np.errstate(over="ignore", divide="ignore"):  # refused below, not warned about
+        weights = d[d != 0.0] ** 2 / s2
+    overflow = (f"noise variance {model.noise_variance} is too small for fast type II: the "
+                "noncentrality ||g o d||^2 / s^2 leaves the float range")
+    if model.flavor == "fast" and not np.isfinite(weights).all():
+        raise ValueError(overflow)
 
     def run_chunk(item):
         index, size = item
@@ -145,7 +152,10 @@ def _accept_counts(rule: DecoderRule, i: int, j: int | None, plan: TrialPlan, ga
         elif model.flavor == "fast":
             drawn = model.fading.sample(substream(plan.seed, "gains", index), size * weights.size)
             # squared in place: no second (chunk, m) temporary to fault in per chunk
-            noncentrality = np.square(drawn, out=drawn).reshape(size, -1) @ weights
+            with np.errstate(over="ignore"):
+                noncentrality = np.square(drawn, out=drawn).reshape(size, -1) @ weights
+            if not np.isfinite(noncentrality).all():  # finite weights, large gains
+                raise ValueError(overflow)
             stat = s2 * rng.noncentral_chisquare(n, noncentrality, size)
         else:  # slow type II: one row per gain, every row on the same draws
             xi = rng.standard_normal(size)
@@ -281,35 +291,17 @@ def near_codeword_experiment(
 ) -> NearCodewordReport:
     """Two codewords at the converse-schedule spacing, probed with the standard decoder.
 
-    The codewords sit at natural-scale distance alpha_n = sqrt(n * eps_n) with
-    eps_n = A / n^(2(1+b)) (overridable via normalized_distance).  Type I is
-    estimated for the first codeword and type II for the pair (2 -> 1); as the
-    spacing vanishes the two hypotheses merge and the error sum approaches 1.
+    The pair is two_codeword_codebook's, at natural-scale distance alpha_n =
+    sqrt(n * eps_n) with eps_n = A / n^(2(1+b)), or at normalized_distance; it
+    refuses a distance that is not positive or a pair outside the power ball.
+    Type I is estimated for the first codeword and type II for the pair (2 -> 1);
+    as the spacing vanishes the two hypotheses merge and the error sum approaches 1.
     For constant-gain fading the exact sum is reported alongside as a
     noncentral chi-square witness.
     """
-    eps_converse = epsilon_schedule(n, power_budget, b, "converse_spacing")
-    alpha_n = math.sqrt(n * eps_converse)
+    alpha_n = math.sqrt(n * epsilon_schedule(n, power_budget, b, "converse_spacing"))
     d_norm = alpha_n / math.sqrt(n) if normalized_distance is None else float(normalized_distance)
-    if not d_norm > 0:
-        raise ValueError(f"codeword distance must be positive, got {d_norm}")
-    half = 0.5 * d_norm
-    if half > math.sqrt(power_budget):
-        raise ValueError(
-            f"distance {d_norm} places codewords outside the power ball "
-            f"(half-distance {half} > sqrt(A) = {math.sqrt(power_budget)})"
-        )
-    words = np.zeros((2, n))
-    words[0, 0] = half
-    words[1, 0] = -half
-    codebook = Codebook(
-        dimension=n,
-        power_budget=power_budget,
-        slack=b,
-        schedule="converse_spacing",
-        epsilon_n=eps_converse,
-        codewords=words,
-    )
+    codebook = two_codeword_codebook(n, power_budget, b, d_norm, "converse_spacing")
     delta = delta_n(fading.gamma, epsilon_schedule(n, power_budget, b, "achievability"))
     model = ChannelModel(flavor="fast", noise_variance=noise_variance, fading=fading)
     rule = DecoderRule(codebook, model, delta)

@@ -1,24 +1,6 @@
 """Shared constructions for the test suite."""
 
-import numpy as np
-
-from difading import Codebook, FadingSpec, epsilon_schedule
-
-
-def two_codeword_codebook(n, power_budget, b, distance, schedule="achievability"):
-    """Codebook with two codewords at the given normalized distance along axis 0."""
-    eps = epsilon_schedule(n, power_budget, b, schedule)
-    words = np.zeros((2, n))
-    words[0, 0] = 0.5 * distance
-    words[1, 0] = -0.5 * distance
-    return Codebook(
-        dimension=n,
-        power_budget=power_budget,
-        slack=b,
-        schedule=schedule,
-        epsilon_n=eps,
-        codewords=words,
-    )
+from difading import FadingSpec
 
 
 def point_mass(g):

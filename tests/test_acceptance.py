@@ -29,10 +29,11 @@ from difading import (
     min_pairwise_distance,
     near_codeword_experiment,
     scale_chain,
+    two_codeword_codebook,
     cli,
 )
 from difading import oracles
-from helpers import point_mass, two_codeword_codebook
+from helpers import point_mass
 
 
 def _report(number: int, ok: bool, label: str) -> bool:

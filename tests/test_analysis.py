@@ -17,8 +17,8 @@ from difading import (
     loglog2_scale,
     ri_capacity,
     scale_chain,
+    two_codeword_codebook,
 )
-from helpers import two_codeword_codebook
 
 
 def test_log2_scale_values():

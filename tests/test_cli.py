@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difading import ChannelModel, DecoderRule, FadingSpec, TrialPlan, cli, seeding
-from difading import estimate_type1, estimate_worst_case
-from helpers import two_codeword_codebook
+from difading import estimate_type1, estimate_worst_case, two_codeword_codebook
 
 
 def run(args):
@@ -418,6 +417,9 @@ _REFUSED = [
     ("simulate", _SIM_RUN + _RAYLEIGH, "rayleigh_scale = 1e-300", "truncated_rayleigh fading"),
     ("simulate", _SIM_RUN + _UNIFORM, "g_max = 1e200", "uniform fading"),
     ("simulate", _SIM_RUN + _DISCRETE, "values = 1e200", "discrete fading"),
+    # the slack gamma^2 eps_n / 3 underflows to 0 (these exited 3)
+    ("simulate", _SIM_RUN + _DISCRETE, "values = 1e-200", "'delta'"),
+    ("simulate", _SIM_RUN + _UNIFORM, "flavor = slow\ng_min = 1e-200", "'delta'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1", "'n'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "b = 2", "'b'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "power = 0", "'power'"),
@@ -432,6 +434,7 @@ _REFUSED = [
     ("near-codeword", _NEAR_RUN + _RAYLEIGH, "rayleigh_scale = 1e-300", "truncated_rayleigh fading"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "g_max = 1e200", "uniform fading"),
     ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e200", "discrete fading"),
+    ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e-200", "discrete fading"),
     ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
     ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),
     ("sweep", _SWEEP, "b = 1", "'b'"),
@@ -728,6 +731,18 @@ def test_near_codeword_report_is_pinned(tmp_path, gain, g_range):
     assert hashlib.sha256(report).hexdigest() == _PINNED_NEAR_CODEWORD[gain]
     summary = (out / "near_codeword_summary.txt").read_text()
     assert ("oracle_sum = none" in summary) == (gain == "uniform")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma_z2", ["1e-320", "3e-310"])
+def test_near_codeword_noncentrality_past_the_float_range_is_refused(tmp_path, capsys, sigma_z2):
+    # both exited 0 with a wrong p2; 1e-320 also warned "overflow encountered in divide"
+    cfg = write(tmp_path / "nc.cfg", f"n = 16\nb = 0.1\nsigma_z2 = {sigma_z2}\ntrials = 2000\n"
+                + _UNIFORM)
+    out = tmp_path / "nc"
+    assert run(["near-codeword", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert "noise variance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -21,8 +21,8 @@ from difading import (
     epsilon_schedule,
     identify,
     min_pairwise_distance,
+    two_codeword_codebook,
 )
-from helpers import two_codeword_codebook
 
 _FADING = FadingSpec.uniform(0.5, 1.5)  # the decoder reads the realized gains, not their law
 
@@ -168,6 +168,35 @@ def test_delta_n_values_and_identity():
         delta_n(0.0, 0.25)
     with pytest.raises(ValueError):
         delta_n(1.0, 0.0)
+    # a slack that underflows was returned as 0.0 and refused later by DecoderRule
+    with pytest.raises(ValueError, match="underflows"):
+        delta_n(1e-200, 0.25)
+    assert delta_n(1e-90, 0.25) > 0.0
+
+
+@pytest.mark.parametrize("schedule", ["achievability", "converse_spacing"])
+def test_two_codeword_codebook_is_the_antipodal_pair(schedule):
+    n, power, b, distance = 6, 2.0, 0.3, 0.7
+    cb = two_codeword_codebook(n, power, b, distance, schedule)
+    expected = np.zeros((2, n))
+    expected[0, 0], expected[1, 0] = distance / 2, -distance / 2
+    assert np.array_equal(cb.codewords, expected)
+    assert cb.epsilon_n == epsilon_schedule(n, power, b, schedule)
+    assert (cb.dimension, cb.power_budget, cb.slack, cb.schedule) == (n, power, b, schedule)
+    assert (cb.seed, cb.saturated) == (None, None)
+
+
+@pytest.mark.parametrize("distance", [0.0, -1.0, math.nan])
+def test_two_codeword_codebook_refuses_a_distance_that_is_not_positive(distance):
+    with pytest.raises(ValueError, match="distance"):
+        two_codeword_codebook(4, 1.0, 0.0, distance)
+
+
+def test_two_codeword_codebook_leaves_the_power_ball_to_codebook():
+    with pytest.raises(ValueError, match="norm"):
+        two_codeword_codebook(4, 1.0, 0.0, 2.0 * (1.0 + 1e-9))
+    # inside the 1e-12 tolerance of check_power
+    assert two_codeword_codebook(4, 1.0, 0.0, 2.0 * (1.0 + 1e-13)).size == 2
 
 
 def test_identify_threshold_and_tie():

@@ -23,9 +23,10 @@ from difading import (
     substream,
     type1_chebyshev_bound,
     type2_chebyshev_bound,
+    two_codeword_codebook,
 )
 from difading import estimation, oracles, seeding
-from helpers import point_mass, two_codeword_codebook
+from helpers import point_mass
 
 
 def test_type1_noiseless_limit_never_rejects():
@@ -486,6 +487,29 @@ def test_near_codeword_rejects_overweight_distance():
         near_codeword_experiment(
             16, 1.0, 0.1, 1.0, point_mass(1.0), TrialPlan(10, seed=0), normalized_distance=3.0
         )
+    for distance in (0.0, -1.0):
+        with pytest.raises(ValueError, match="distance"):
+            near_codeword_experiment(16, 1.0, 0.1, 1.0, point_mass(1.0), TrialPlan(10, seed=0),
+                                     normalized_distance=distance)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma_z2", [1e-320, 3e-310])
+def test_fast_type2_refuses_a_noncentrality_past_the_float_range(sigma_z2):
+    # 1e-320: d_k^2 / s^2 overflows; 3e-310: it is finite but g^2 d_k^2 / s^2 is not.
+    # Both reported p2 = 0.0 or less, though the pair lies in each other's region.
+    n = 16
+    cb = two_codeword_codebook(n, 1.0, 0.1, 16.0 ** (-1.1), "converse_spacing")
+    delta = delta_n(0.5, epsilon_schedule(n, 1.0, 0.1, "achievability"))
+    spec = FadingSpec.uniform(0.5, 1.5)
+    rule = DecoderRule(cb, ChannelModel("fast", sigma_z2, spec), delta)
+    with pytest.raises(ValueError, match="noise variance"):
+        estimate_type2(rule, 2, 1, TrialPlan(2000, seed=0))
+    # type I and slow type II never form that noncentrality
+    assert estimate_type1(rule, 1, TrialPlan(2000, seed=0)).estimate == 0.0
+    slow = DecoderRule(cb, ChannelModel("slow", sigma_z2, spec), delta)
+    worst = estimate_worst_case(slow, 2, 1, [0.5, 1.5], TrialPlan(2000, seed=0))
+    assert worst.estimate == 1.0
 
 
 @pytest.mark.parametrize("flavor", ["fast", "slow"])
