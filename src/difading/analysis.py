@@ -21,7 +21,7 @@ dominating scales zero capacity.
 import math
 from dataclasses import dataclass
 
-from .codec import Codebook, epsilon_schedule
+from .codec import Codebook, epsilon_schedule, packing_radii
 
 KINDS = ("log", "linear", "poly", "exp", "superexp", "doubleexp")
 
@@ -30,6 +30,8 @@ FINITE_BAND_UPPER = 1.0
 
 DEFAULT_GRID = tuple(2**k for k in range(4, 129, 4))
 DEFAULT_MARGIN_BITS = -40.0
+# Fewest grid points with a defined difference that a dominance certificate reads.
+MIN_EVIDENCE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def dominates(
         except ValueError:
             continue  # undefined at small n (log of a nonpositive value)
         trail.append((n, diff))
-    if len(trail) < 4:
+    if len(trail) < MIN_EVIDENCE_POINTS:
         return DominanceResult(
             dominates=False,
             reason="insufficient evidence: grid leaves the difference undefined",
@@ -206,16 +208,13 @@ def codebook_size_log2_bound(
 ) -> float:
     """log2 of the saturated-packing count bound 2^-n * (r1/r0)^n.
 
-    Evaluated for the radii r0 = sqrt(eps_n), r1 = sqrt(A) - r0 of the given
-    schedule, without materializing the codebook: n * (log2(n^((1-b)/4) - 1) - 1)
+    Evaluated for the radii (r0, r1) that codec.packing_radii gives the eps_n of
+    the schedule, without materializing the codebook: n * (log2(n^((1-b)/4) - 1) - 1)
     for the achievability schedule, n * (log2(n^(1+b) - 1) - 1) for converse
     spacing.
     """
-    eps = epsilon_schedule(n, power_budget, b, schedule)
-    ratio = (math.sqrt(power_budget) - math.sqrt(eps)) / math.sqrt(eps)
-    if ratio <= 0:
-        raise ValueError(f"degenerate geometry: radius ratio {ratio} is not positive")
-    return n * (math.log2(ratio) - 1.0)
+    r0, r1 = packing_radii(power_budget, epsilon_schedule(n, power_budget, b, schedule))
+    return n * (math.log2(r1 / r0) - 1.0)
 
 
 def empirical_rate(codebook: Codebook) -> float:

@@ -14,7 +14,8 @@ family takes exactly the keys its FadingSpec constructor reads.
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
 fading law its family refuses, equal messages, a scales grid or pair with no
-certificate, a near-codeword distance outside the power ball, a default slack
+certificate (a grid of fewer than 4 points included), a near-codeword n past
+its memory cap or distance outside the power ball, a default slack
 gamma^2 eps_n / 3 that the fading support makes 0 or underflows to 0, a config
 file that is not UTF-8), 3 parameter precondition violated (a message index
 outside the loaded codebook, a malformed codebook, a fast type II
@@ -32,9 +33,10 @@ from pathlib import Path
 from . import analysis
 from .channel import FLAVORS, ChannelModel, FadingSpec
 from .codec import SCHEDULES, DecoderRule, build_codebook, delta_n, epsilon_schedule
-from .codec import load_codebook, save_codebook
+from .codec import load_codebook, packing_radii, save_codebook
 from .config import ConfigError, Field, load_config, resolve
 from .estimation import (
+    NEAR_CODEWORD_MAX_N,
     TrialPlan,
     estimate_type1,
     estimate_type2,
@@ -102,7 +104,7 @@ SCHEMAS = {
         "b": Field("float", interval="[0, inf)"),
     },
     "near-codeword": {
-        "n": Field("int", interval="[2, inf)"),
+        "n": Field("int", interval=f"[2, {NEAR_CODEWORD_MAX_N}]"),
         "power": Field("float", 1.0, "(0, inf)"),
         "b": Field("float", interval="[0, 1)"),
         "sigma_z2": Field("float", interval="(0, inf)"),
@@ -240,12 +242,12 @@ def _codebook_with_facts(params, n: int, seed: int):
         patience=params["patience"],
         max_codewords=params["max_codewords"],
     )
-    r0 = math.sqrt(codebook.epsilon_n)
+    r0, r1 = packing_radii(codebook.power_budget, codebook.epsilon_n)
     return codebook, {
         "n": n,
         "epsilon_n": codebook.epsilon_n,
         "r0": r0,
-        "r1": math.sqrt(codebook.power_budget) - r0,
+        "r1": r1,
         "count": codebook.size,
         "saturated": codebook.saturated,
         "min_distance": codebook.min_distance,
@@ -428,10 +430,11 @@ def _cmd_near_codeword(params, out_dir: Path) -> int:
 
 
 def _cmd_scales(params, out_dir: Path) -> int:
-    if params["min_exponent"] > params["max_exponent"]:
-        raise ConfigError("parameters 'min_exponent', 'max_exponent': the grid needs "
-                          "min_exponent <= max_exponent")
     exponents = range(params["min_exponent"], params["max_exponent"] + 1, params["step_exponent"])
+    if len(exponents) < analysis.MIN_EVIDENCE_POINTS:
+        raise ConfigError(f"parameters 'min_exponent', 'max_exponent', 'step_exponent': the grid "
+                          f"has {len(exponents)} points, a certificate reads at least "
+                          f"{analysis.MIN_EVIDENCE_POINTS}")
     grid = tuple(2**k for k in exponents)
     chain = analysis.scale_chain(params["poly_k"])
     default_mode = params["pairs"] is None

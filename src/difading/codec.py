@@ -54,6 +54,16 @@ def epsilon_schedule(n: int, power_budget: float, b: float, schedule: str) -> fl
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
+def packing_radii(power_budget: float, epsilon_n: float) -> tuple:
+    """Radii (r0, r1) = (sqrt(eps_n), sqrt(A) - sqrt(eps_n)) of the packing; r1 <= 0 is refused."""
+    root_a = math.sqrt(power_budget)
+    r0 = math.sqrt(epsilon_n)
+    r1 = root_a - r0
+    if r1 <= 0:
+        raise ValueError(f"degenerate geometry: sqrt(eps_n) = {r0} is not below sqrt(A) = {root_a}")
+    return r0, r1
+
+
 def delta_n(gamma: float, epsilon_n: float) -> float:
     """Decoder threshold slack gamma^2 * eps_n / 3; a slack that underflows to 0 is refused."""
     if not gamma > 0:
@@ -137,15 +147,9 @@ def build_codebook(
     patience: int = 100_000,
     max_codewords: int = 100_000,
 ) -> Codebook:
-    """Saturated-packing codebook: r0 = sqrt(eps_n), r1 = sqrt(A) - sqrt(eps_n)."""
+    """Saturated-packing codebook on the radii of packing_radii."""
     eps = epsilon_schedule(n, power_budget, b, schedule)
-    root_a = math.sqrt(power_budget)
-    r0 = math.sqrt(eps)
-    r1 = root_a - r0
-    if r1 <= 0:
-        raise ValueError(
-            f"degenerate geometry: sqrt(eps_n) = {r0} is not below sqrt(A) = {root_a}"
-        )
+    r0, r1 = packing_radii(power_budget, eps)
     packing = generate_saturated_packing(
         PackingConfig(
             dimension=n,

@@ -87,14 +87,16 @@ class ErrorReport:
     per_gain: tuple = ()
 
 
-def _saturating(direct, *factors) -> float:
-    """direct(), or where a power in it leaves the float range the product of
-    x**p over factors (x, p), taken through logs and saturated at 0.0 and inf."""
+def _saturating(numerator, denominator) -> float:
+    """prod(x**p) over the numerator's factors (x, p) divided by that over the denominator's,
+    each product taken left to right from 1; where a power leaves the float range, the same
+    quotient taken through logs and saturated at 0.0 and inf."""
     try:
-        return direct()
+        return math.prod(x**p for x, p in numerator) / math.prod(x**p for x, p in denominator)
     except (OverflowError, ZeroDivisionError):
-        log_value = sum(p * (math.log(x) if x else -math.inf) for x, p in factors)
-        return math.inf if log_value > 709.0 else math.exp(log_value)  # exp overflows at ~709.8
+        up, down = (sum(p * (math.log(x) if x else -math.inf) for x, p in factors)
+                    for factors in (numerator, denominator))
+        return math.inf if up - down > 709.0 else math.exp(up - down)  # exp overflows at ~709.8
 
 
 def type1_chebyshev_bound(
@@ -103,10 +105,7 @@ def type1_chebyshev_bound(
     """27 sigma_z2^2 / (n^b A^2 gamma^4), the type-I reference bound."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return _saturating(
-        lambda: 27.0 * noise_variance**2 / (n**b * power_budget**2 * gamma**4),
-        (27.0, 1), (noise_variance, 2), (n, -b), (power_budget, -2), (gamma, -4),
-    )
+    return _saturating([(27.0, 1), (noise_variance, 2)], [(n, b), (power_budget, 2), (gamma, 4)])
 
 
 def type2_chebyshev_bound(
@@ -118,10 +117,8 @@ def type2_chebyshev_bound(
     second_moment: float,
 ) -> float:
     """Type-I term plus the cross-term bound 144 sigma_z2 E[G^2] / (gamma^4 A n^b)."""
-    eta1 = _saturating(
-        lambda: 144.0 * noise_variance * second_moment / (gamma**4 * power_budget * n**b),
-        (144.0 * noise_variance, 1), (second_moment, 1), (gamma, -4), (power_budget, -1), (n, -b),
-    )
+    eta1 = _saturating([(144.0, 1), (noise_variance, 1), (second_moment, 1)],
+                       [(gamma, 4), (power_budget, 1), (n, b)])
     return type1_chebyshev_bound(n, b, power_budget, gamma, noise_variance) + eta1
 
 
@@ -166,7 +163,7 @@ def _accept_counts(rule: DecoderRule, i: int, j: int | None, plan: TrialPlan, ga
             stat += s2 * (xi * xi + rest)  # ||z||^2
         return np.broadcast_to(rule.accepts(stat).sum(axis=-1), len(gains))
 
-    return np.sum(run_chunks(run_chunk, plan.trials, _CHUNK), axis=0).tolist()
+    return run_chunks(run_chunk, plan.trials, _CHUNK).tolist()
 
 
 def _estimate(rule, i, j, plan, gain, accepts) -> ErrorReport:
@@ -278,6 +275,11 @@ class NearCodewordReport:
     error_sum: float
     joint_stderr: float
     oracle_sum: float | None
+
+
+# Largest n whose near-codeword run fits in 1 GiB: tracemalloc measures a peak of
+# 32 bytes per coordinate (at n = 2^18 and 2^20), most of it the pair of codewords.
+NEAR_CODEWORD_MAX_N = 2**30 // 32
 
 
 def near_codeword_experiment(

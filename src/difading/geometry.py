@@ -328,5 +328,5 @@ def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> D
         pts = sample_in_ball(cfg.dimension, cfg.r1, substream(seed, "density", index), size)
         return int((_min_dist_sq(pts, packing.centers) <= r0_sq).sum())
 
-    p = sum(run_chunks(covered, samples, 16384)) / samples
+    p = run_chunks(covered, samples, 16384) / samples
     return DensityEstimate(density=p, stderr=math.sqrt(p * (1.0 - p) / samples), samples=samples)

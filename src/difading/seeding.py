@@ -6,14 +6,18 @@ that experiments are modular yet bit-reproducible: the codebook stream is
 untouched by how many noise samples a simulation consumes.  Monte-Carlo work
 is split into fixed-size chunks that draw from their own (seed, label, chunk)
 streams; ``run_chunks`` runs them on a thread pool of ``_WORKERS`` threads
-(the CPUs this process may run on) and returns their results in chunk order,
-so a reduction over them is the same for any pool size.
+(the CPUs this process may run on), at most twice that many in flight, and
+returns the sum of their results added in chunk order, so it is the same for
+any pool size.
 """
 
 import hashlib
 import numbers
+import operator
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 
 import numpy as np
 
@@ -55,14 +59,26 @@ def derive_seed(seed: int, label: str, *indices: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def run_chunks(run_chunk, total: int, size: int) -> list:
-    """run_chunk((index, length)) for every chunk of total items split by size, in chunk order.
+def run_chunks(run_chunk, total: int, size: int):
+    """Sum of run_chunk((index, length)) over the chunks of total items split by size.
 
-    Chunks are full-size but the last; a single chunk runs on the calling thread.
+    Chunks are full-size but the last, and their results are added in chunk
+    order.  At most 2 * _WORKERS chunks are in flight, so memory does not grow
+    with the chunk count; a single chunk runs on the calling thread.
     """
-    full, rem = divmod(total, size)
-    items = [(k, size) for k in range(full)] + ([(full, rem)] if rem else [])
-    if _WORKERS > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-            return list(pool.map(run_chunk, items))
-    return [run_chunk(item) for item in items]
+    chunks = ((k, min(size, total - start)) for k, start in enumerate(range(0, total, size)))
+    if _WORKERS == 1 or total <= size:
+        return reduce(operator.add, map(run_chunk, chunks))
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        return reduce(operator.add, _in_order(pool, run_chunk, chunks, 2 * _WORKERS))
+
+
+def _in_order(pool, fn, items, depth: int):
+    """fn(item) for each item, in order, with at most depth calls submitted and not yet read."""
+    window = deque()
+    for item in items:
+        window.append(pool.submit(fn, item))
+        if len(window) == depth:
+            yield window.popleft().result()
+    while window:
+        yield window.popleft().result()

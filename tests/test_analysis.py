@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from difading import (
+    Codebook,
     ScaleFn,
     achievable_rate_lower_bound,
     classify_regime,
@@ -175,6 +176,19 @@ def test_rate_bounds_tend_to_their_limits():
         assert all(x > y for x, y in zip(uppers, uppers[1:]))  # decreasing toward the limit
         assert abs(lowers[-1] - 0.25 * (1.0 - b)) <= 2.0 / 20.0 + 1e-12
         assert abs(uppers[-1] - (1.0 + b)) < 1e-5
+
+
+def test_rate_bounds_and_spacing_check_refuse_out_of_domain_arguments():
+    for n, b in ((1, 0.1), (16, 1.0), (16, -0.1)):
+        with pytest.raises(ValueError, match="block length|slack exponent"):
+            achievable_rate_lower_bound(n, b)
+    for n, b in ((1, 0.1), (16, -0.1)):
+        with pytest.raises(ValueError, match="block length|slack exponent"):
+            converse_rate_upper_bound(n, b)
+    with pytest.raises(ValueError, match="at least 2 codewords"):
+        converse_spacing(Codebook(16, 1.0, 0.0, "achievability", 0.25, np.zeros((1, 16))), 0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        converse_spacing(two_codeword_codebook(16, 1.0, 0.0, distance=1.0), -0.1)
 
 
 def test_rate_bounds_never_cross():

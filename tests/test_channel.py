@@ -113,6 +113,23 @@ def test_fading_spec_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             FadingSpec.discrete([1.0, 2.0], [1.0, bad])
+    with pytest.raises(ValueError, match="lo < hi"):
+        FadingSpec.truncated_rayleigh(1.0, 0.5, 0.5)
+    with pytest.raises(ValueError, match="resolution"):
+        FadingSpec.uniform(0.5, 1.5).support_grid(1)
+    # a law built field by field is held to what the family constructors guarantee
+    good = dict(family="uniform", gamma=0.5, g_max=1.5, mean=1.0, second_moment=13.0 / 12.0)
+    assert FadingSpec(**good).gamma == 0.5
+    for change, message in [
+        ({"family": "gaussian"}, "unknown fading family"),
+        ({"g_max": math.inf}, "bounded"),
+        ({"degenerate_zero": True}, "reach 0"),
+        ({"gamma": 0.0}, "allow_zero"),
+        ({"gamma": 2.0}, "exceeds g_max"),
+        ({"second_moment": 0.5}, "below squared mean"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            FadingSpec(**{**good, **change})
 
 
 def test_support_grid_contains_endpoints():
@@ -216,6 +233,11 @@ def test_apply_channel_rejects_power_violation_and_mismatch():
         apply_channel(model, [0.1, 0.1], realization, 1.0)
     with pytest.raises(ValueError):
         apply_channel(model, [0.1, 0.1, 0.1], ChannelRealization(np.ones(3), np.zeros((1, 3))), 1.0)
+    for power in (0.0, -1.0):
+        with pytest.raises(ValueError, match="power budget must be positive"):
+            apply_channel(model, [0.0, 0.0, 0.0], realization, power)
+    with pytest.raises(ValueError, match="block length"):
+        realize(model, 1, 0, seed=0, chunk=0)
 
 
 @pytest.mark.parametrize("excess, valid", [(0.9e-12, True), (2e-12, False)])

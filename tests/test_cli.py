@@ -435,6 +435,8 @@ _REFUSED = [
     ("near-codeword", _NEAR_RUN + _UNIFORM, "g_max = 1e200", "uniform fading"),
     ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e200", "discrete fading"),
     ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e-200", "discrete fading"),
+    # refused before the pair is allocated (this exited 1 with a 14.6 TiB MemoryError)
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1000000000000", "'n'"),
     ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
     ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),
     ("sweep", _SWEEP, "b = 1", "'b'"),
@@ -872,10 +874,12 @@ def _digests(out_dir):
         "poly_k = 0.5\n",
         "pairs = exp\n",  # no 'dominator:dominated' colon
         "max_exponent = 100000\n",  # refused before the 2^k grid is built
+        "min_exponent = 4\nmax_exponent = 12\nstep_exponent = 4\n",  # 3 points
+        "min_exponent = 4\nmax_exponent = 12\nstep_exponent = 4\npairs = exp:linear\n",
     ],
     ids=["int-overflow", "superexp-overflow", "empty", "zero-step", "negative-step",
          "zero-rate", "unknown-kind", "poly-k-below-1", "pair-without-colon",
-         "huge-max-exponent"],
+         "huge-max-exponent", "three-points", "three-points-pairs"],
 )
 def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     # these ran to a traceback, a chain mismatch (exit 1), an "insufficient
@@ -888,7 +892,19 @@ def test_scales_bad_grid_is_a_config_error(tmp_path, capsys, config):
     assert "config error" in err
     if config == "max_exponent = 100000\n":
         assert "'max_exponent'" in err and "[1, 1023]" in err
+    if "max_exponent = 12" in config:  # exited 1 with 15 mismatches, or 0 with the pair
+        assert "'min_exponent', 'max_exponent', 'step_exponent'" in err
     assert not out.exists()
+
+
+def test_scales_grid_with_undefined_points_reports_insufficient_evidence(tmp_path):
+    # four grid points, but the log size at a = 0.01 is undefined at n = 16
+    cfg = write(tmp_path / "sc.cfg", "min_exponent = 4\nmax_exponent = 16\na = 0.01\n"
+                "pairs = log:linear\n")
+    out = tmp_path / "sc"
+    assert run(["scales", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    row = (out / "scales_report.csv").read_text().splitlines()[1]
+    assert row.endswith(',False,"insufficient evidence: grid leaves the difference undefined"')
 
 
 # sha256 of the sweep artifacts for the configuration below, recorded before

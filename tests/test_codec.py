@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from difading import (
     FadingSpec,
     build_codebook,
     codebook_from_text,
+    codebook_size_log2_bound,
     codebook_to_text,
     converse_spacing,
     delta_n,
@@ -54,6 +56,30 @@ def test_build_codebook_radii_and_invariants():
     assert root_a - math.sqrt(cb.epsilon_n) == pytest.approx(0.5, rel=1e-12)  # r1
     assert np.linalg.norm(cb.codewords, axis=1).max() <= root_a * (1 + 1e-12)
     assert cb.size >= 1
+
+
+@pytest.mark.parametrize("schedule", codec.SCHEDULES)
+def test_packing_radii_are_the_former_derivations_bit_for_bit(schedule):
+    for power, n, b in itertools.product((1e-6, 0.3, 1.0, 2.0, 7.5, 1e6), (2, 3, 16, 100, 21845),
+                                         (0.0, 0.1, 0.5, 0.9)):
+        eps = epsilon_schedule(n, power, b, schedule)
+        r0, r1 = codec.packing_radii(power, eps)
+        # as build_codebook and the pack/sweep facts derived them
+        assert (r0, r1) == (math.sqrt(eps), math.sqrt(power) - math.sqrt(eps))
+        # as codebook_size_log2_bound derived the ratio
+        assert r1 / r0 == (math.sqrt(power) - math.sqrt(eps)) / math.sqrt(eps)
+
+
+def test_packing_radii_refuse_a_degenerate_geometry():
+    for eps in (1.0, 4.0):
+        with pytest.raises(ValueError, match="degenerate geometry"):
+            codec.packing_radii(1.0, eps)
+    # at n = 2 and b just below 1, eps_n rounds to A itself: r1 = 0
+    b = 0.9999999999999999
+    with pytest.raises(ValueError, match="degenerate geometry"):
+        build_codebook(2, 1.0, b)
+    with pytest.raises(ValueError, match="degenerate geometry"):
+        codebook_size_log2_bound(2, 1.0, b)
 
 
 def test_build_codebook_small_n_still_valid():
@@ -97,6 +123,24 @@ def test_codebook_rejects_bad_scalar_parameters(field, bad):
     params[field] = bad
     with pytest.raises(ValueError, match=field.split("_")[0]):
         Codebook(dimension=4, schedule="achievability", codewords=np.zeros((1, 4)), **params)
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("schedule", "bogus", "schedule"),
+        ("codewords", np.zeros((2, 3)), "dimension"),
+        ("codewords", np.zeros(4), "dimension"),
+        ("codewords", np.zeros((0, 4)), "empty"),
+    ],
+    ids=["unknown-schedule", "wrong-dimension", "one-dimensional", "no-rows"],
+)
+def test_codebook_rejects_an_unknown_schedule_and_a_bad_shape(field, bad, message):
+    params = dict(dimension=4, power_budget=1.0, slack=0.0, schedule="achievability",
+                  epsilon_n=0.5, codewords=np.zeros((1, 4)))
+    params[field] = bad
+    with pytest.raises(ValueError, match=message):
+        Codebook(**params)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -232,6 +233,35 @@ def test_estimates_hold_no_per_trial_array():
         assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_memory_does_not_grow_with_the_chunk_count(monkeypatch, workers):
+    # 250 and 2000 chunks of 4 trials: every chunk's result (and its future) was
+    # kept until the last chunk ended, 0.3 to 1.7 KB a chunk
+    monkeypatch.setattr(estimation, "_CHUNK", 4)
+    monkeypatch.setattr(seeding, "_WORKERS", workers)
+    model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
+    rule = DecoderRule(two_codeword_codebook(8, 1.0, 0.0, distance=0.5), model, 0.1)
+    peaks = []
+    for trials in (1000, 8000):
+        tracemalloc.start()
+        try:
+            estimate_type1(rule, 1, TrialPlan(trials, seed=3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 50_000
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_chunks_adds_the_chunk_results_in_chunk_order(monkeypatch, workers):
+    # list addition concatenates, so the sum spells out the order of its terms;
+    # 15 chunks are more than the 2 * workers that may be in flight
+    monkeypatch.setattr(seeding, "_WORKERS", workers)
+    expected = [(k, 7) for k in range(14)] + [(14, 2)]
+    assert seeding.run_chunks(lambda item: [item], 100, 7) == expected
+    assert seeding.run_chunks(lambda item: [item], 7, 7) == [(0, 7)]
+
+
 def test_common_random_numbers_pair_noise_across_gains():
     # same plan seed: the noise chunk streams are identical for every gain
     a = substream(42, "noise", 0).standard_normal(16)
@@ -434,6 +464,16 @@ def test_chebyshev_bounds_saturate_outside_the_float_range():
     assert type2_chebyshev_bound(8, 0.0, 1e200, 0.5, 0.3, 1.0) == eta1
     # a representable value behind an overflowing power is still found
     assert type1_chebyshev_bound(1, 0.0, 1e200, 1.0, 1e200) == pytest.approx(27.0, rel=1e-9)
+
+
+def test_chebyshev_bounds_equal_the_former_direct_expressions_bit_for_bit():
+    grid = itertools.product((2, 16, 100, 4096), (0.0, 0.1, 0.5, 0.9), (0.25, 1.0, 3.0),
+                             (0.1, 0.5, 1.0, 1.7), (0.01, 0.3, 1.0, 4.0), (0.3, 1.0, 2.9))
+    for n, b, power, gamma, sigma_z2, second_moment in grid:
+        type1 = 27.0 * sigma_z2**2 / (n**b * power**2 * gamma**4)
+        eta1 = 144.0 * sigma_z2 * second_moment / (gamma**4 * power * n**b)
+        assert type1_chebyshev_bound(n, b, power, gamma, sigma_z2) == type1
+        assert type2_chebyshev_bound(n, b, power, gamma, sigma_z2, second_moment) == type1 + eta1
 
 
 def test_trial_plan_validation():

@@ -204,6 +204,9 @@ def test_rejection_streak_carries_across_batch_ends(monkeypatch, patience, seed)
 def test_high_dimensional_packings_build_no_mask():
     assert geometry._DeadCells.for_config(PackingConfig(100, 0.1, 1.0)) is None
     assert geometry._DeadCells.for_config(PackingConfig(4, 1.0, 10.0)) is None
+    # one axis of more than 2^20 cells: r1/r0 above about 1.3e5 even at n = 1
+    assert geometry._DeadCells.for_config(PackingConfig(1, 1.0, 2e5)) is None
+    assert geometry._DeadCells.for_config(PackingConfig(1, 1.0, 1e5)) is not None
 
 
 _COORDS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -288,6 +291,8 @@ def test_packing_config_validation():
         PackingConfig(2, 1.0, -0.5)
     with pytest.raises(ValueError):
         PackingConfig(2, 1.0, 1.0, saturation_patience=0)
+    with pytest.raises(ValueError, match="max_codewords"):
+        PackingConfig(2, 1.0, 1.0, max_codewords=0)
     # a float or bool count passed `int(x) != x`, and most then made numpy raise TypeError
     for field, value in [("dimension", 2.0), ("dimension", True), ("saturation_patience", 10.0),
                          ("max_codewords", 10.5), ("max_codewords", 2.0)]:
@@ -315,6 +320,21 @@ def test_packing_rejects_nonfinite_centers(bad):
     # a NaN center used to pass check_invariants with min_distance = inf
     with pytest.raises(ValueError, match="finite"):
         Packing(PackingConfig(2, 0.5, 2.0), [[0.0, 0.0], [bad, 1.0]], True)
+
+
+@pytest.mark.parametrize(
+    "centers, message",
+    [
+        (np.zeros((0, 2)), "empty"),
+        ([[0.0, 0.0], [2.5, 0.0]], "exceeds r1"),
+        ([[0.0, 0.0], [0.5, 0.0]], "below 2\\*r0"),
+    ],
+    ids=["empty", "outside-the-ball", "too-close"],
+)
+def test_check_invariants_refuses_a_broken_packing(centers, message):
+    packing = Packing(PackingConfig(2, 0.5, 2.0), centers, True)
+    with pytest.raises(AssertionError, match=message):
+        packing.check_invariants()
 
 
 def test_min_pairwise_distance_examples():
@@ -359,6 +379,8 @@ def test_density_rejects_zero_samples():
         with pytest.raises(ValueError, match="samples must be an integer"):
             estimate_packing_density(packing, samples=bad)
     assert estimate_packing_density(packing, samples=np.int64(100)).samples == 100
+    with pytest.raises(ValueError, match="empty"):
+        estimate_packing_density(Packing(packing.config, np.zeros((0, 2)), True), samples=100)
 
 
 def test_density_split_is_deterministic_in_seed():
