@@ -231,8 +231,17 @@ def _guaranteed_count_line(codebook) -> str:
     return f"guaranteed_log2_count = {bound!r}"
 
 
-def _codebook_with_facts(params, n: int, seed: int):
-    """Build the block-length-n codebook; return it with its facts, in sweep CSV column order."""
+def _codebook_with_facts(params, n: int, seed: int, n_key: str):
+    """Build the block-length-n codebook; return it with its facts, in sweep CSV column order.
+
+    A geometry that the configuration alone makes degenerate is refused as a
+    ConfigError naming n_key and the schedule's keys before anything is packed.
+    """
+    eps = epsilon_schedule(n, params["power"], params["b"], params["schedule"])
+    try:
+        r0, r1 = packing_radii(params["power"], eps)
+    except ValueError as exc:
+        raise ConfigError(f"parameters {n_key!r}, 'power', 'b', 'schedule': {exc}") from exc
     codebook = build_codebook(
         n=n,
         power_budget=params["power"],
@@ -242,7 +251,6 @@ def _codebook_with_facts(params, n: int, seed: int):
         patience=params["patience"],
         max_codewords=params["max_codewords"],
     )
-    r0, r1 = packing_radii(codebook.power_budget, codebook.epsilon_n)
     return codebook, {
         "n": n,
         "epsilon_n": codebook.epsilon_n,
@@ -263,7 +271,7 @@ def _codebook_with_facts(params, n: int, seed: int):
 
 
 def _cmd_pack(params, out_dir: Path) -> int:
-    codebook, facts = _codebook_with_facts(params, params["n"], params["seed"])
+    codebook, facts = _codebook_with_facts(params, params["n"], params["seed"], "n")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_codebook(codebook, out_dir / "codebook.txt")
     del facts["n"]  # echoed with the configuration
@@ -538,7 +546,8 @@ def _cmd_sweep(params, out_dir: Path) -> int:
     rows = []
     notes = []
     for n in params["n_values"]:
-        _, facts = _codebook_with_facts(params, n, derive_seed(params["seed"], "sweep", n))
+        seed = derive_seed(params["seed"], "sweep", n)
+        _, facts = _codebook_with_facts(params, n, seed, "n_values")
         rows.append(facts.values())
         notes.append(
             f"n={n}: count={facts['count']} "

@@ -55,10 +55,15 @@ def epsilon_schedule(n: int, power_budget: float, b: float, schedule: str) -> fl
 
 
 def packing_radii(power_budget: float, epsilon_n: float) -> tuple:
-    """Radii (r0, r1) = (sqrt(eps_n), sqrt(A) - sqrt(eps_n)) of the packing; r1 <= 0 is refused."""
+    """Radii (r0, r1) = (sqrt(eps_n), sqrt(A) - sqrt(eps_n)) of the packing.
+
+    A degenerate geometry is refused: r0 = 0 (eps_n underflows) or r1 <= 0 (eps_n reaches A).
+    """
     root_a = math.sqrt(power_budget)
     r0 = math.sqrt(epsilon_n)
     r1 = root_a - r0
+    if not r0 > 0:
+        raise ValueError(f"degenerate geometry: eps_n = {epsilon_n!r} leaves no sphere radius")
     if r1 <= 0:
         raise ValueError(f"degenerate geometry: sqrt(eps_n) = {r0} is not below sqrt(A) = {root_a}")
     return r0, r1

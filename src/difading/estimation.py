@@ -299,8 +299,12 @@ def near_codeword_experiment(
     Type I is estimated for the first codeword and type II for the pair (2 -> 1);
     as the spacing vanishes the two hypotheses merge and the error sum approaches 1.
     For constant-gain fading the exact sum is reported alongside as a
-    noncentral chi-square witness.
+    noncentral chi-square witness.  An n above NEAR_CODEWORD_MAX_N is refused
+    before anything is allocated.
     """
+    if n > NEAR_CODEWORD_MAX_N:
+        raise ValueError(f"block length n = {n} exceeds NEAR_CODEWORD_MAX_N = "
+                         f"{NEAR_CODEWORD_MAX_N}")
     alpha_n = math.sqrt(n * epsilon_schedule(n, power_budget, b, "converse_spacing"))
     d_norm = alpha_n / math.sqrt(n) if normalized_distance is None else float(normalized_distance)
     codebook = two_codeword_codebook(n, power_budget, b, d_norm, "converse_spacing")

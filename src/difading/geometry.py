@@ -18,6 +18,12 @@ within ``2*r0`` of the new center, and a candidate in a marked cell is
 rejected without a distance computation.  Every acceptance is still decided
 by the distance kernel, so the mask changes no packing.
 
+Candidates of one batch are tested against each other in blocks of live
+survivors: one GEMM per block gives the Gram form of its pairs with the later
+survivors, and a pair inside a guard band around ``(2*r0)^2``, derived from
+the rounding bound of a length-n dot product, is re-decided in the difference
+form.  Every packing is the one that the difference form alone gives.
+
 All volume computations run in the log domain to stay finite for large
 dimensions.
 """
@@ -32,6 +38,8 @@ from .seeding import require_integer, run_chunks, substream
 
 _BATCH = 2048
 _ROW_BLOCK = 256
+# Rows of the same-batch scan's first and smallest block (_next_rows).
+_MIN_ROWS = 8
 _CENTER_BLOCK = 4096
 # Largest n whose rejection-test buffers, 2*blk.T of a center block and a batch, fit in 1 GiB.
 MAX_DIMENSION = 2**30 // (8 * (_CENTER_BLOCK + _BATCH))
@@ -176,6 +184,80 @@ def _min_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(best, 0.0, out=best)
 
 
+def _difference_far(batch: np.ndarray, first: np.ndarray, second: np.ndarray, gap_sq: float):
+    """Per pair, whether ||batch[second] - batch[first]||^2 >= gap_sq in the difference form."""
+    diff = batch[second] - batch[first]
+    return np.einsum("ij,ij->i", diff, diff) >= gap_sq
+
+
+def _next_rows(rows: int, taken: int) -> int:
+    """Rows of the next block: twice up to _ROW_BLOCK if half were taken, else half to _MIN_ROWS."""
+    if 2 * taken >= rows:
+        return min(2 * rows, _ROW_BLOCK)
+    return max(rows // 2, _MIN_ROWS)
+
+
+def _greedy_accepts(batch: np.ndarray, live: np.ndarray, gap_sq: float):
+    """Yield, in order, the indices in ``live`` that the greedy same-batch scan accepts.
+
+    A live row is accepted iff its squared distance in the difference form
+    ||x - y||^2 to each live row accepted before it is at least gap_sq.  The
+    live rows are walked in blocks.  One GEMM gives the Gram form
+    ||x||^2 + ||y||^2 - 2 x.y of a block against itself and every later live
+    row; a pair whose Gram value lies within the guard band around gap_sq is
+    re-decided in the difference form, and each acceptance ANDs its row of
+    verdicts into the live set.  A block is built only when the caller asks
+    for an index past the previous one, and a last live row needs none.
+    """
+    if live.size < 2:
+        yield from live
+        return
+    n = batch.shape[1]
+    points = batch[live]
+    norms = np.einsum("ij,ij->i", points, points)
+    # Guard band.  A length-k dot product, summed in any order with or without
+    # FMA, is within gamma_k |x|.|y| of its value, gamma_k = k u / (1 - k u),
+    # u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+    # 3.1).  For live rows x, y with s = ||x||^2 + ||y||^2 and D = ||x - y||^2
+    # <= 2 s, and T = gap_sq:
+    # - the Gram form as compared below, ||x||^2 - T against 2 x.y - ||y||^2,
+    #   is within 2 gamma_n s of D - T from its three dot products (2|x.y| <= s),
+    #   u (3 s + T) from its two subtractions and u (s + T + guard) from the
+    #   threshold's;
+    # - the difference form is within gamma_{n+2} D <= 2 gamma_{n+2} s of D (the
+    #   rounding of x - y twice through the square, one in the square, n - 1 in
+    #   the sum).
+    # With m the largest ||x||^2 (s <= 2 m) the two sum to at most
+    # 12 gamma_{n+2} m + 2 u T + u guard, so outside a band of 16 gamma_{n+2}
+    # (m + T), which leaves room for the rounding of m and of the band itself,
+    # both forms decide a pair alike.  Below the normal range each product may
+    # also lose 2^-1075, at most 5 n of them per pair: 4 n 2^-1074 more.
+    ku = (n + 2) * 2.0**-53
+    guard = 16.0 * ku / (1.0 - ku) * (norms.max() + gap_sq) + 4 * n * 2.0**-1074
+    rows = _MIN_ROWS
+    while live.size > 1:
+        size = min(rows, live.size)
+        gram = (2.0 * points[:size]) @ points.T
+        gram -= norms  # 2 x.y - ||y||^2, which is ||x||^2 - T exactly where D = T
+        reach = norms[:size] - gap_sq
+        far = gram < (reach - guard)[:, None]
+        near = gram > (reach + guard)[:, None]
+        if np.count_nonzero(far) + np.count_nonzero(near) < gram.size:  # NaN lands here too
+            first, second = np.nonzero(np.triu(~(far | near), 1))
+            far[first, second] = _difference_far(batch, live[first], live[second], gap_sq)
+        keep = np.ones(live.size, dtype=bool)
+        taken = 0
+        for row in range(size):
+            if keep[row]:
+                taken += 1
+                yield live[row]
+                keep &= far[row]
+        keep = keep[size:]
+        live, points, norms = live[size:][keep], points[size:][keep], norms[size:][keep]
+        rows = _next_rows(size, taken)
+    yield from live
+
+
 class _DeadCells:
     """Boolean grid over [-r1, r1]^n marking cells wholly within 2*r0 of an accepted center.
 
@@ -236,6 +318,14 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
     with saturated=False once ``max_codewords`` centers are accepted.  Each
     batch appends its acceptances at once, so only accepted centers are stored.
 
+    Within a batch, _greedy_accepts walks the survivors of _min_dist_sq in
+    blocks of live rows, one GEMM of a block against the later live rows each.
+    A block starts at _MIN_ROWS rows and doubles up to _ROW_BLOCK while half
+    its rows are accepted, else halves down to _MIN_ROWS again, so the work
+    follows the rows the scan reaches.  Pairs in the guard band around (2*r0)^2 are
+    re-decided in the difference form, so no rounding of the GEMM changes a
+    packing.
+
     While its cell grid (side r0/4, over [-r1, r1]^n widened for the stencil)
     has at most 2^20 cells, a dead-cell mask rejects a candidate whose cell
     lies wholly within 2*r0 of an accepted center before any distance is
@@ -255,9 +345,7 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
         alive[alive] = _min_dist_sq(batch[alive], centers) >= min_gap_sq
         taken = []
         last = -1
-        for idx in np.flatnonzero(alive):
-            if not alive[idx]:  # killed by an earlier acceptance in this batch
-                continue
+        for idx in _greedy_accepts(batch, np.flatnonzero(alive), min_gap_sq):
             if rejects + idx - last - 1 >= config.saturation_patience:
                 saturated = True
                 break
@@ -269,8 +357,6 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
             if len(centers) + len(taken) >= config.max_codewords:
                 saturated = False
                 break
-            diff = batch[idx + 1 :] - batch[idx]
-            alive[idx + 1 :] &= np.einsum("ij,ij->i", diff, diff) >= min_gap_sq
         else:
             rejects += _BATCH - 1 - last
             if rejects >= config.saturation_patience:

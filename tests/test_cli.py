@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difading import ChannelModel, DecoderRule, FadingSpec, TrialPlan, cli, seeding
+from difading import ChannelModel, DecoderRule, FadingSpec, TrialPlan, cli, codec, seeding
 from difading import estimate_type1, estimate_worst_case, two_codeword_codebook
 
 
@@ -389,6 +389,7 @@ _SIM_RUN = _SIM_NO_PAIR + "message_i = 1\nmessage_j = 2\n"
 _NEAR_RUN = "n = 16\nb = 0.1\nsigma_z2 = 1.0\ntrials = 100\n"
 _RAYLEIGH = "family = truncated_rayleigh\nrayleigh_scale = 1\ng_min = 0.5\ng_max = 1.5\n"
 _DISCRETE = "family = discrete\nvalues = 0.5, 1.0\n"
+_TINY_EPS = "{key} = 21845\npower = 1e-308\nb = 0.99\nschedule = converse_spacing"
 _REFUSED = [
     ("pack", _PACK, "n = 0", "'n'"),
     ("pack", _PACK, "n = 1", "'n'"),
@@ -440,6 +441,13 @@ _REFUSED = [
     ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
     ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),
     ("sweep", _SWEEP, "b = 1", "'b'"),
+    # geometries the configuration alone makes degenerate (these exited 3): eps_n rounds
+    # to A, so r1 = 0, or eps_n underflows to 0, so r0 = 0
+    ("pack", _PACK, "n = 2\nb = 0.9999999999999999", "'n', 'power', 'b', 'schedule'"),
+    ("pack", _PACK, _TINY_EPS.format(key="n"), "'n', 'power', 'b', 'schedule'"),
+    ("sweep", _SWEEP, "n_values = 2\nb = 0.9999999999999999",
+     "'n_values', 'power', 'b', 'schedule'"),
+    ("sweep", _SWEEP, _TINY_EPS.format(key="n_values"), "'n_values', 'power', 'b', 'schedule'"),
 ]
 
 
@@ -577,6 +585,19 @@ message_i = 9999
     cfg = write(tmp_path / "pairs.cfg", f"codebook = {write(tmp_path / 'one.txt', one)}\n"
                 + _SIM_NO_PAIR + _UNIFORM + "random_pairs = 1\n")
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base", [("pack", _PACK), ("sweep", _SWEEP)])
+def test_a_failure_inside_the_packer_still_exits_3(tmp_path, monkeypatch, capsys, command, base):
+    def fail(config):
+        raise ValueError("packing failed")
+
+    monkeypatch.setattr(codec, "generate_saturated_packing", fail)
+    out = tmp_path / "o"
+    assert run([command, "--config", write(tmp_path / "run.cfg", base), "--out", str(out)]) \
+        == cli.EXIT_PRECONDITION
+    assert "invalid parameter: packing failed" in capsys.readouterr().err
     assert not out.exists()
 
 

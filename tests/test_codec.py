@@ -80,6 +80,11 @@ def test_packing_radii_refuse_a_degenerate_geometry():
         build_codebook(2, 1.0, b)
     with pytest.raises(ValueError, match="degenerate geometry"):
         codebook_size_log2_bound(2, 1.0, b)
+    # eps_n underflows to 0 at a tiny power and a large n: r0 = 0
+    eps = epsilon_schedule(21845, 1e-308, 0.99, "converse_spacing")
+    for bad in (eps, math.nan):
+        with pytest.raises(ValueError, match="degenerate geometry: eps_n"):
+            codec.packing_radii(1e-308, bad)
 
 
 def test_build_codebook_small_n_still_valid():

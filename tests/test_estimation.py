@@ -533,6 +533,14 @@ def test_near_codeword_rejects_overweight_distance():
                                      normalized_distance=distance)
 
 
+@pytest.mark.parametrize("n", [estimation.NEAR_CODEWORD_MAX_N + 1, 10**12])
+def test_near_codeword_refuses_an_n_above_its_cap(monkeypatch, n):
+    # n = 10^12 raised numpy's 14.6 TiB MemoryError when the pair was allocated
+    monkeypatch.setattr(estimation, "two_codeword_codebook", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError, match="NEAR_CODEWORD_MAX_N"):
+        near_codeword_experiment(n, 1.0, 0.1, 1.0, point_mass(1.0), TrialPlan(10, seed=0))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sigma_z2", [1e-320, 3e-310])
 def test_fast_type2_refuses_a_noncentrality_past_the_float_range(sigma_z2):

@@ -201,6 +201,103 @@ def test_rejection_streak_carries_across_batch_ends(monkeypatch, patience, seed)
     np.testing.assert_array_equal(packing.centers, centers)
 
 
+def _difference_greedy(points, gap_sq):
+    """Rows a greedy scan accepts, each tested against the accepted ones in the difference form."""
+    accepted = []
+    for idx, point in enumerate(points):
+        diff = point - points[accepted]
+        if (np.einsum("ij,ij->i", diff, diff) >= gap_sq).all():
+            accepted.append(idx)
+    return accepted
+
+
+def _small_blocks(mp, least, most):
+    mp.setattr(geometry, "_MIN_ROWS", least)
+    mp.setattr(geometry, "_ROW_BLOCK", most)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PackingConfig(1, 1.0, 10.0, seed=1, saturation_patience=2000),
+        PackingConfig(2, 0.37, 0.37 * 7.3, seed=7, saturation_patience=20_000),
+        PackingConfig(4, 1.0, 3.0, seed=1, saturation_patience=3000),
+    ],
+    ids=["n1", "n2", "n4"],
+)
+def test_packing_across_resized_blocks_equals_reference_greedy(monkeypatch, config):
+    # blocks of 2 to 8 rows, so that one batch crosses many blocks that grow and shrink;
+    # blocks shrink only where a block's own rows exclude each other, at small n
+    _small_blocks(monkeypatch, 2, 8)
+    resized = []
+    next_rows = geometry._next_rows
+
+    def spy(rows, taken):
+        resized.append((rows, next_rows(rows, taken)))
+        return resized[-1][1]
+
+    monkeypatch.setattr(geometry, "_next_rows", spy)
+    packing = generate_saturated_packing(config)
+    assert any(new > rows for rows, new in resized)
+    assert any(new < rows for rows, new in resized)
+    centers, saturated = _reference_packing(config)
+    assert packing.saturated == saturated
+    np.testing.assert_array_equal(packing.centers, centers)
+
+
+@pytest.mark.parametrize("least", [8, 2])
+def test_guard_band_redecides_pairs_the_gram_form_rounds_across(monkeypatch, least):
+    # collinear points near norm 1e6 whose neighbours lie exactly 2 r0 = 1 apart or 2^-30
+    # closer: the difference form is exact, the Gram form rounds by about 1e-4
+    steps = np.where(np.random.default_rng(0).random(40) < 0.3, 1.0 - 2.0**-30, 1.0)
+    points = np.zeros((41, 3))
+    points[:, 0] = 1e6 + 0.1 + np.concatenate([[0.0], np.cumsum(steps)])
+    points[:, 1] = 3e5 + 0.7
+    gap_sq = 1.0
+    diff = np.diff(points, axis=0)
+    assert np.array_equal(np.einsum("ij,ij->i", diff, diff) >= gap_sq, steps == 1.0)
+    norms = np.einsum("ij,ij->i", points, points)
+    gram = norms[:-1] + norms[1:] - 2.0 * np.einsum("ij,ij->i", points[:-1], points[1:])
+    assert ((gram >= gap_sq) != (steps == 1.0)).any()  # the Gram form alone decides wrongly
+    redecided = []
+    difference_far = geometry._difference_far
+
+    def counting(batch, first_rows, second_rows, gap):
+        redecided.append(len(first_rows))
+        return difference_far(batch, first_rows, second_rows, gap)
+
+    monkeypatch.setattr(geometry, "_difference_far", counting)
+    _small_blocks(monkeypatch, least, 256)
+    accepted = list(geometry._greedy_accepts(points, np.arange(len(points)), gap_sq))
+    assert accepted == _difference_greedy(points, gap_sq)
+    assert sum(redecided) > 0
+
+
+_GRID = st.integers(-8, 8).map(lambda k: k / 4.0)  # exact ties at the gaps below
+
+
+@st.composite
+def _scan_case(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(0, 40))
+    coords = _GRID if draw(st.booleans()) else st.floats(-3.0, 3.0)
+    points = draw(arrays(np.float64, (count, n), elements=coords))
+    live = np.flatnonzero(draw(arrays(np.bool_, count)))
+    gap_sq = draw(st.sampled_from((0.25, 1.0, 2.0, 4.0)))
+    blocks = draw(st.tuples(st.integers(1, 4), st.integers(1, 16)))
+    return points, live, gap_sq, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_case())
+def test_greedy_scan_matches_one_at_a_time_difference_form(case):
+    points, live, gap_sq, blocks = case
+    with pytest.MonkeyPatch.context() as mp:
+        _small_blocks(mp, *blocks)
+        got = list(geometry._greedy_accepts(points, live, gap_sq))
+    assert got == [live[k] for k in _difference_greedy(points[live], gap_sq)]
+
+
 def test_high_dimensional_packings_build_no_mask():
     assert geometry._DeadCells.for_config(PackingConfig(100, 0.1, 1.0)) is None
     assert geometry._DeadCells.for_config(PackingConfig(4, 1.0, 10.0)) is None
