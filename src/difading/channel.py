@@ -3,7 +3,8 @@
 Fast fading draws a fresh i.i.d. gain per channel use; slow fading holds one
 gain for the whole block.  Three bounded gain families are provided (uniform
 interval, Rayleigh truncated to an interval, finite discrete support), each
-carrying its infimum gamma, supremum g_max and closed-form first two moments.
+carrying its infimum gamma, supremum g_max and closed-form first two moments
+(a discrete law's support is its atoms of positive weight).
 Supports touching zero are refused unless explicitly opted in, since every
 constructive decoder bound divides by gamma.
 
@@ -127,7 +128,11 @@ class FadingSpec:
 
     @classmethod
     def discrete(cls, values, weights=None, allow_zero: bool = False) -> "FadingSpec":
-        """Finite weighted support; weights default to uniform."""
+        """Finite weighted support; weights default to uniform.
+
+        The support is the atoms of positive normalized weight: an atom of
+        weight 0 is dropped, so it sets neither gamma nor g_max.
+        """
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("discrete support is empty")
@@ -142,9 +147,10 @@ class FadingSpec:
             if not all(math.isfinite(w) and w >= 0 for w in wts):
                 raise ValueError("weights must be finite and nonnegative")
             total = sum(wts)
-            if total <= 0:
-                raise ValueError("weights sum to zero")
+            if not 0 < total < math.inf:
+                raise ValueError(f"weights must have a positive finite sum, got {total}")
             wts = tuple(w / total for w in wts)
+            vals, wts = zip(*((v, w) for v, w in zip(vals, wts) if w > 0.0))
         mean = sum(v * w for v, w in zip(vals, wts))
         second = sum(v * v * w for v, w in zip(vals, wts))
         gamma = min(abs(v) for v in vals)

@@ -14,8 +14,9 @@ family takes exactly the keys its FadingSpec constructor reads.
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
 fading law its family refuses, equal messages, a scales grid or pair with no
-certificate (a grid of fewer than 4 points included), a near-codeword n past
-its memory cap or distance outside the power ball, a default slack
+certificate (a grid of fewer than 4 points included), a slow gain grid (grid
+points or discrete atoms) or a near-codeword n past its memory cap, a
+near-codeword distance outside the power ball, a default slack
 gamma^2 eps_n / 3 that the fading support makes 0 or underflows to 0, a config
 file that is not UTF-8), 3 parameter precondition violated (a message index
 outside the loaded codebook, a malformed codebook, a fast type II
@@ -36,6 +37,7 @@ from .codec import SCHEDULES, DecoderRule, build_codebook, delta_n, epsilon_sche
 from .codec import load_codebook, packing_radii, save_codebook
 from .config import ConfigError, Field, load_config, resolve
 from .estimation import (
+    MAX_GRID_POINTS,
     NEAR_CODEWORD_MAX_N,
     TrialPlan,
     estimate_type1,
@@ -95,7 +97,7 @@ SCHEMAS = {
         "message_i": Field("int", None, "[1, inf)"),
         "message_j": Field("int", None, "[1, inf)"),
         "random_pairs": Field("int", None, "[1, inf)"),
-        "grid_resolution": Field("int", 33, "[2, inf)"),
+        "grid_resolution": Field("int", 33, f"[2, {MAX_GRID_POINTS}]"),
         "delta": Field("float", None, "(0, inf)"),
         **_FADING_FIELDS,
     },
@@ -327,6 +329,9 @@ def _cmd_simulate(params, out_dir: Path) -> int:
     rule = DecoderRule(codebook, model, delta)
     pairs = _select_messages(params, codebook.size)
     grid = fading.support_grid(params["grid_resolution"]) if model.flavor == "slow" else None
+    if grid is not None and len(grid) > MAX_GRID_POINTS:  # a discrete law's grid is its atoms
+        raise ConfigError(f"parameter 'values': {len(grid)} atoms exceed the slow gain grid's "
+                          f"cap of {MAX_GRID_POINTS} points")
 
     rows = []
     verdicts = []

@@ -53,6 +53,11 @@ from .codec import DecoderRule, delta_n, epsilon_schedule, two_codeword_codebook
 from .seeding import require_integer, run_chunks, substream
 
 _CHUNK = 4096
+# Largest slow gain grid.  A running slow chunk holds a float64 statistic and a
+# bool decision per trial and grid point, 9 * _CHUNK bytes = 36 KiB a point
+# (tracemalloc measures 36.1 KiB at 500 to 4000 points), so a budget of 288 MiB
+# per running chunk allows 2^13 points.
+MAX_GRID_POINTS = 288 * 2**20 // (9 * _CHUNK)
 
 
 @dataclass(frozen=True)
@@ -245,10 +250,15 @@ def estimate_worst_case(
     per-point estimates differ only through the gain; estimate_type1 or
     estimate_type2 then reports each point from its count.  Returns the report
     of the worst grid point (its gain is the argmax), every point's in per_gain.
+    A grid of more than MAX_GRID_POINTS points is refused before any chunk runs.
     """
     if rule.model.flavor != "slow":
         raise ValueError("worst-case estimation applies to slow fading")
-    grid = [float(g) for g in np.atleast_1d(np.asarray(g_grid, dtype=np.float64))]
+    grid = np.atleast_1d(np.asarray(g_grid, dtype=np.float64))
+    if grid.size > MAX_GRID_POINTS:
+        raise ValueError(f"gain grid of {grid.size} points exceeds MAX_GRID_POINTS = "
+                         f"{MAX_GRID_POINTS}")
+    grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("gain grid is empty")
     if i == j:

@@ -18,11 +18,15 @@ within ``2*r0`` of the new center, and a candidate in a marked cell is
 rejected without a distance computation.  Every acceptance is still decided
 by the distance kernel, so the mask changes no packing.
 
-Candidates of one batch are tested against each other in blocks of live
-survivors: one GEMM per block gives the Gram form of its pairs with the later
-survivors, and a pair inside a guard band around ``(2*r0)^2``, derived from
-the rounding bound of a length-n dot product, is re-decided in the difference
-form.  Every packing is the one that the difference form alone gives.
+A candidate is first tested against the earlier batches' centers by
+_min_dist_sq, whose Gram form ``||x||^2 - max_c (2 x.c - ||c||^2)`` is
+compared with ``(2*r0)^2`` without a guard band.  The survivors of one batch
+are then tested against each other in blocks of live survivors: one GEMM per
+block gives the Gram form of its pairs with the later survivors, and a pair
+inside a guard band around ``(2*r0)^2``, derived from the rounding bound of a
+length-n dot product, is re-decided in the difference form.  So every
+same-batch pair is decided as the difference form decides it, and every pair
+with an earlier center as _min_dist_sq decides it.
 
 All volume computations run in the log domain to stay finite for large
 dimensions.
@@ -323,8 +327,9 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
     A block starts at _MIN_ROWS rows and doubles up to _ROW_BLOCK while half
     its rows are accepted, else halves down to _MIN_ROWS again, so the work
     follows the rows the scan reaches.  Pairs in the guard band around (2*r0)^2 are
-    re-decided in the difference form, so no rounding of the GEMM changes a
-    packing.
+    re-decided in the difference form, so no rounding of that GEMM changes a
+    same-batch decision; a pair with an earlier batch's center is decided by
+    _min_dist_sq alone.
 
     While its cell grid (side r0/4, over [-r1, r1]^n widened for the stencil)
     has at most 2^20 cells, a dead-cell mask rejects a candidate whose cell

@@ -14,9 +14,7 @@ _TINY = 1e-300
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
-    if x <= 0.0:
-        return 0.0
+    """Regularized lower incomplete gamma P(a, x) by power series (0 < x < a + 1)."""
     term = 1.0 / a
     total = term
     denom = a

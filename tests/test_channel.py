@@ -83,6 +83,29 @@ def test_zero_support_needs_explicit_opt_in():
     assert spec.gamma == 0.0
 
 
+def test_zero_weight_atoms_are_not_in_the_support():
+    # the point mass at 1 written with a zero-weight atom at 0.1 reported gamma = 0.1,
+    # contained 0.1 and put 0.1 on the slow gain grid
+    masked = FadingSpec.discrete([0.1, 1.0], [0.0, 1.0])
+    point = FadingSpec.discrete([1.0])
+    assert masked == point
+    assert not masked.contains(0.1)
+    assert masked.support_grid().tolist() == [1.0]
+    draws = [spec.sample(substream(5, "gains"), 1000) for spec in (masked, point)]
+    assert np.array_equal(*draws)
+    # a zero-weight atom at 0 needed allow_zero
+    assert FadingSpec.discrete([0.0, 1.0], [0.0, 1.0]) == point
+    # numpy draws the same gains with or without the zero-probability atom
+    spec = FadingSpec.discrete([0.5, 0.7, 2.0], [0.3, 0.0, 0.7])
+    assert spec.values == (0.5, 2.0)
+    with_atom = substream(6, "gains").choice(
+        np.array([0.5, 0.7, 2.0]), size=1000, p=np.array([0.3, 0.0, 0.7])
+    )
+    assert np.array_equal(spec.sample(substream(6, "gains"), 1000), with_atom)
+    with pytest.raises(ValueError, match="positive finite sum"):
+        FadingSpec.discrete([1.0, 2.0], [1e308, 1e308])
+
+
 def test_fading_spec_validation():
     with pytest.raises(ValueError):
         FadingSpec.uniform(1.5, 0.5)

@@ -131,6 +131,21 @@ grid_resolution = 7
     assert "argmax_g=" in type2
 
 
+def test_zero_weight_atom_changes_no_slow_report(tmp_path):
+    # the atom 0.1 of weight 0 was the law's gamma: delta 3.3e-4 instead of 0.033,
+    # type I p_hat 0.47 and a type II worst case 0.139 at argmax_g=0.1, all 0.0 here
+    pack_cfg = write(tmp_path / "pack.cfg", "n = 100\npatience = 200\nmax_codewords = 4\n")
+    assert run(["pack", "--config", pack_cfg, "--out", str(tmp_path / "pack")]) == cli.EXIT_OK
+    base = (f"codebook = {tmp_path / 'pack' / 'codebook.txt'}\nflavor = slow\nsigma_z2 = 0.05\n"
+            "trials = 2000\nmessage_i = 1\nmessage_j = 2\nfamily = discrete\n")
+    reports = []
+    for name, law in (("masked", "values = 0.1, 1.0\nweights = 0, 1\n"), ("point", "values = 1.0\n")):
+        cfg = write(tmp_path / f"{name}.cfg", base + law)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == cli.EXIT_OK
+        reports.append((tmp_path / name / "simulate_report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_simulate_is_byte_deterministic(pack_dir, tmp_path):
     cfg = write(
         tmp_path / "sim.cfg",
@@ -421,6 +436,9 @@ _REFUSED = [
     # the slack gamma^2 eps_n / 3 underflows to 0 (these exited 3)
     ("simulate", _SIM_RUN + _DISCRETE, "values = 1e-200", "'delta'"),
     ("simulate", _SIM_RUN + _UNIFORM, "flavor = slow\ng_min = 1e-200", "'delta'"),
+    # refused before the gain grid is built (this exited 1 with a 7.28 TiB MemoryError)
+    ("simulate", _SIM_RUN + _UNIFORM, "flavor = slow\ngrid_resolution = 1000000000000",
+     "'grid_resolution'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1", "'n'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "b = 2", "'b'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "power = 0", "'power'"),
@@ -465,6 +483,17 @@ def test_bad_value_is_a_config_error_naming_its_key(pack_dir, tmp_path, capsys, 
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_slow_discrete_law_past_the_grid_cap_is_a_config_error(pack_dir, tmp_path, capsys):
+    # a slow discrete law's grid is its atoms, which grid_resolution does not bound
+    values = ", ".join(repr(1.0 + k / 2**14) for k in range(cli.MAX_GRID_POINTS + 1))
+    base = f"codebook = {pack_dir / 'codebook.txt'}\n" + _SIM_RUN + _DISCRETE
+    cfg = write(tmp_path / "run.cfg", _config(base, f"flavor = slow\nvalues = {values}"))
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "'values'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -206,8 +206,10 @@ def test_worst_case_refuses_bad_input_before_any_chunk_runs(monkeypatch):
     rule = DecoderRule(cb, ChannelModel("slow", 1.0, FadingSpec.uniform(0.5, 1.5)), 0.1)
     plan = TrialPlan(10_000, seed=0)
     monkeypatch.setattr(estimation, "substream", no_draws)
-    for j, grid in ((None, [0.5, 1.7]), (2, [0.4, 1.0]), (1, [0.5, 1.0])):
-        with pytest.raises(ValueError, match="outside the fading support|distinct messages"):
+    too_long = np.linspace(0.5, 1.5, estimation.MAX_GRID_POINTS + 1)
+    for j, grid in ((None, [0.5, 1.7]), (2, [0.4, 1.0]), (1, [0.5, 1.0]), (2, too_long)):
+        with pytest.raises(ValueError,
+                           match="outside the fading support|distinct messages|MAX_GRID_POINTS"):
             estimate_worst_case(rule, 1, j, grid, plan)
 
 

@@ -27,6 +27,7 @@ def test_sphere_volume_known_values():
     assert sphere_volume(1, 2.0) == pytest.approx(4.0, rel=1e-12)
     assert sphere_volume(3, 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
     assert sphere_volume(5, 0.0) == 0.0
+    assert sphere_volume(100, 1e10) == math.inf  # exp of the log-volume overflows
 
 
 def test_sphere_volume_rejects_bad_inputs():
@@ -399,6 +400,8 @@ def test_packing_config_validation():
     assert PackingConfig(geometry.MAX_DIMENSION, 1.0, 2.0).dimension == 21845
     with pytest.raises(ValueError, match="dimension"):
         PackingConfig(geometry.MAX_DIMENSION + 1, 1.0, 2.0)
+    with pytest.raises(ValueError, match="count, dimension"):
+        Packing(PackingConfig(2, 1.0, 3.0), [0.0, 0.0], True)
 
 
 @pytest.mark.parametrize("r0, r1", [(1.0, math.inf), (math.inf, 1.0)])
@@ -441,6 +444,8 @@ def test_min_pairwise_distance_examples():
         min_pairwise_distance([[1.0, 2.0]])
     with pytest.raises(ValueError):
         min_pairwise_distance([[1.0, 2.0], [1.0]])
+    with pytest.raises(ValueError, match="count, dimension"):
+        min_pairwise_distance(np.array([1.0, 2.0, 3.0]))
 
 
 def test_density_single_sphere_covers_everything():

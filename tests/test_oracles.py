@@ -91,6 +91,30 @@ def test_reg_gamma_bounds_and_errors():
 
 
 @pytest.mark.parametrize(
+    "routine, args, outcome",
+    [
+        (oracles.reg_gamma_lower, (2.0, -1.0), "argument must be nonnegative"),
+        (oracles.reg_gamma_upper, (0.0, 1.0), "shape parameter must be positive"),
+        (oracles.reg_gamma_upper, (2.0, -1.0), "argument must be nonnegative"),
+        (oracles.chi2_sf, (1.0, 0), "degrees of freedom"),
+        (oracles.noncentral_chi2_cdf, (1.0, 0, 1.0), "degrees of freedom"),
+        (oracles.chi2_cdf, (-1.0, 3), 0.0),
+        (oracles.chi2_sf, (-1.0, 3), 1.0),
+        (oracles.noncentral_chi2_cdf, (-1.0, 3, 2.0), 0.0),
+    ],
+    ids=["lower-x", "upper-a", "upper-x", "sf-df", "noncentral-df", "cdf-edge", "sf-edge",
+         "noncentral-edge"],
+)
+def test_oracle_arguments_outside_the_domain(routine, args, outcome):
+    # a refusal names the argument; below x = 0 a distribution function needs no series
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            routine(*args)
+    else:
+        assert routine(*args) == outcome
+
+
+@pytest.mark.parametrize(
     "routine,args,max_iter,failing",
     [
         (oracles.reg_gamma_lower, (50.0, 40.0), 3, "series"),
