@@ -15,16 +15,8 @@ from difading import (
     estimate_packing_density,
     generate_saturated_packing,
     min_pairwise_distance,
-    sphere_volume,
 )
 
-print("volume of the unit ball by dimension (log-domain arithmetic):")
-for n in (1, 2, 3, 10, 50, 400):
-    print(f"  n={n:4d}  vol={sphere_volume(n, 1.0):.6g}")
-print("doubling the radius multiplies the volume by 2^n:",
-      sphere_volume(7, 2.0) / sphere_volume(7, 1.0), "= 2^7")
-
-print()
 print("saturated packings, r0 = 1, centers inside the r1-ball:")
 for n, r1 in [(1, 10.0), (2, 10.0), (3, 5.0)]:
     packing = generate_saturated_packing(

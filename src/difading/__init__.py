@@ -61,10 +61,8 @@ from .geometry import (
     PackingConfig,
     estimate_packing_density,
     generate_saturated_packing,
-    log_sphere_volume,
     min_pairwise_distance,
     sample_in_ball,
-    sphere_volume,
 )
 from .seeding import derive_seed, substream
 

@@ -69,6 +69,7 @@ class TrialPlan:
 
     def __post_init__(self):
         require_integer("trials", self.trials)
+        require_integer("seed", self.seed)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 

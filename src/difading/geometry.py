@@ -1,4 +1,4 @@
-"""Hypersphere volume arithmetic and saturated sphere packings in a ball.
+"""Saturated sphere packings in a ball.
 
 Codebooks are built from packings of non-overlapping radius-``r0`` spheres
 whose centers lie in the ball of radius ``r1`` around the origin (the spheres
@@ -60,32 +60,6 @@ _REACH = 2 * _CELLS_PER_R0 - 2
 _STENCIL_GUARD = 1e-9
 
 
-def log_sphere_volume(n: int, r: float) -> float:
-    """Natural log of the volume of the n-dimensional ball of radius r."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"dimension must be a positive integer, got {n}")
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    if r == 0:
-        return -math.inf
-    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0) + n * math.log(r)
-
-
-def sphere_volume(n: int, r: float) -> float:
-    """Volume of the n-dimensional ball of radius r.
-
-    Evaluated as exp(log-volume); returns inf when the result exceeds the
-    floating-point range.
-    """
-    logv = log_sphere_volume(n, r)
-    if logv == -math.inf:
-        return 0.0
-    try:
-        return math.exp(logv)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class PackingConfig:
     """Parameters of a greedy saturated packing run."""
@@ -98,7 +72,7 @@ class PackingConfig:
     max_codewords: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("dimension", "saturation_patience", "max_codewords"):
+        for name in ("dimension", "seed", "saturation_patience", "max_codewords"):
             require_integer(name, getattr(self, name))
         if not 1 <= self.dimension <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.dimension}")
@@ -379,6 +353,8 @@ def min_pairwise_distance(points) -> float:
         raise ValueError("points must be a (count, dimension) array of equal-length vectors")
     if pts.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {pts.shape[0]}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     norms = np.einsum("ij,ij->i", pts, pts)
     best = np.inf
     for start in range(0, pts.shape[0], 1024):
@@ -407,6 +383,7 @@ def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> D
     "density", chunk) substream, so the estimate is the same for any pool size.
     """
     require_integer("samples", samples)
+    require_integer("seed", seed)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if packing.count == 0:

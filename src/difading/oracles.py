@@ -56,12 +56,17 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+def _check_gamma_arguments(a: float, x: float) -> None:
+    """Refuse a NaN or infinite a or x, which no series or fraction here converges on."""
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"shape parameter must be positive and finite, got {a}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"argument must be nonnegative and finite, got {x}")
+
+
 def reg_gamma_lower(a: float, x: float) -> float:
     """P(a, x), the regularized lower incomplete gamma function."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
+    _check_gamma_arguments(a, x)
     if x == 0.0:
         return 0.0
     if x < a + 1.0:
@@ -71,10 +76,7 @@ def reg_gamma_lower(a: float, x: float) -> float:
 
 def reg_gamma_upper(a: float, x: float) -> float:
     """Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
+    _check_gamma_arguments(a, x)
     if x == 0.0:
         return 1.0
     if x < a + 1.0:
@@ -113,8 +115,8 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     """
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    if noncentrality < 0:
-        raise ValueError(f"noncentrality must be nonnegative, got {noncentrality}")
+    if not 0.0 <= noncentrality < math.inf:
+        raise ValueError(f"noncentrality must be nonnegative and finite, got {noncentrality}")
     if x <= 0.0:
         return 0.0
     half_nc = 0.5 * noncentrality

@@ -34,19 +34,15 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def label_entropy(label: str) -> int:
-    """Stable 64-bit integer derived from a stream label (not Python hash())."""
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def substream(seed: int, label: str, *indices: int) -> np.random.Generator:
     """Generator for the (seed, label, *indices) substream.
 
     The same arguments always yield the same stream; distinct labels or
-    indices yield statistically independent streams.
+    indices yield statistically independent streams.  The label enters as the
+    first 8 bytes of its sha256, not as Python's salted hash().
     """
-    entropy = [int(seed) & _MASK64, label_entropy(label)]
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    entropy = [int(seed) & _MASK64, int.from_bytes(digest[:8], "big")]
     entropy.extend(int(i) for i in indices)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 

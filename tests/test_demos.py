@@ -19,8 +19,9 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # the suite's own warning policy (pyproject's filterwarnings), applied inside the demo
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

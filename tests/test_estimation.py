@@ -488,6 +488,11 @@ def test_trial_plan_validation():
         with pytest.raises(ValueError, match="trials must be an integer"):
             TrialPlan(bad, seed=0)
     assert TrialPlan(np.int64(10), seed=0).trials == 10
+    # seed 1.5 drew the stream of seed 1
+    for bad in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            TrialPlan(10, seed=bad)
+    assert TrialPlan(10, seed=np.int64(-3)).seed == -3
 
 
 def test_accepts_keyword_is_a_count_of_the_trials():

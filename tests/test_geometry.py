@@ -15,41 +15,9 @@ from difading import (
     PackingConfig,
     estimate_packing_density,
     generate_saturated_packing,
-    log_sphere_volume,
     min_pairwise_distance,
     sample_in_ball,
-    sphere_volume,
 )
-
-
-def test_sphere_volume_known_values():
-    assert sphere_volume(2, 1.0) == pytest.approx(math.pi, rel=1e-12)
-    assert sphere_volume(1, 2.0) == pytest.approx(4.0, rel=1e-12)
-    assert sphere_volume(3, 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
-    assert sphere_volume(5, 0.0) == 0.0
-    assert sphere_volume(100, 1e10) == math.inf  # exp of the log-volume overflows
-
-
-def test_sphere_volume_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        sphere_volume(0, 1.0)
-    with pytest.raises(ValueError):
-        sphere_volume(3, -0.5)
-
-
-@pytest.mark.parametrize("n", range(1, 51))
-def test_log_volume_matches_direct_formula(n):
-    # direct-domain evaluation stays finite up to n = 50 for these radii
-    for r in (0.5, 1.0, 2.5):
-        direct = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * r**n
-        assert sphere_volume(n, r) == pytest.approx(direct, rel=1e-12)
-        assert math.exp(log_sphere_volume(n, r)) == pytest.approx(direct, rel=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 30])
-def test_volume_doubles_radius_multiplies_by_2_to_n(n):
-    for r in (0.3, 1.0, 4.0):
-        assert sphere_volume(n, 2.0 * r) == pytest.approx(2.0**n * sphere_volume(n, r), rel=1e-12)
 
 
 def test_sample_in_ball_is_inside_and_covers_shell():
@@ -392,11 +360,14 @@ def test_packing_config_validation():
     with pytest.raises(ValueError, match="max_codewords"):
         PackingConfig(2, 1.0, 1.0, max_codewords=0)
     # a float or bool count passed `int(x) != x`, and most then made numpy raise TypeError
+    # seed 1.5 drew the stream of seed 1
     for field, value in [("dimension", 2.0), ("dimension", True), ("saturation_patience", 10.0),
-                         ("max_codewords", 10.5), ("max_codewords", 2.0)]:
+                         ("max_codewords", 10.5), ("max_codewords", 2.0), ("seed", 1.5),
+                         ("seed", True)]:
         with pytest.raises(ValueError, match=field):
             PackingConfig(**{"dimension": 2, "r0": 1.0, "r1": 3.0, field: value})
     assert PackingConfig(np.int64(2), 1.0, 3.0, max_codewords=np.int32(5)).dimension == 2
+    assert PackingConfig(2, 1.0, 3.0, seed=np.uint64(7)).seed == 7
     assert PackingConfig(geometry.MAX_DIMENSION, 1.0, 2.0).dimension == 21845
     with pytest.raises(ValueError, match="dimension"):
         PackingConfig(geometry.MAX_DIMENSION + 1, 1.0, 2.0)
@@ -446,6 +417,10 @@ def test_min_pairwise_distance_examples():
         min_pairwise_distance([[1.0, 2.0], [1.0]])
     with pytest.raises(ValueError, match="count, dimension"):
         min_pairwise_distance(np.array([1.0, 2.0, 3.0]))
+    # a non-finite point made the scan return inf with two RuntimeWarnings
+    for points in ([[0.0, 0.0], [1.0, math.nan], [3.0, 3.0]], [[0.0, 0.0], [math.inf, 0.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            min_pairwise_distance(points)
 
 
 def test_density_single_sphere_covers_everything():
@@ -481,6 +456,10 @@ def test_density_rejects_zero_samples():
         with pytest.raises(ValueError, match="samples must be an integer"):
             estimate_packing_density(packing, samples=bad)
     assert estimate_packing_density(packing, samples=np.int64(100)).samples == 100
+    for bad in (1.5, 2.0, False):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_packing_density(packing, samples=100, seed=bad)
+    assert estimate_packing_density(packing, samples=100, seed=np.int64(3)).samples == 100
     with pytest.raises(ValueError, match="empty"):
         estimate_packing_density(Packing(packing.config, np.zeros((0, 2)), True), samples=100)
 

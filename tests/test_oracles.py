@@ -101,12 +101,25 @@ def test_reg_gamma_bounds_and_errors():
         (oracles.chi2_cdf, (-1.0, 3), 0.0),
         (oracles.chi2_sf, (-1.0, 3), 1.0),
         (oracles.noncentral_chi2_cdf, (-1.0, 3, 2.0), 0.0),
+        # non-finite arguments overflowed int(), or ran 10,000 steps to "did not converge"
+        (oracles.noncentral_chi2_cdf, (10.0, 5, math.inf), "noncentrality must be .*finite"),
+        (oracles.noncentral_chi2_cdf, (10.0, 5, math.nan), "noncentrality must be .*finite"),
+        (oracles.noncentral_chi2_cdf, (math.nan, 5, 1.0), "argument must be .*finite"),
+        (oracles.chi2_sf, (math.inf, 5), "argument must be .*finite"),
+        (oracles.chi2_cdf, (math.inf, 5), "argument must be .*finite"),
+        (oracles.reg_gamma_lower, (2.0, math.nan), "argument must be .*finite"),
+        (oracles.reg_gamma_upper, (2.0, math.inf), "argument must be .*finite"),
+        (oracles.reg_gamma_lower, (math.inf, 1.0), "shape parameter must be .*finite"),
+        (oracles.reg_gamma_upper, (math.nan, 1.0), "shape parameter must be .*finite"),
     ],
     ids=["lower-x", "upper-a", "upper-x", "sf-df", "noncentral-df", "cdf-edge", "sf-edge",
-         "noncentral-edge"],
+         "noncentral-edge", "noncentral-inf-nc", "noncentral-nan-nc", "noncentral-nan-x",
+         "sf-inf-x", "cdf-inf-x", "lower-nan-x", "upper-inf-x", "lower-inf-a", "upper-nan-a"],
 )
-def test_oracle_arguments_outside_the_domain(routine, args, outcome):
-    # a refusal names the argument; below x = 0 a distribution function needs no series
+def test_oracle_arguments_outside_the_domain(routine, args, outcome, monkeypatch):
+    # a refusal names the argument and comes on entry, before any series runs;
+    # below x = 0 a distribution function needs no series
+    monkeypatch.setattr(oracles, "_MAX_ITER", 0)
     if isinstance(outcome, str):
         with pytest.raises(ValueError, match=outcome):
             routine(*args)
