@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from difading import geometry, seeding
+from difading import codec, geometry, seeding
 from difading import (
     DensityEstimate,
     Packing,
     PackingConfig,
+    codebook_size_log2_bound,
+    epsilon_schedule,
     estimate_packing_density,
     generate_saturated_packing,
     min_pairwise_distance,
@@ -27,6 +29,32 @@ def test_sample_in_ball_is_inside_and_covers_shell():
     assert norms.max() <= 2.0
     # radial cdf is (r/R)^n: median radius should be near 2 * 0.5^(1/3)
     assert np.median(norms) == pytest.approx(2.0 * 0.5 ** (1.0 / 3.0), rel=0.02)
+
+
+def _ball_volume(n, r):
+    """Direct formula pi^(n/2) / Gamma(n/2 + 1) * r^n; finite for n <= 50 and these radii."""
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * r**n
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_log_volume_matches_direct_formula(n):
+    # the share of sample_in_ball's points inside radius r is V_n(r) / V_n(r1)
+    r1, samples = 2.5, 20000
+    norms = np.linalg.norm(sample_in_ball(n, r1, np.random.default_rng(n), samples), axis=1)
+    for q in (0.1, 0.5, 0.9):
+        r = r1 * q ** (1.0 / n)
+        share = _ball_volume(n, r) / _ball_volume(n, r1)
+        assert share == pytest.approx(q, rel=1e-12)
+        assert abs(np.mean(norms <= r) - share) <= 5.0 * math.sqrt(share * (1.0 - share) / samples)
+    # the log-domain count n (log2(r1/r0) - 1) is log2 V_n(r1) / V_n(2 r0), the doubling bound
+    if n == 1:  # no schedule is defined below block length 2
+        with pytest.raises(ValueError, match="block length"):
+            codebook_size_log2_bound(n, 1.0, 0.0)
+        return
+    for schedule in codec.SCHEDULES:
+        r0, r1 = codec.packing_radii(1.0, epsilon_schedule(n, 1.0, 0.0, schedule))
+        direct = math.log2(_ball_volume(n, r1) / _ball_volume(n, 2.0 * r0))
+        assert codebook_size_log2_bound(n, 1.0, 0.0, schedule) == pytest.approx(direct, rel=1e-12)
 
 
 def test_saturated_packing_2d_meets_doubling_bound():
