@@ -50,6 +50,7 @@ from .estimation import (
     TrialPlan,
     estimate_type1,
     estimate_type2,
+    estimate_type2_pairs,
     estimate_worst_case,
     near_codeword_experiment,
     type1_chebyshev_bound,

@@ -6,10 +6,13 @@ writes CSV reports plus a human-readable summary that echoes the resolved
 configuration, and is byte-reproducible given the same seed.  Every CSV
 layout lives here: the estimate rows of simulate and near-codeword join the
 rule's context (n, A, b, the channel model, delta) to what the estimators
-report, and pack and sweep report the same codebook facts (the sweep_report.csv
-columns) from one builder.  scales leaves each dominance certificate, whether
-it is defined at the largest n included, to analysis.dominates.  A fading
-family takes exactly the keys its FadingSpec constructor reads.
+report.  The fast type II rows of one simulate run share their gains: they come
+from one estimate_type2_pairs pass on the seed of the first of them, while each
+type I row and each slow row keeps a seed of its own.  pack and sweep report
+the same codebook facts (the sweep_report.csv columns) from one builder.
+scales leaves each dominance certificate, whether it is defined at the largest
+n included, to analysis.dominates.  A fading family takes exactly the keys its
+FadingSpec constructor reads.
 
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
@@ -41,7 +44,7 @@ from .estimation import (
     NEAR_CODEWORD_MAX_N,
     TrialPlan,
     estimate_type1,
-    estimate_type2,
+    estimate_type2_pairs,
     estimate_worst_case,
     near_codeword_experiment,
 )
@@ -333,35 +336,35 @@ def _cmd_simulate(params, out_dir: Path) -> int:
         raise ConfigError(f"parameter 'values': {len(grid)} atoms exceed the slow gain grid's "
                           f"cap of {MAX_GRID_POINTS} points")
 
+    tests = [(i, tj) for i, j in pairs for tj in ((None,) if j is None else (None, j))]
+    type2 = [(i, j) for i, j in pairs if j is not None]
+    if model.flavor == "fast" and type2:
+        # one pass for every fast type II row, on the seed of the first of them (row 1)
+        plan = TrialPlan(params["trials"], seed=derive_seed(params["seed"], "row", 1))
+        shared = iter(estimate_type2_pairs(rule, type2, plan))
+
     rows = []
     verdicts = []
     failed = False
-    row_index = 0
-    for i, j in pairs:
-        for tj in (None,) if j is None else (None, j):  # type I, then type II
-            plan = TrialPlan(
-                trials=params["trials"], seed=derive_seed(params["seed"], "row", row_index)
-            )
-            row_index += 1
-            if model.flavor == "slow":
-                report = estimate_worst_case(rule, i, tj, grid, plan)
-            elif tj is None:
-                report = estimate_type1(rule, i, plan)
-            else:
-                report = estimate_type2(rule, i, tj, plan)
-            rows.extend(_estimate_rows(report, rule))
-            verdict = _bound_verdict(report.estimate, report.stderr, report.chebyshev_bound)
-            failed = failed or verdict == "VIOLATION"
-            label = f"{report.error_type} i={i}" + ("" if tj is None else f" j={tj}")
-            # the type I statistic is ||z||^2 at every gain: no worst gain to report
-            extra = "" if tj is None or report.gain is None else f" argmax_g={report.gain!r}"
-            bound_text = (
-                "none" if report.chebyshev_bound is None else repr(report.chebyshev_bound)
-            )
-            verdicts.append(
-                f"{label}: p_hat={report.estimate!r} stderr={report.stderr!r} "
-                f"bound={bound_text} verdict={verdict}{extra}"
-            )
+    for row_index, (i, tj) in enumerate(tests):  # per pair: type I, then type II
+        plan = TrialPlan(params["trials"], seed=derive_seed(params["seed"], "row", row_index))
+        if model.flavor == "slow":
+            report = estimate_worst_case(rule, i, tj, grid, plan)
+        elif tj is None:
+            report = estimate_type1(rule, i, plan)
+        else:
+            report = next(shared)
+        rows.extend(_estimate_rows(report, rule))
+        verdict = _bound_verdict(report.estimate, report.stderr, report.chebyshev_bound)
+        failed = failed or verdict == "VIOLATION"
+        label = f"{report.error_type} i={i}" + ("" if tj is None else f" j={tj}")
+        # the type I statistic is ||z||^2 at every gain: no worst gain to report
+        extra = "" if tj is None or report.gain is None else f" argmax_g={report.gain!r}"
+        bound_text = "none" if report.chebyshev_bound is None else repr(report.chebyshev_bound)
+        verdicts.append(
+            f"{label}: p_hat={report.estimate!r} stderr={report.stderr!r} "
+            f"bound={bound_text} verdict={verdict}{extra}"
+        )
 
     _write_csv(out_dir / "simulate_report.csv", _ESTIMATE_HEADER, rows)
     lines = _echo_lines("simulate", params) + ["---", f"delta = {delta!r}"] + verdicts

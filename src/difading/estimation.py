@@ -26,6 +26,12 @@ instead of drawing z:
   FadingSpec.sample from the (seed, "gains", chunk) substream, then one
   noncentral chi-square draw with noncentrality sum_k g_k^2 d_k^2 / s^2.
 
+The gains' law does not depend on the pair, so the fast type II pairs of one
+estimate_type2_pairs pass share them (common random numbers across pairs):
+each chunk draws its gains once, on the union of the pairs' supports, and
+decides the pairs one after another on them and on its one noise stream.  One
+pair draws exactly what estimate_type2 draws for it.
+
 Every estimator takes the rule under test as one DecoderRule (codebook, channel
 model, delta) and decides every statistic by its accepts.  The literal channel
 path (realize, apply_channel, then DecoderRule.statistic or identify) draws z
@@ -128,20 +134,26 @@ def type2_chebyshev_bound(
     return type1_chebyshev_bound(n, b, power_budget, gamma, noise_variance) + eta1
 
 
-def _accept_counts(rule: DecoderRule, i: int, j: int | None, plan: TrialPlan, gains) -> list:
-    """Acceptances of message j (i when j is None) with u_i sent, one count per gain.
+def _accept_counts(rule: DecoderRule, pairs, plan: TrialPlan, gains) -> list:
+    """Acceptances of message j (i when j is None) with u_i sent: one row per (i, j) of
+    pairs, one count per gain.
 
     Each chunk is drawn once from its law in the module docstring and reduced to
     its counts; d = 0 and fast type II (gains = [None]) decide once for all gains.
+    The pairs are decided one after another on the chunk's one noise stream, and
+    fast type II pairs share one draw of gains on the union of their supports (the
+    coordinates where some d_k != 0), which for a lone pair is its own support.
     A fast type II noncentrality past the float range raises ValueError: numpy
     would draw inf from it and reject every trial.
     """
-    model, n = rule.model, rule.codebook.dimension
+    book, model = rule.codebook, rule.model
+    n = book.dimension
     s2 = model.noise_variance / n
-    d = rule.codebook.codeword(i) - rule.codebook.codeword(i if j is None else j)
-    distance_sq = float(d @ d)
+    diffs = np.array([book.codeword(i) - book.codeword(i if j is None else j) for i, j in pairs])
+    distances_sq = [float(d @ d) for d in diffs]
+    support = np.flatnonzero((diffs != 0.0).any(axis=0))
     with np.errstate(over="ignore", divide="ignore"):  # refused below, not warned about
-        weights = d[d != 0.0] ** 2 / s2
+        weights = diffs[:, support] ** 2 / s2
     overflow = (f"noise variance {model.noise_variance} is too small for fast type II: the "
                 "noncentrality ||g o d||^2 / s^2 leaves the float range")
     if model.flavor == "fast" and not np.isfinite(weights).all():
@@ -150,24 +162,30 @@ def _accept_counts(rule: DecoderRule, i: int, j: int | None, plan: TrialPlan, ga
     def run_chunk(item):
         index, size = item
         rng = substream(plan.seed, "noise", index)
-        if distance_sq == 0.0:  # type I or two equal codewords: the gain cancels
-            stat = s2 * rng.chisquare(n, size)
-        elif model.flavor == "fast":
-            drawn = model.fading.sample(substream(plan.seed, "gains", index), size * weights.size)
+        if model.flavor == "fast" and support.size:
+            drawn = model.fading.sample(substream(plan.seed, "gains", index), size * support.size)
             # squared in place: no second (chunk, m) temporary to fault in per chunk
             with np.errstate(over="ignore"):
-                noncentrality = np.square(drawn, out=drawn).reshape(size, -1) @ weights
-            if not np.isfinite(noncentrality).all():  # finite weights, large gains
-                raise ValueError(overflow)
-            stat = s2 * rng.noncentral_chisquare(n, noncentrality, size)
-        else:  # slow type II: one row per gain, every row on the same draws
-            xi = rng.standard_normal(size)
-            rest = rng.chisquare(n - 1, size) if n > 1 else 0.0  # numpy refuses chi2_0
-            g = np.asarray(gains)[:, None]
-            stat = 2.0 * g * (math.sqrt(s2 * distance_sq) * xi)  # 2 g (d . z)
-            stat += g * g * distance_sq
-            stat += s2 * (xi * xi + rest)  # ||z||^2
-        return np.broadcast_to(rule.accepts(stat).sum(axis=-1), len(gains))
+                squared = np.square(drawn, out=drawn).reshape(size, -1)
+        counts = np.empty((len(pairs), len(gains)), dtype=np.int64)
+        for row, distance_sq, w in zip(counts, distances_sq, weights):
+            if distance_sq == 0.0:  # type I or two equal codewords: the gain cancels
+                stat = s2 * rng.chisquare(n, size)
+            elif model.flavor == "fast":
+                with np.errstate(over="ignore", invalid="ignore"):
+                    noncentrality = squared @ w
+                if not np.isfinite(noncentrality).all():  # finite weights, large gains
+                    raise ValueError(overflow)
+                stat = s2 * rng.noncentral_chisquare(n, noncentrality, size)
+            else:  # slow type II: one row per gain, every row on the same draws
+                xi = rng.standard_normal(size)
+                rest = rng.chisquare(n - 1, size) if n > 1 else 0.0  # numpy refuses chi2_0
+                g = np.asarray(gains)[:, None]
+                stat = 2.0 * g * (math.sqrt(s2 * distance_sq) * xi)  # 2 g (d . z)
+                stat += g * g * distance_sq
+                stat += s2 * (xi * xi + rest)  # ||z||^2
+            row[:] = rule.accepts(stat).sum(axis=-1)
+        return counts
 
     return run_chunks(run_chunk, plan.trials, _CHUNK).tolist()
 
@@ -184,7 +202,7 @@ def _estimate(rule, i, j, plan, gain, accepts) -> ErrorReport:
     elif not model.fading.contains(gain):
         raise ValueError(f"gain {gain} lies outside the fading support")
     if accepts is None:
-        accepts = _accept_counts(rule, i, j, plan, [gain])[0]
+        accepts = _accept_counts(rule, [(i, j)], plan, [gain])[0][0]
     else:
         require_integer("accepts", accepts)
         if not 0 <= accepts <= plan.trials:
@@ -267,11 +285,31 @@ def estimate_worst_case(
     for g in grid:
         if not rule.model.fading.contains(g):
             raise ValueError(f"gain {g} lies outside the fading support")
-    counts = _accept_counts(rule, i, j, plan, grid)
+    counts = _accept_counts(rule, [(i, j)], plan, grid)[0]
     estimate = estimate_type1 if j is None else estimate_type2
     messages = (i,) if j is None else (i, j)
     reports = [estimate(rule, *messages, plan, gain=g, accepts=c) for g, c in zip(grid, counts)]
     return replace(max(reports, key=lambda rep: rep.estimate), per_gain=tuple(reports))
+
+
+def estimate_type2_pairs(rule: DecoderRule, pairs, plan: TrialPlan) -> list:
+    """Fast type II reports of several (i, j) pairs, in pair order, from one pass.
+
+    Each chunk draws its gains once, on the union of the pairs' supports, and
+    decides every pair on them and on its one noise stream; estimate_type2 then
+    reports each pair from its count.  One pair gets exactly the report that
+    estimate_type2 draws for it.  Equal messages are refused before any chunk runs.
+    """
+    if rule.model.flavor != "fast":
+        raise ValueError("one pass over several pairs applies to fast fading")
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("no message pairs given")
+    for i, j in pairs:
+        if i == j:
+            raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
+    counts = _accept_counts(rule, pairs, plan, [None])
+    return [estimate_type2(rule, i, j, plan, accepts=c) for (i, j), (c,) in zip(pairs, counts)]
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,15 @@ def reg_gamma_upper(a: float, x: float) -> float:
     return _upper_gamma_cf(a, x)
 
 
+def _check_df(df: float) -> None:
+    """Refuse degrees of freedom that are not positive or not finite, NaN included."""
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df}")
+
+
 def chi2_cdf(x: float, df: float) -> float:
     """Pr(chi2_df <= x)."""
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     if x <= 0.0:
         return 0.0
     return reg_gamma_lower(0.5 * df, 0.5 * x)
@@ -95,8 +100,7 @@ def chi2_cdf(x: float, df: float) -> float:
 
 def chi2_sf(x: float, df: float) -> float:
     """Pr(chi2_df > x)."""
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     if x <= 0.0:
         return 1.0
     return reg_gamma_upper(0.5 * df, 0.5 * x)
@@ -113,8 +117,7 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     mixture mode; the gamma terms are advanced by the stable recurrence
     P(a+1, y) = P(a, y) - y^a e^-y / Gamma(a+1).
     """
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     if not 0.0 <= noncentrality < math.inf:
         raise ValueError(f"noncentrality must be nonnegative and finite, got {noncentrality}")
     if x <= 0.0:

@@ -173,9 +173,11 @@ random_pairs = 2
 
 
 # sha256 of simulate_report.csv for the configuration below, recorded when the
-# estimator began drawing the decoder statistic from its chi-square law
+# estimator began drawing the decoder statistic from its chi-square law; the fast
+# digest again when the fast type II rows of a run began sharing one pass, which
+# changed the second pair's type II row
 _PINNED_REPORTS = {
-    "fast": "78d3b4813ba0aaeca8c14eff93a2e8982f989751d45a01970f9965ce472a97d1",
+    "fast": "1905c8afbe63427b8bbb1405a8abec79e081d7dc720bfbdcd56bab1d09ee2c65",
     "slow": "daf1b7491c8533e4859afc7681123bbd9880080a6766b32fb41e9f6019e73f75",
 }
 
@@ -208,6 +210,47 @@ grid_resolution = 5
         reports.append((out / "simulate_report.csv").read_bytes())
     assert reports[0] == reports[1] == reports[2]
     assert hashlib.sha256(reports[0]).hexdigest() == _PINNED_REPORTS[flavor]
+
+
+def test_fast_type2_rows_of_a_run_share_their_gains(pack_dir, tmp_path, monkeypatch):
+    # every codeword pair of this book differs in all n = 100 coordinates, so
+    # one draw per chunk is trials * n gains; each pair drawing its own was 3x that
+    drawn = []
+    sample = FadingSpec.sample
+
+    def counted(self, rng, size):
+        gains = sample(self, rng, size)
+        drawn.append(gains.size)
+        return gains
+
+    monkeypatch.setattr(FadingSpec, "sample", counted)
+    cfg = write(
+        tmp_path / "sim.cfg",
+        f"codebook = {pack_dir / 'codebook.txt'}\nflavor = fast\nfamily = uniform\n"
+        "g_min = 0.5\ng_max = 1.5\nsigma_z2 = 1.0\ntrials = 9000\nseed = 3\nrandom_pairs = 3\n",
+    )
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == cli.EXIT_OK
+    assert len(drawn) == 3  # one draw per chunk: 4096 + 4096 + 808 trials
+    assert sum(drawn) == 9000 * 100
+    rows = (tmp_path / "sim" / "simulate_report.csv").read_text().splitlines()[1:]
+    assert [bool(row.split(",")[10]) for row in rows] == [False, True] * 3
+
+
+# sha256 of simulate_report.csv for one fast pair (message_i = 3, message_j = 17),
+# recorded before the fast type II rows of a run shared one pass
+_PINNED_ONE_PAIR_FAST = "e4846402342a573b6d5a278babb2770e6372ad5ecafa44d3b902491e0c76560f"
+
+
+def test_one_fast_pair_keeps_its_report(pack_dir, tmp_path):
+    cfg = write(
+        tmp_path / "sim.cfg",
+        f"codebook = {pack_dir / 'codebook.txt'}\nflavor = fast\nfamily = uniform\n"
+        "g_min = 0.2\ng_max = 0.4\nsigma_z2 = 1.0\ntrials = 9000\nseed = 5\n"
+        "message_i = 3\nmessage_j = 17\n",
+    )
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == cli.EXIT_OK
+    report = (tmp_path / "sim" / "simulate_report.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == _PINNED_ONE_PAIR_FAST
 
 
 def test_report_fields_and_csv_shape():

@@ -17,6 +17,7 @@ from difading import (
     epsilon_schedule,
     estimate_type1,
     estimate_type2,
+    estimate_type2_pairs,
     estimate_worst_case,
     identify,
     near_codeword_experiment,
@@ -439,6 +440,80 @@ def test_fast_type2_draws_gains_only_where_the_pair_differs(monkeypatch):
     monkeypatch.setattr(FadingSpec, "sample", counted)
     estimate_type2(DecoderRule(cb, model, 0.1), 1, 2, TrialPlan(trials, seed=20))
     assert drawn == [m * 4096, m * (trials - 4096)]  # m gains per trial, one draw per chunk
+
+
+def _pairs_book(n):
+    """u_1 = 0 and codewords at squared distances 0.05, 0.15 and 0.3 from it on different
+    coordinates, plus u_5 = u_1: five pairs (k, 1) of different distances."""
+    words = np.zeros((5, n))
+    words[1, 0] = math.sqrt(0.05)
+    words[2, 1] = math.sqrt(0.15)
+    words[3, 2:4] = math.sqrt(0.15)
+    return Codebook(n, 1.0, 0.0, "achievability", 0.1, words)
+
+
+def test_one_pass_reports_each_pair_at_its_own_oracle(monkeypatch):
+    n, sigma_z2, delta, g = 16, 1.0, 0.25, 1.0
+    rule = DecoderRule(_pairs_book(n), ChannelModel("fast", sigma_z2, point_mass(g)), delta)
+    pairs = [(2, 1), (3, 1), (4, 1), (2, 1), (5, 1)]  # (2, 1) twice; u_5 = u_1
+    plan = TrialPlan(20_000, seed=31)
+    runs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(seeding, "_WORKERS", workers)
+        runs.append(estimate_type2_pairs(rule, pairs, plan))
+    assert runs[0] == runs[1]
+    assert [(rep.i, rep.j) for rep in runs[0]] == pairs
+    x = n * (sigma_z2 + delta) / sigma_z2
+    for rep, distance_sq in zip(runs[0], (0.05, 0.15, 0.3, 0.05, 0.0)):
+        oracle = oracles.noncentral_chi2_cdf(x, n, n * g**2 * distance_sq / sigma_z2)
+        assert rep.trials == plan.trials
+        assert abs(rep.estimate - oracle) <= 3.0 * rep.stderr
+    assert runs[0][0] != runs[0][3]  # a repeated pair is decided on its own noise draws
+
+
+def test_one_pass_of_one_pair_is_estimate_type2():
+    rule = DecoderRule(_pairs_book(8), ChannelModel("fast", 0.5, FadingSpec.uniform(0.5, 1.5)),
+                       0.1)
+    plan = TrialPlan(9_000, seed=32)
+    for i, j in [(4, 1), (3, 2), (1, 5)]:
+        assert estimate_type2_pairs(rule, [(i, j)], plan) == [estimate_type2(rule, i, j, plan)]
+
+
+def test_one_pass_refuses_what_estimate_type2_refuses(monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("a refused pass ran its chunks")
+
+    monkeypatch.setattr(estimation, "run_chunks", no_chunks)
+    spec = FadingSpec.uniform(0.5, 1.5)
+    fast = DecoderRule(_pairs_book(8), ChannelModel("fast", 0.5, spec), 0.1)
+    plan = TrialPlan(100, seed=0)
+    with pytest.raises(ValueError, match="distinct messages"):
+        estimate_type2_pairs(fast, [(2, 1), (3, 3)], plan)
+    with pytest.raises(ValueError, match="no message pairs"):
+        estimate_type2_pairs(fast, [], plan)
+    with pytest.raises(ValueError, match="fast fading"):
+        estimate_type2_pairs(DecoderRule(_pairs_book(8), ChannelModel("slow", 0.5, spec), 0.1),
+                             [(2, 1)], plan)
+    with pytest.raises(IndexError, match="message index 6"):
+        estimate_type2_pairs(fast, [(2, 1), (6, 1)], plan)
+
+
+def test_one_pass_memory_does_not_grow_with_the_pair_count(monkeypatch):
+    # a chunk holds its gains and one pair's statistic at a time; a (chunk, pairs)
+    # statistic matrix of 200 pairs would take 6.6 MB against about 0.3 MB here
+    monkeypatch.setattr(seeding, "_WORKERS", 1)
+    rule = DecoderRule(_pairs_book(8), ChannelModel("fast", 0.5, FadingSpec.uniform(0.5, 1.5)),
+                       0.1)
+    peaks = []
+    for count in (2, 200):
+        pairs = list(itertools.islice(itertools.cycle([(2, 1), (4, 3)]), count))
+        tracemalloc.start()
+        try:
+            estimate_type2_pairs(rule, pairs, TrialPlan(4096, seed=33))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_chebyshev_bound_formulas():

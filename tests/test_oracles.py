@@ -128,6 +128,28 @@ def test_oracle_arguments_outside_the_domain(routine, args, outcome, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "routine, args",
+    [
+        (oracles.chi2_cdf, (-1.0, math.nan)),
+        (oracles.chi2_cdf, (5.0, math.inf)),
+        (oracles.chi2_sf, (0.0, math.inf)),
+        (oracles.chi2_sf, (5.0, math.nan)),
+        (oracles.noncentral_chi2_cdf, (0.0, math.nan, 1.0)),
+        (oracles.noncentral_chi2_cdf, (5.0, math.inf, 1.0)),
+        (oracles.noncentral_chi2_sf, (0.0, math.nan, 1.0)),
+        (oracles.noncentral_chi2_sf, (-1.0, math.inf, 1.0)),
+    ],
+    ids=["cdf-nan-edge", "cdf-inf", "sf-inf-edge", "sf-nan", "noncentral-nan-edge",
+         "noncentral-inf", "noncentral-sf-nan-edge", "noncentral-sf-inf-edge"],
+)
+def test_oracles_refuse_a_df_that_is_not_finite(routine, args):
+    # a NaN or infinite df answered 0.0 or 1.0 at x <= 0, and an infinite df
+    # above it was refused as a gamma "shape parameter", which does not name df
+    with pytest.raises(ValueError, match="degrees of freedom must be positive and finite"):
+        routine(*args)
+
+
+@pytest.mark.parametrize(
     "routine,args,max_iter,failing",
     [
         (oracles.reg_gamma_lower, (50.0, 40.0), 3, "series"),
