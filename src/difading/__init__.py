@@ -48,9 +48,9 @@ from .estimation import (
     ErrorReport,
     NearCodewordReport,
     TrialPlan,
+    estimate_pairs,
     estimate_type1,
     estimate_type2,
-    estimate_type2_pairs,
     estimate_worst_case,
     near_codeword_experiment,
     type1_chebyshev_bound,

@@ -6,13 +6,12 @@ writes CSV reports plus a human-readable summary that echoes the resolved
 configuration, and is byte-reproducible given the same seed.  Every CSV
 layout lives here: the estimate rows of simulate and near-codeword join the
 rule's context (n, A, b, the channel model, delta) to what the estimators
-report.  The fast type II rows of one simulate run share their gains: they come
-from one estimate_type2_pairs pass on the seed of the first of them, while each
-type I row and each slow row keeps a seed of its own.  pack and sweep report
-the same codebook facts (the sweep_report.csv columns) from one builder.
-scales leaves each dominance certificate, whether it is defined at the largest
-n included, to analysis.dominates.  A fading family takes exactly the keys its
-FadingSpec constructor reads.
+report.  Each simulate or near-codeword run makes one estimate_pairs pass over
+all its tests, on the run seed.  pack and sweep report the same codebook facts
+(the sweep_report.csv columns) from one builder.  scales leaves each dominance
+certificate, whether it is defined at the largest n included, to
+analysis.dominates.  A fading family takes exactly the keys its FadingSpec
+constructor reads.
 
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
@@ -43,9 +42,7 @@ from .estimation import (
     MAX_GRID_POINTS,
     NEAR_CODEWORD_MAX_N,
     TrialPlan,
-    estimate_type1,
-    estimate_type2_pairs,
-    estimate_worst_case,
+    estimate_pairs,
     near_codeword_experiment,
 )
 from .geometry import MAX_DIMENSION
@@ -70,6 +67,7 @@ _FAMILIES = {
 }
 
 _PACK_N = f"[2, {MAX_DIMENSION}]"
+_SEED = "[0, 18446744073709551616)"  # [0, 2^64), as seeding.require_seed checks
 
 _FADING_FIELDS = {
     "family": Field("str", choices=tuple(_FAMILIES)),
@@ -87,7 +85,7 @@ SCHEMAS = {
         "power": Field("float", 1.0, "(0, inf)"),
         "b": Field("float", 0.0, "[0, 1)"),
         "schedule": Field("str", "achievability", choices=SCHEDULES),
-        "seed": Field("int", 0),
+        "seed": Field("int", 0, _SEED),
         "patience": Field("int", 100_000, "[1, inf)"),
         "max_codewords": Field("int", 100_000, "[1, inf)"),
     },
@@ -96,7 +94,7 @@ SCHEMAS = {
         "flavor": Field("str", choices=FLAVORS),
         "sigma_z2": Field("float", interval="(0, inf)"),
         "trials": Field("int", 10_000, "[1, inf)"),
-        "seed": Field("int", 0),
+        "seed": Field("int", 0, _SEED),
         "message_i": Field("int", None, "[1, inf)"),
         "message_j": Field("int", None, "[1, inf)"),
         "random_pairs": Field("int", None, "[1, inf)"),
@@ -114,7 +112,7 @@ SCHEMAS = {
         "b": Field("float", interval="[0, 1)"),
         "sigma_z2": Field("float", interval="(0, inf)"),
         "trials": Field("int", 10_000, "[1, inf)"),
-        "seed": Field("int", 0),
+        "seed": Field("int", 0, _SEED),
         "distance": Field("float", None, "(0, inf)"),
         **_FADING_FIELDS,
     },
@@ -133,7 +131,7 @@ SCHEMAS = {
         "power": Field("float", 1.0, "(0, inf)"),
         "b": Field("float", 0.0, "[0, 1)"),
         "schedule": Field("str", "achievability", choices=SCHEDULES),
-        "seed": Field("int", 0),
+        "seed": Field("int", 0, _SEED),
         "patience": Field("int", 20_000, "[1, inf)"),
         "max_codewords": Field("int", 2_000, "[1, inf)"),
     },
@@ -337,32 +335,21 @@ def _cmd_simulate(params, out_dir: Path) -> int:
                           f"cap of {MAX_GRID_POINTS} points")
 
     tests = [(i, tj) for i, j in pairs for tj in ((None,) if j is None else (None, j))]
-    type2 = [(i, j) for i, j in pairs if j is not None]
-    if model.flavor == "fast" and type2:
-        # one pass for every fast type II row, on the seed of the first of them (row 1)
-        plan = TrialPlan(params["trials"], seed=derive_seed(params["seed"], "row", 1))
-        shared = iter(estimate_type2_pairs(rule, type2, plan))
+    plan = TrialPlan(params["trials"], seed=params["seed"])
 
     rows = []
     verdicts = []
     failed = False
-    for row_index, (i, tj) in enumerate(tests):  # per pair: type I, then type II
-        plan = TrialPlan(params["trials"], seed=derive_seed(params["seed"], "row", row_index))
-        if model.flavor == "slow":
-            report = estimate_worst_case(rule, i, tj, grid, plan)
-        elif tj is None:
-            report = estimate_type1(rule, i, plan)
-        else:
-            report = next(shared)
+    for report in estimate_pairs(rule, tests, plan, grid):  # per pair: type I, then type II
         rows.extend(_estimate_rows(report, rule))
         verdict = _bound_verdict(report.estimate, report.stderr, report.chebyshev_bound)
         failed = failed or verdict == "VIOLATION"
-        label = f"{report.error_type} i={i}" + ("" if tj is None else f" j={tj}")
+        messages = f"i={report.i}" + ("" if report.j is None else f" j={report.j}")
         # the type I statistic is ||z||^2 at every gain: no worst gain to report
-        extra = "" if tj is None or report.gain is None else f" argmax_g={report.gain!r}"
+        extra = "" if report.j is None or report.gain is None else f" argmax_g={report.gain!r}"
         bound_text = "none" if report.chebyshev_bound is None else repr(report.chebyshev_bound)
         verdicts.append(
-            f"{label}: p_hat={report.estimate!r} stderr={report.stderr!r} "
+            f"{report.error_type} {messages}: p_hat={report.estimate!r} stderr={report.stderr!r} "
             f"bound={bound_text} verdict={verdict}{extra}"
         )
 

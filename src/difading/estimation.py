@@ -26,11 +26,12 @@ instead of drawing z:
   FadingSpec.sample from the (seed, "gains", chunk) substream, then one
   noncentral chi-square draw with noncentrality sum_k g_k^2 d_k^2 / s^2.
 
-The gains' law does not depend on the pair, so the fast type II pairs of one
-estimate_type2_pairs pass share them (common random numbers across pairs):
-each chunk draws its gains once, on the union of the pairs' supports, and
-decides the pairs one after another on them and on its one noise stream.  One
-pair draws exactly what estimate_type2 draws for it.
+The gains' law does not depend on the pair, so the tests of one estimate_pairs
+pass share them (common random numbers across tests): each chunk draws its gains
+once, on the union of the tests' supports, and decides the tests one after
+another on them and on its one noise stream, each on draws of its own.  One test
+draws exactly what estimate_type1, estimate_type2 or estimate_worst_case draws
+for it.  simulate and near-codeword make one such pass per run, on the run seed.
 
 Every estimator takes the rule under test as one DecoderRule (codebook, channel
 model, delta) and decides every statistic by its accepts.  The literal channel
@@ -56,7 +57,7 @@ import numpy as np
 from . import oracles
 from .channel import ChannelModel, FadingSpec
 from .codec import DecoderRule, delta_n, epsilon_schedule, two_codeword_codebook
-from .seeding import require_integer, run_chunks, substream
+from .seeding import require_integer, require_seed, run_chunks, substream
 
 _CHUNK = 4096
 # Largest slow gain grid.  A running slow chunk holds a float64 statistic and a
@@ -75,7 +76,7 @@ class TrialPlan:
 
     def __post_init__(self):
         require_integer("trials", self.trials)
-        require_integer("seed", self.seed)
+        require_seed(self.seed)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
@@ -236,7 +237,7 @@ def estimate_type1(
 ) -> ErrorReport:
     """Missed-identification rate: transmit u_i, count rejections of message i.
 
-    accepts, set only by estimate_worst_case, is the acceptance count it has
+    accepts, set only by estimate_pairs, is the acceptance count it has
     already drawn at this gain; without it an estimate draws its own.
     """
     return _estimate(rule, i, None, plan, gain, accepts)
@@ -260,56 +261,53 @@ def estimate_type2(
     return _estimate(rule, i, j, plan, gain, accepts)
 
 
+def estimate_pairs(rule: DecoderRule, tests, plan: TrialPlan, g_grid=None) -> list:
+    """Reports of several (i, j) tests, in test order, from one pass; j None is type I.
+
+    Each chunk is drawn once and decides every test on it (module docstring);
+    estimate_type1 or estimate_type2 then reports each count.  Slow fading needs
+    g_grid, and each report is then its worst grid point's (its gain is the
+    argmax) with every point's report in per_gain; fast fading refuses a grid.
+    Every refusal comes before any chunk runs.
+    """
+    tests = list(tests)
+    if not tests:
+        raise ValueError("no message pairs given")
+    for i, j in tests:
+        if i == j:
+            raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
+    if rule.model.flavor == "fast":
+        if g_grid is not None:
+            raise ValueError("fast fading draws per-symbol gains; pass no gain grid")
+        gains = [None]
+    elif g_grid is None:
+        raise ValueError("slow-fading errors are worst cases over the gain; pass a gain grid")
+    else:
+        grid = np.atleast_1d(np.asarray(g_grid, dtype=np.float64))
+        if grid.size > MAX_GRID_POINTS:
+            raise ValueError(f"gain grid of {grid.size} points exceeds MAX_GRID_POINTS = "
+                             f"{MAX_GRID_POINTS}")
+        if not grid.size:
+            raise ValueError("gain grid is empty")
+        gains = [float(g) for g in grid]
+        for g in gains:
+            if not rule.model.fading.contains(g):
+                raise ValueError(f"gain {g} lies outside the fading support")
+    reports = []
+    for (i, j), counts in zip(tests, _accept_counts(rule, tests, plan, gains)):
+        per_gain = [estimate_type1(rule, i, plan, gain=g, accepts=c) if j is None
+                    else estimate_type2(rule, i, j, plan, gain=g, accepts=c)
+                    for g, c in zip(gains, counts)]
+        worst = max(per_gain, key=lambda rep: rep.estimate)
+        reports.append(worst if g_grid is None else replace(worst, per_gain=tuple(per_gain)))
+    return reports
+
+
 def estimate_worst_case(
     rule: DecoderRule, i: int, j: int | None, g_grid, plan: TrialPlan
 ) -> ErrorReport:
-    """Sup over the gain grid of the per-gain error (slow fading).
-
-    One pass decides every chunk at every grid point on the same draws, so the
-    per-point estimates differ only through the gain; estimate_type1 or
-    estimate_type2 then reports each point from its count.  Returns the report
-    of the worst grid point (its gain is the argmax), every point's in per_gain.
-    A grid of more than MAX_GRID_POINTS points is refused before any chunk runs.
-    """
-    if rule.model.flavor != "slow":
-        raise ValueError("worst-case estimation applies to slow fading")
-    grid = np.atleast_1d(np.asarray(g_grid, dtype=np.float64))
-    if grid.size > MAX_GRID_POINTS:
-        raise ValueError(f"gain grid of {grid.size} points exceeds MAX_GRID_POINTS = "
-                         f"{MAX_GRID_POINTS}")
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("gain grid is empty")
-    if i == j:
-        raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
-    for g in grid:
-        if not rule.model.fading.contains(g):
-            raise ValueError(f"gain {g} lies outside the fading support")
-    counts = _accept_counts(rule, [(i, j)], plan, grid)[0]
-    estimate = estimate_type1 if j is None else estimate_type2
-    messages = (i,) if j is None else (i, j)
-    reports = [estimate(rule, *messages, plan, gain=g, accepts=c) for g, c in zip(grid, counts)]
-    return replace(max(reports, key=lambda rep: rep.estimate), per_gain=tuple(reports))
-
-
-def estimate_type2_pairs(rule: DecoderRule, pairs, plan: TrialPlan) -> list:
-    """Fast type II reports of several (i, j) pairs, in pair order, from one pass.
-
-    Each chunk draws its gains once, on the union of the pairs' supports, and
-    decides every pair on them and on its one noise stream; estimate_type2 then
-    reports each pair from its count.  One pair gets exactly the report that
-    estimate_type2 draws for it.  Equal messages are refused before any chunk runs.
-    """
-    if rule.model.flavor != "fast":
-        raise ValueError("one pass over several pairs applies to fast fading")
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no message pairs given")
-    for i, j in pairs:
-        if i == j:
-            raise ValueError(f"type II error needs distinct messages, got i = j = {i}")
-    counts = _accept_counts(rule, pairs, plan, [None])
-    return [estimate_type2(rule, i, j, plan, accepts=c) for (i, j), (c,) in zip(pairs, counts)]
+    """Sup over the gain grid of the per-gain error (slow fading): estimate_pairs of (i, j)."""
+    return estimate_pairs(rule, [(i, j)], plan, g_grid)[0]
 
 
 @dataclass(frozen=True)
@@ -345,11 +343,11 @@ def near_codeword_experiment(
     The pair is two_codeword_codebook's, at natural-scale distance alpha_n =
     sqrt(n * eps_n) with eps_n = A / n^(2(1+b)), or at normalized_distance; it
     refuses a distance that is not positive or a pair outside the power ball.
-    Type I is estimated for the first codeword and type II for the pair (2 -> 1);
-    as the spacing vanishes the two hypotheses merge and the error sum approaches 1.
-    For constant-gain fading the exact sum is reported alongside as a
-    noncentral chi-square witness.  An n above NEAR_CODEWORD_MAX_N is refused
-    before anything is allocated.
+    Type I is estimated for the first codeword and type II for the pair (2 -> 1),
+    in one estimate_pairs pass on independent draws; as the spacing vanishes the
+    two hypotheses merge and the error sum approaches 1.  For a constant |G| the
+    exact sum is reported alongside as a noncentral chi-square witness.  An n
+    above NEAR_CODEWORD_MAX_N is refused before anything is allocated.
     """
     if n > NEAR_CODEWORD_MAX_N:
         raise ValueError(f"block length n = {n} exceeds NEAR_CODEWORD_MAX_N = "
@@ -360,15 +358,14 @@ def near_codeword_experiment(
     delta = delta_n(fading.gamma, epsilon_schedule(n, power_budget, b, "achievability"))
     model = ChannelModel(flavor="fast", noise_variance=noise_variance, fading=fading)
     rule = DecoderRule(codebook, model, delta)
-    rep1 = estimate_type1(rule, 1, plan)
-    rep2 = estimate_type2(rule, 2, 1, plan)
+    rep1, rep2 = estimate_pairs(rule, [(1, None), (2, 1)], plan)
     error_sum = rep1.estimate + rep2.estimate
     joint = math.sqrt(rep1.stderr**2 + rep2.stderr**2)
 
     oracle_sum = None
-    if fading.variance <= 1e-15:  # constant gain: closed-form witness
+    if fading.gamma == fading.g_max:  # constant |G|, so constant G^2: closed-form witness
         x = n * rule.threshold / noise_variance
-        lam = n * (fading.mean * d_norm) ** 2 / noise_variance
+        lam = n * (fading.gamma * d_norm) ** 2 / noise_variance
         oracle_sum = oracles.chi2_sf(x, n) + oracles.noncentral_chi2_cdf(x, n, lam)
 
     return NearCodewordReport(

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .seeding import require_integer, run_chunks, substream
+from .seeding import require_integer, require_seed, run_chunks, substream
 
 _BATCH = 2048
 _ROW_BLOCK = 256
@@ -72,8 +72,9 @@ class PackingConfig:
     max_codewords: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("dimension", "seed", "saturation_patience", "max_codewords"):
+        for name in ("dimension", "saturation_patience", "max_codewords"):
             require_integer(name, getattr(self, name))
+        require_seed(self.seed)
         if not 1 <= self.dimension <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.dimension}")
         if not 0 < self.r0 < math.inf:
@@ -383,7 +384,7 @@ def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> D
     "density", chunk) substream, so the estimate is the same for any pool size.
     """
     require_integer("samples", samples)
-    require_integer("seed", seed)
+    require_seed(seed)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if packing.count == 0:

@@ -21,7 +21,6 @@ from functools import reduce
 
 import numpy as np
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity query on this platform
@@ -34,6 +33,13 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(seed) -> None:
+    """Raise ValueError naming seed unless it is an integer in [0, 2^64), the streams' range."""
+    require_integer("seed", seed)
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+
+
 def substream(seed: int, label: str, *indices: int) -> np.random.Generator:
     """Generator for the (seed, label, *indices) substream.
 
@@ -42,14 +48,14 @@ def substream(seed: int, label: str, *indices: int) -> np.random.Generator:
     first 8 bytes of its sha256, not as Python's salted hash().
     """
     digest = hashlib.sha256(label.encode("utf-8")).digest()
-    entropy = [int(seed) & _MASK64, int.from_bytes(digest[:8], "big")]
+    entropy = [int(seed), int.from_bytes(digest[:8], "big")]
     entropy.extend(int(i) for i in indices)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def derive_seed(seed: int, label: str, *indices: int) -> int:
     """64-bit sub-seed for handing to components that take a plain seed."""
-    parts = [str(int(seed) & _MASK64), label]
+    parts = [str(int(seed)), label]
     parts.extend(str(int(i)) for i in indices)
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

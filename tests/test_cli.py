@@ -172,13 +172,12 @@ random_pairs = 2
     assert r1 != r3
 
 
-# sha256 of simulate_report.csv for the configuration below, recorded when the
-# estimator began drawing the decoder statistic from its chi-square law; the fast
-# digest again when the fast type II rows of a run began sharing one pass, which
-# changed the second pair's type II row
+# sha256 of simulate_report.csv for the configuration below, recorded when each
+# run began making one estimation pass over all its rows on the run seed (rows
+# had drawn from per-row seeds), which changed every row
 _PINNED_REPORTS = {
-    "fast": "1905c8afbe63427b8bbb1405a8abec79e081d7dc720bfbdcd56bab1d09ee2c65",
-    "slow": "daf1b7491c8533e4859afc7681123bbd9880080a6766b32fb41e9f6019e73f75",
+    "fast": "b06c3d9bb60dc1855e8cf5bc84148c67ed52a5dd3bde2eec02e5c3d7b839c747",
+    "slow": "21c40def706433631b1f0ea9fe971acb9c548d98e3b0b8178cd17f940454a1c0",
 }
 
 
@@ -237,8 +236,9 @@ def test_fast_type2_rows_of_a_run_share_their_gains(pack_dir, tmp_path, monkeypa
 
 
 # sha256 of simulate_report.csv for one fast pair (message_i = 3, message_j = 17),
-# recorded before the fast type II rows of a run shared one pass
-_PINNED_ONE_PAIR_FAST = "e4846402342a573b6d5a278babb2770e6372ad5ecafa44d3b902491e0c76560f"
+# recorded when each run began making one estimation pass over all its rows on
+# the run seed
+_PINNED_ONE_PAIR_FAST = "11ca29a0981621ac3346b19118a5f50329b962282ced8f0f90ccaad99cb79cd7"
 
 
 def test_one_fast_pair_keeps_its_report(pack_dir, tmp_path):
@@ -626,6 +626,20 @@ def test_cli_fuzz_exits_with_a_documented_status(tiny_codebook, case):
         assert f"'{named}'" in stderr.getvalue()
 
 
+@pytest.mark.parametrize("command", ["pack", "simulate", "near-codeword", "sweep"])
+def test_seed_outside_64_bits_is_a_config_error(tiny_codebook, tmp_path, capsys, command):
+    # the streams masked the seed to 64 bits: --seed 2^64 wrote the artifacts of
+    # --seed 0, and --seed -1 those of --seed 2^64 - 1
+    cfg = write(tmp_path / "run.cfg", _FUZZ_BASE[command].format(codebook=tiny_codebook))
+    for seed in ("-1", str(2**64)):
+        out = tmp_path / f"seed{seed}"
+        assert run([command, "--config", cfg, "--seed", seed, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "parameter 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+    largest = str(2**64 - 1)
+    assert run([command, "--config", cfg, "--seed", largest, "--out", str(tmp_path / "ok")]) == 0
+
+
 def test_sweep_without_block_lengths_is_a_config_error(tmp_path, capsys):
     cfg = write(tmp_path / "sw.cfg", "n_values =\n")
     out = tmp_path / "o"
@@ -803,11 +817,16 @@ def test_near_codeword_summary_fields(tmp_path):
     assert len(lines) == 3
 
 
-# sha256 of near_codeword_report.csv for the configuration below, recorded
-# before its rows moved from the estimation reports into cli
+# sha256 of near_codeword_report.csv for the configuration below, recorded when
+# type I and type II came from one pass on independent draws (type II had reused
+# the noise draws of type I); the type I row alone keeps its former bytes
 _PINNED_NEAR_CODEWORD = {
-    "constant": "f883f860c90284188158df866c5fd1819edd076ab1d39d56ea7489aac293af05",
-    "uniform": "bd315c28b2cb863f5569966ca856f1bf7b42ea812e138429439e18666752d3a9",
+    "constant": "b6f284626dc8327dec3e35d91193beb60055b6ee3d2ea6d70e80faff28638b41",
+    "uniform": "b63b43bae85fe52d91a36dafa3d7941c4c0c86bf824da13ce69e20b9b59d5894",
+}
+_PINNED_NEAR_CODEWORD_TYPE1_ROW = {
+    "constant": "5cb5bc6daf8eeb3e06a161ea6e3d63f9b1cb45b5b4aa3519298a824238972c7a",
+    "uniform": "f23ae15de6579f6efd90f594eaa2ae2a7d2f2a4ea4e28feb77a7b66f95abe108",
 }
 
 
@@ -824,6 +843,8 @@ def test_near_codeword_report_is_pinned(tmp_path, gain, g_range):
     assert run(["near-codeword", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
     report = (out / "near_codeword_report.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == _PINNED_NEAR_CODEWORD[gain]
+    type1_row = report.decode().splitlines()[1].encode()
+    assert hashlib.sha256(type1_row).hexdigest() == _PINNED_NEAR_CODEWORD_TYPE1_ROW[gain]
     summary = (out / "near_codeword_summary.txt").read_text()
     assert ("oracle_sum = none" in summary) == (gain == "uniform")
 

@@ -15,9 +15,9 @@ from difading import (
     apply_channel,
     delta_n,
     epsilon_schedule,
+    estimate_pairs,
     estimate_type1,
     estimate_type2,
-    estimate_type2_pairs,
     estimate_worst_case,
     identify,
     near_codeword_experiment,
@@ -460,7 +460,7 @@ def test_one_pass_reports_each_pair_at_its_own_oracle(monkeypatch):
     runs = []
     for workers in (1, 4):
         monkeypatch.setattr(seeding, "_WORKERS", workers)
-        runs.append(estimate_type2_pairs(rule, pairs, plan))
+        runs.append(estimate_pairs(rule, pairs, plan))
     assert runs[0] == runs[1]
     assert [(rep.i, rep.j) for rep in runs[0]] == pairs
     x = n * (sigma_z2 + delta) / sigma_z2
@@ -476,7 +476,7 @@ def test_one_pass_of_one_pair_is_estimate_type2():
                        0.1)
     plan = TrialPlan(9_000, seed=32)
     for i, j in [(4, 1), (3, 2), (1, 5)]:
-        assert estimate_type2_pairs(rule, [(i, j)], plan) == [estimate_type2(rule, i, j, plan)]
+        assert estimate_pairs(rule, [(i, j)], plan) == [estimate_type2(rule, i, j, plan)]
 
 
 def test_one_pass_refuses_what_estimate_type2_refuses(monkeypatch):
@@ -488,14 +488,14 @@ def test_one_pass_refuses_what_estimate_type2_refuses(monkeypatch):
     fast = DecoderRule(_pairs_book(8), ChannelModel("fast", 0.5, spec), 0.1)
     plan = TrialPlan(100, seed=0)
     with pytest.raises(ValueError, match="distinct messages"):
-        estimate_type2_pairs(fast, [(2, 1), (3, 3)], plan)
+        estimate_pairs(fast, [(2, 1), (3, 3)], plan)
     with pytest.raises(ValueError, match="no message pairs"):
-        estimate_type2_pairs(fast, [], plan)
-    with pytest.raises(ValueError, match="fast fading"):
-        estimate_type2_pairs(DecoderRule(_pairs_book(8), ChannelModel("slow", 0.5, spec), 0.1),
-                             [(2, 1)], plan)
+        estimate_pairs(fast, [], plan)
+    with pytest.raises(ValueError, match="pass a gain grid"):
+        estimate_pairs(DecoderRule(_pairs_book(8), ChannelModel("slow", 0.5, spec), 0.1),
+                       [(2, 1)], plan)
     with pytest.raises(IndexError, match="message index 6"):
-        estimate_type2_pairs(fast, [(2, 1), (6, 1)], plan)
+        estimate_pairs(fast, [(2, 1), (6, 1)], plan)
 
 
 def test_one_pass_memory_does_not_grow_with_the_pair_count(monkeypatch):
@@ -509,11 +509,83 @@ def test_one_pass_memory_does_not_grow_with_the_pair_count(monkeypatch):
         pairs = list(itertools.islice(itertools.cycle([(2, 1), (4, 3)]), count))
         tracemalloc.start()
         try:
-            estimate_type2_pairs(rule, pairs, TrialPlan(4096, seed=33))
+            estimate_pairs(rule, pairs, TrialPlan(4096, seed=33))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
+
+
+def test_one_pass_mixes_type1_and_fast_type2_at_their_oracles(monkeypatch):
+    n, sigma_z2, delta, g = 16, 1.0, 0.25, 1.0
+    rule = DecoderRule(_pairs_book(n), ChannelModel("fast", sigma_z2, point_mass(g)), delta)
+    tests = [(1, None), (2, 1), (3, None), (4, 1), (5, 1)]
+    plan = TrialPlan(20_000, seed=34)
+    runs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(seeding, "_WORKERS", workers)
+        runs.append(estimate_pairs(rule, tests, plan))
+    assert runs[0] == runs[1]
+    x = n * (sigma_z2 + delta) / sigma_z2
+    for rep, (i, j), distance_sq in zip(runs[0], tests, (None, 0.05, None, 0.3, 0.0)):
+        assert (rep.i, rep.j, rep.error_type) == (i, j, "type1" if j is None else "type2")
+        oracle = (oracles.chi2_sf(x, n) if j is None
+                  else oracles.noncentral_chi2_cdf(x, n, n * g**2 * distance_sq / sigma_z2))
+        assert abs(rep.estimate - oracle) <= 3.0 * rep.stderr
+
+
+def test_one_pass_slow_tests_sit_at_their_oracles(monkeypatch):
+    n, sigma_z2, delta = 16, 1.0, 0.25
+    rule = DecoderRule(_pairs_book(n), ChannelModel("slow", sigma_z2, FadingSpec.uniform(0.5, 1.5)),
+                       delta)
+    tests = [(2, None), (2, 1), (4, 1), (1, None)]
+    grid = [0.5, 1.0, 1.5]
+    plan = TrialPlan(20_000, seed=35)
+    runs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(seeding, "_WORKERS", workers)
+        runs.append(estimate_pairs(rule, tests, plan, grid))
+    assert runs[0] == runs[1]
+    x = n * (sigma_z2 + delta) / sigma_z2
+    for rep, (i, j), distance_sq in zip(runs[0], tests, (None, 0.05, 0.3, None)):
+        assert (rep.i, rep.j) == (i, j)
+        assert [point.gain for point in rep.per_gain] == grid
+        assert rep.estimate == max(point.estimate for point in rep.per_gain)
+        for point in rep.per_gain:
+            oracle = (oracles.chi2_sf(x, n) if j is None else
+                      oracles.noncentral_chi2_cdf(x, n, n * point.gain**2 * distance_sq / sigma_z2))
+            assert abs(point.estimate - oracle) <= 3.0 * point.stderr
+
+
+def test_worst_case_is_one_pass_of_one_test():
+    rule = DecoderRule(_pairs_book(8), ChannelModel("slow", 0.5, FadingSpec.uniform(0.5, 1.5)),
+                       0.1)
+    grid = np.linspace(0.5, 1.5, 5)
+    plan = TrialPlan(9_000, seed=36)
+    for i, j in [(2, None), (4, 1), (1, 5)]:
+        worst = estimate_worst_case(rule, i, j, grid, plan)
+        assert estimate_pairs(rule, [(i, j)], plan, grid) == [worst]
+        # the first test of a pass draws first from each chunk's stream: it keeps its draws
+        assert estimate_pairs(rule, [(i, j), (3, 1)], plan, grid)[0] == worst
+
+
+def test_one_pass_refuses_a_bad_gain_grid_before_any_chunk_runs(monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("a refused pass ran its chunks")
+
+    monkeypatch.setattr(estimation, "run_chunks", no_chunks)
+    spec = FadingSpec.uniform(0.5, 1.5)
+    slow = DecoderRule(_pairs_book(8), ChannelModel("slow", 0.5, spec), 0.1)
+    fast = DecoderRule(_pairs_book(8), ChannelModel("fast", 0.5, spec), 0.1)
+    too_long = np.linspace(0.5, 1.5, estimation.MAX_GRID_POINTS + 1)
+    # a slow rule without a grid read "gain nan lies outside the fading support"
+    for rule, grid, message in ((slow, None, "slow-fading errors are worst cases"),
+                                (slow, [], "gain grid is empty"),
+                                (slow, [0.5, 1.7], "gain 1.7 lies outside"),
+                                (slow, too_long, "MAX_GRID_POINTS"),
+                                (fast, [1.0], "pass no gain grid")):
+        with pytest.raises(ValueError, match=message):
+            estimate_pairs(rule, [(1, None), (2, 1)], TrialPlan(100, seed=0), grid)
 
 
 def test_chebyshev_bound_formulas():
@@ -567,7 +639,12 @@ def test_trial_plan_validation():
     for bad in (1.5, 1.0, True, "1"):
         with pytest.raises(ValueError, match="seed must be an integer"):
             TrialPlan(10, seed=bad)
-    assert TrialPlan(10, seed=np.int64(-3)).seed == -3
+    assert TrialPlan(10, seed=np.int64(3)).seed == 3
+    # -1 drew the stream of 2^64 - 1, and 2^64 that of 0
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            TrialPlan(10, seed=bad)
+    assert TrialPlan(10, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_accepts_keyword_is_a_count_of_the_trials():
@@ -589,6 +666,18 @@ def test_near_codeword_mechanism_and_witness():
     assert abs(report.error_sum - report.oracle_sum) <= 3.0 * report.joint_stderr
     assert report.alpha_n == pytest.approx(64.0 ** (-0.6), rel=1e-12)
     assert report.normalized_distance == pytest.approx(64.0 ** (-1.1), rel=1e-12)
+
+
+def test_near_codeword_witness_needs_a_constant_gain_magnitude():
+    # sigma_G^2 = 1e-16 passed the former test variance <= 1e-15: the witness read 0.448
+    # against a Monte Carlo 0.586; a law on {-1, 1} has a constant G^2 and read none
+    plan = TrialPlan(20_000, seed=3)
+    tiny = near_codeword_experiment(64, 1.0, 0.1, 1.0, FadingSpec.discrete([1e-8, 3e-8]), plan)
+    assert tiny.oracle_sum is None
+    signed = near_codeword_experiment(64, 1.0, 0.1, 1.0, FadingSpec.discrete([-1.0, 1.0]), plan)
+    unit = near_codeword_experiment(64, 1.0, 0.1, 1.0, point_mass(1.0), plan)
+    assert signed.oracle_sum == unit.oracle_sum
+    assert abs(signed.error_sum - signed.oracle_sum) <= 3.0 * signed.joint_stderr
 
 
 def test_near_codeword_far_apart_variant_is_distinguishable():

@@ -396,6 +396,11 @@ def test_packing_config_validation():
             PackingConfig(**{"dimension": 2, "r0": 1.0, "r1": 3.0, field: value})
     assert PackingConfig(np.int64(2), 1.0, 3.0, max_codewords=np.int32(5)).dimension == 2
     assert PackingConfig(2, 1.0, 3.0, seed=np.uint64(7)).seed == 7
+    # -1 packed the centers of seed 2^64 - 1, and 2^64 those of seed 0
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            PackingConfig(2, 1.0, 3.0, seed=bad)
+    assert PackingConfig(2, 1.0, 3.0, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     assert PackingConfig(geometry.MAX_DIMENSION, 1.0, 2.0).dimension == 21845
     with pytest.raises(ValueError, match="dimension"):
         PackingConfig(geometry.MAX_DIMENSION + 1, 1.0, 2.0)
@@ -488,6 +493,10 @@ def test_density_rejects_zero_samples():
         with pytest.raises(ValueError, match="seed must be an integer"):
             estimate_packing_density(packing, samples=100, seed=bad)
     assert estimate_packing_density(packing, samples=100, seed=np.int64(3)).samples == 100
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            estimate_packing_density(packing, samples=100, seed=bad)
+    assert estimate_packing_density(packing, samples=100, seed=2**64 - 1).samples == 100
     with pytest.raises(ValueError, match="empty"):
         estimate_packing_density(Packing(packing.config, np.zeros((0, 2)), True), samples=100)
 
