@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import substream
+from .seeding import require_integer, require_seed, substream
 
 FAMILIES = ("uniform", "truncated_rayleigh", "discrete")
 FLAVORS = ("fast", "slow")
@@ -253,6 +253,10 @@ class ChannelRealization:
 def realize(model: ChannelModel, trials: int, n: int, seed: int, chunk: int) -> ChannelRealization:
     """Chunk `chunk` of trials, drawn from the disjoint gains and noise substreams of seed:
     gains of shape model.gain_shape(trials, n), (trials, n) noise of variance sigma_z2 / n."""
+    require_seed(seed)
+    require_integer("chunk", chunk)
+    if chunk < 0:
+        raise ValueError(f"chunk must be >= 0, got {chunk}")
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     shape = model.gain_shape(trials, n)

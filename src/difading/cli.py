@@ -297,14 +297,15 @@ def _select_messages(params, size: int):
     if params["random_pairs"] is not None:
         if params["message_i"] is not None or params["message_j"] is not None:
             raise ConfigError("give either 'random_pairs' or explicit messages, not both")
-        if size < 2:
-            raise ValueError("random pairs need a codebook with at least 2 codewords")
+        if params["random_pairs"] > size * (size - 1):
+            raise ValueError(f"random_pairs = {params['random_pairs']} exceeds the "
+                             f"{size * (size - 1)} ordered pairs of a {size}-codeword book")
         rng = substream(params["seed"], "pairs")
-        pairs = []
-        for _ in range(params["random_pairs"]):
+        pairs = {}  # ordered; a pair drawn again is redrawn
+        while len(pairs) < params["random_pairs"]:
             i, j = rng.choice(size, size=2, replace=False) + 1
-            pairs.append((int(i), int(j)))
-        return pairs
+            pairs[int(i), int(j)] = None
+        return list(pairs)
     if params["message_i"] is None:
         raise ConfigError("provide 'message_i' (with optional 'message_j') or 'random_pairs'")
     i = params["message_i"]

@@ -28,8 +28,11 @@ length-n dot product, is re-decided in the difference form.  So every
 same-batch pair is decided as the difference form decides it, and every pair
 with an earlier center as _min_dist_sq decides it.
 
-All volume computations run in the log domain to stay finite for large
-dimensions.
+estimate_packing_density measures the covered fraction by Monte Carlo.  While a
+slot table over cells of side ``r0/2`` fits the same cap of 2^20 cells and 2^23
+slots, a sample is tested, in the difference form ``||x - c||^2 <= r0^2``, only
+against the few centers whose r0-ball can reach its cell; past the caps, against
+every center through _min_dist_sq.
 """
 
 import math
@@ -56,8 +59,12 @@ _FP_GUARD = 1e-12
 _CELLS_PER_R0 = 4
 _MAX_CELLS = 2**20
 _REACH = 2 * _CELLS_PER_R0 - 2
-# Relative margin of the stencil, far above the rounding of the distance kernel.
+# Relative margin of the stencils, far above the rounding of the distance kernel.
 _STENCIL_GUARD = 1e-9
+# Density slot table: cells of side r0 / _SLOT_CELLS_PER_R0 (r0 and r0/3 were slower),
+# built only while it holds at most _MAX_SLOTS slots.
+_SLOT_CELLS_PER_R0 = 2
+_MAX_SLOTS = 2**23
 
 
 @dataclass(frozen=True)
@@ -237,39 +244,24 @@ def _greedy_accepts(batch: np.ndarray, live: np.ndarray, gap_sq: float):
     yield from live
 
 
-class _DeadCells:
-    """Boolean grid over [-r1, r1]^n marking cells wholly within 2*r0 of an accepted center.
+class _Grid:
+    """Cells of side h = r0/per_r0 over [-r1, r1]^n, widened by reach + 1 cells a side, so
+    a stencil of offsets up to reach cells an axis around any point of the ball lies inside
+    the grid and is kept as flat offsets."""
 
-    Cells have side h = r0/_CELLS_PER_R0.  The stencil holds the cell offsets
-    k with sum(((|k_i| + 1) h)^2) < (2 r0)^2 (1 - _STENCIL_GUARD): every point
-    of such a cell lies closer than 2*r0 to any point of the home cell, so
-    _min_dist_sq would reject a candidate in a marked cell as well.  The grid
-    extends _REACH + 1 cells beyond the cube on every side, so the stencil
-    around any point of the ball lies inside it and is kept as flat offsets.
-    """
-
-    def __init__(self, n: int, r0: float, r1: float, side: int):
-        self.h = r0 / _CELLS_PER_R0
-        self.origin = r1 + (_REACH + 1) * self.h
+    def __init__(self, config: PackingConfig, per_r0: int, reach: int, side: int):
+        self.h = config.r0 / per_r0
+        self.reach = reach
+        self.origin = config.r1 + (reach + 1) * self.h
         self.side = side
-        self.strides = side ** np.arange(n - 1, -1, -1)
-        self.dead = np.zeros(side**n, dtype=bool)
-        # int8 offsets and one axis at a time keep the box at n bytes per offset.
-        offsets = np.indices((2 * _REACH + 1,) * n, dtype=np.int8).reshape(n, -1) - _REACH
-        width_sq = sum(((np.abs(k) + 1) * self.h) ** 2 for k in offsets)
-        keep = width_sq < (2.0 * r0) ** 2 * (1.0 - _STENCIL_GUARD)
-        self.stencil = offsets[:, keep].T.astype(np.intp) @ self.strides
+        self.strides = side ** np.arange(config.dimension - 1, -1, -1)
 
     @classmethod
-    def for_config(cls, config: PackingConfig):
-        """The mask for this packing, or None when its grid would exceed _MAX_CELLS cells."""
-        per_axis = 2.0 * config.r1 * _CELLS_PER_R0 / config.r0 + 2 * (_REACH + 1)
-        if per_axis > _MAX_CELLS:
-            return None
-        side = math.ceil(per_axis)
-        if side**config.dimension > _MAX_CELLS:
-            return None
-        return cls(config.dimension, config.r0, config.r1, side)
+    def for_config(cls, config: PackingConfig, per_r0=_CELLS_PER_R0, reach=_REACH):
+        """The grid (by default the dead-cell mask's), or None past _MAX_CELLS cells."""
+        per_axis = 2.0 * config.r1 * per_r0 / config.r0 + 2 * (reach + 1)
+        side = math.ceil(min(per_axis, _MAX_CELLS + 1))  # capped: no huge side**n
+        return cls(config, per_r0, reach, side) if side**config.dimension <= _MAX_CELLS else None
 
     def cells(self, points: np.ndarray) -> np.ndarray:
         """Flat cell index of each point (of a 1-D point, its scalar index).
@@ -279,9 +271,33 @@ class _DeadCells:
         The clip binds only a cell or more outside the ball; a coordinate of
         sample_in_ball exceeds r1 in magnitude by an ulp at most.
         """
-        index = np.floor((points + self.origin) / self.h).astype(np.intp)
-        np.clip(index, _REACH, self.side - 1 - _REACH, out=index)
-        return index @ self.strides
+        index = np.floor((points + self.origin) / self.h)
+        np.clip(index, self.reach, self.side - 1 - self.reach, out=index)
+        return index.astype(np.intp) @ self.strides
+
+    def stencil_offsets(self, gap: int, limit: float) -> np.ndarray:
+        """Flat offsets of the cells k in [-reach, reach]^n with
+        sum(((|k_i| + gap)^+ h)^2) < limit."""
+        n = self.strides.size
+        # int8 offsets and one axis at a time keep the box at n bytes per offset.
+        offsets = np.indices((2 * self.reach + 1,) * n, dtype=np.int8).reshape(n, -1) - self.reach
+        width_sq = sum((np.maximum(np.abs(k) + gap, 0) * self.h) ** 2 for k in offsets)
+        return offsets[:, width_sq < limit].T.astype(np.intp) @ self.strides
+
+
+class _DeadCells(_Grid):
+    """Boolean grid marking cells wholly within 2*r0 of an accepted center.
+
+    Cells have side h = r0/_CELLS_PER_R0.  The stencil holds the cell offsets
+    k with sum(((|k_i| + 1) h)^2) < (2 r0)^2 (1 - _STENCIL_GUARD): every point
+    of such a cell lies closer than 2*r0 to any point of the home cell, so
+    _min_dist_sq would reject a candidate in a marked cell as well.
+    """
+
+    def __init__(self, config: PackingConfig, *grid):
+        super().__init__(config, *grid)
+        self.dead = np.zeros(self.side**config.dimension, dtype=bool)
+        self.stencil = self.stencil_offsets(1, (2.0 * config.r0) ** 2 * (1.0 - _STENCIL_GUARD))
 
     def mark(self, center: np.ndarray):
         """Mark the center's cell and every stencil cell around it."""
@@ -376,12 +392,38 @@ class DensityEstimate:
     samples: int
 
 
+def _center_slots(packing: Packing):
+    """(grid, slots), or None past _MAX_CELLS cells or _MAX_SLOTS slots: slots[k, c] is the
+    k-th center whose r0-ball can reach cell c, one whose cell lies at an offset k from c with
+    sum(((|k_i| - 1)^+ h)^2) < r0^2 (1 + _STENCIL_GUARD); a free slot holds packing.count."""
+    cfg = packing.config
+    grid = _Grid.for_config(cfg, _SLOT_CELLS_PER_R0, _SLOT_CELLS_PER_R0 + 1)
+    if grid is None:
+        return None
+    stencil = grid.stencil_offsets(-1, cfg.r0**2 * (1.0 + _STENCIL_GUARD))
+    if packing.count * stencil.size > _MAX_SLOTS:  # each (center, offset) pair takes a slot
+        return None
+    reached = (grid.cells(packing.centers)[:, None] + stencil).ravel()
+    order = np.argsort(reached, kind="stable")
+    reached = reached[order]
+    rank = np.arange(reached.size) - np.searchsorted(reached, reached)
+    shape = (rank.max() + 1, grid.side**cfg.dimension)
+    if math.prod(shape) > _MAX_SLOTS:
+        return None
+    slots = np.full(shape, packing.count)
+    slots[rank, reached] = order // stencil.size
+    return grid, slots
+
+
 def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> DensityEstimate:
     """Fraction of the r1-ball covered by the packing's r0-spheres.
 
-    Uniform samples in the r1-ball are tested against all centers in chunks of
-    16384 through seeding.run_chunks; each chunk draws from its own (seed,
-    "density", chunk) substream, so the estimate is the same for any pool size.
+    Uniform samples in the r1-ball are drawn in chunks of 16384 through
+    seeding.run_chunks; each chunk draws from its own (seed, "density", chunk)
+    substream, so the estimate is the same for any pool size.  A sample is
+    covered when ||x - c||^2 <= r0^2 for one of the centers in its cell's
+    slots (_center_slots), one coordinate gather per slot and axis; past the
+    table's caps (n >= 4 at r1/r0 = 10) by the Gram form of _min_dist_sq.
     """
     require_integer("samples", samples)
     require_seed(seed)
@@ -391,11 +433,23 @@ def estimate_packing_density(packing: Packing, samples: int, seed: int = 0) -> D
         raise ValueError("packing is empty")
     cfg = packing.config
     r0_sq = cfg.r0**2
+    table = _center_slots(packing)
+    if table is not None:
+        grid, slots = table
+        # one contiguous row of coordinates per axis, the sentinel center last
+        axes = np.vstack([packing.centers, np.full(cfg.dimension, np.inf)]).T.copy()
 
     def covered(item):
         index, size = item
         pts = sample_in_ball(cfg.dimension, cfg.r1, substream(seed, "density", index), size)
-        return int((_min_dist_sq(pts, packing.centers) <= r0_sq).sum())
+        if table is None:
+            return int((_min_dist_sq(pts, packing.centers) <= r0_sq).sum())
+        cell = grid.cells(pts)
+        near = np.zeros(size, dtype=bool)
+        for plane in slots:
+            center = plane.take(cell)
+            near |= sum((axis.take(center) - x) ** 2 for axis, x in zip(axes, pts.T)) <= r0_sq
+        return int(np.count_nonzero(near))
 
     p = run_chunks(covered, samples, 16384) / samples
     return DensityEstimate(density=p, stderr=math.sqrt(p * (1.0 - p) / samples), samples=samples)

@@ -309,3 +309,23 @@ def test_per_trial_substreams_replay_and_differ():
     assert np.array_equal(
         chunk.noise, substream(6, "noise", 2).standard_normal((3, 8)) * math.sqrt(1.0 / 8)
     )
+
+
+def test_realize_refuses_a_seed_or_chunk_no_plan_would_pass():
+    model = ChannelModel("fast", 1.0, FadingSpec.uniform(0.5, 1.5))
+    # 1.5 drew the streams of seed 1
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            realize(model, 2, 3, seed=bad, chunk=0)
+    # 2^64 drew a stream no TrialPlan accepts; -1 failed inside numpy without naming the seed
+    for bad in (2**64, -1):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            realize(model, 2, 3, seed=bad, chunk=0)
+    for bad in (0.5, 2.0, False):
+        with pytest.raises(ValueError, match="chunk must be an integer"):
+            realize(model, 2, 3, seed=1, chunk=bad)
+    # -1 failed with numpy's "expected non-negative integer", which names neither argument
+    with pytest.raises(ValueError, match="chunk must be >= 0, got -1"):
+        realize(model, 2, 3, seed=1, chunk=-1)
+    edge = realize(model, 2, 3, seed=np.uint64(2**64 - 1), chunk=np.int64(4))
+    assert np.array_equal(edge.noise, realize(model, 2, 3, seed=2**64 - 1, chunk=4).noise)

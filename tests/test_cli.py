@@ -146,6 +146,35 @@ def test_zero_weight_atom_changes_no_slow_report(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_random_pairs_are_distinct_and_bounded_by_the_book(tmp_path, monkeypatch, capsys):
+    pack_cfg = write(tmp_path / "pack.cfg", "n = 100\npatience = 200\nmax_codewords = 4\n")
+    assert run(["pack", "--config", pack_cfg, "--out", str(tmp_path / "pack")]) == cli.EXIT_OK
+    base = f"codebook = {tmp_path / 'pack' / 'codebook.txt'}\n" + _SIM_NO_PAIR + _UNIFORM
+
+    def type2_pairs(count):
+        out = tmp_path / f"pairs{count}"
+        cfg = write(tmp_path / f"pairs{count}.cfg", base + f"random_pairs = {count}\n")
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        lines = (out / "simulate_summary.txt").read_text().splitlines()
+        return [line.split(":")[0][len("type2 "):] for line in lines if line.startswith("type2")]
+
+    # seed 0 drew (4, 3), (2, 1), (2, 1) on this book: a repeat is redrawn, and the
+    # pairs drawn before it keep their place
+    assert type2_pairs(3) == ["i=4 j=3", "i=2 j=1", "i=3 j=2"]
+    every = type2_pairs(12)  # all L (L - 1) ordered pairs of the 4 codewords
+    assert len(set(every)) == 12 and every[:3] == ["i=4 j=3", "i=2 j=1", "i=3 j=2"]
+
+    def fail(*args):
+        raise AssertionError("estimated a run that asks for more pairs than the book holds")
+
+    monkeypatch.setattr(cli, "estimate_pairs", fail)
+    out = tmp_path / "pairs13"
+    cfg = write(tmp_path / "pairs13.cfg", base + "random_pairs = 13\n")
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert "random_pairs = 13 exceeds the 12 ordered pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_is_byte_deterministic(pack_dir, tmp_path):
     cfg = write(
         tmp_path / "sim.cfg",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -515,8 +516,83 @@ def test_density_is_the_same_for_any_pool_size(monkeypatch):
     packing = generate_saturated_packing(
         PackingConfig(2, 1.0, 8.0, seed=21, saturation_patience=3000)
     )
+    assert geometry._center_slots(packing) is not None  # the slot-table path
     estimates = []
-    for workers in (1, 4):
+    for workers in (1, 2, 4):
         monkeypatch.setattr(seeding, "_WORKERS", workers)
         estimates.append(estimate_packing_density(packing, samples=40000, seed=13))
-    assert estimates[0] == estimates[1]
+    assert estimates[0] == estimates[1] == estimates[2]
+
+
+@st.composite
+def _slot_geometry(draw):
+    n = draw(st.integers(1, 3))
+    r0 = draw(st.floats(0.2, 3.0))
+    cells_per_r1 = draw(st.floats(4.0, 30.0).filter(lambda c: c != int(c)))  # r1/h, non-integer
+    r1 = cells_per_r1 * r0 / geometry._SLOT_CELLS_PER_R0
+    return PackingConfig(n, r0, r1), draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_slot_geometry())
+def test_slots_hold_every_center_within_r0_of_a_sample(data):
+    config, count, seed = data
+    n, r0, r1 = config.dimension, config.r0, config.r1
+    rng = np.random.default_rng(seed)
+    centers = sample_in_ball(n, r1, rng, count)  # overlapping centers are allowed here
+    table = geometry._center_slots(Packing(config, centers, True))
+    assert table is not None
+    grid, slots = table
+    assert ((0 <= slots) & (slots <= count)).all()
+    # cell borders over the widened grid, the axis ends and an ulp beyond them, and
+    # points within r0 of a center, on its axes at exactly r0 among them
+    borders = rng.integers(0, grid.side + 1, (400, n)) * grid.h - grid.origin
+    axis_ends = np.concatenate([np.eye(n) * r1, -np.eye(n) * r1])
+    beyond = np.nextafter(axis_ends, 2.0 * axis_ends)
+    near = centers[rng.integers(0, count, 400)] + sample_in_ball(n, r0, rng, 400)
+    on_axes = (centers[:, None, :] + r0 * np.concatenate([np.eye(n), -np.eye(n)])).reshape(-1, n)
+    points = np.concatenate([borders, axis_ends, beyond, near, on_axes])
+    within = ((points[:, None, :] - centers[None]) ** 2).sum(axis=2) <= r0**2
+    held = (slots[:, grid.cells(points)].T[:, :, None] == np.arange(count)).any(axis=1)
+    assert within.any()
+    assert (held | ~within).all()
+
+
+def _dense_density(packing, samples, seed, monkeypatch):
+    """estimate_packing_density with the slot table refused: the _min_dist_sq scan."""
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_center_slots", lambda packing: None)
+        return estimate_packing_density(packing, samples, seed=seed)
+
+
+def test_slot_density_equals_the_dense_scan_on_a_sweep(monkeypatch):
+    rng = np.random.default_rng(2024)
+    depths = set()
+    for k in range(60):
+        n, r0, ratio = int(rng.integers(1, 4)), rng.uniform(0.3, 2.0), rng.uniform(3.0, 14.0)
+        packing = generate_saturated_packing(
+            PackingConfig(n, r0, ratio * r0, seed=k, saturation_patience=2000)
+        )
+        depths.add(geometry._center_slots(packing)[1].shape[0])
+        slotted = estimate_packing_density(packing, 20000, seed=k)
+        assert slotted == _dense_density(packing, 20000, k, monkeypatch)
+    assert min(depths) >= 2 and max(depths) >= 5  # slot planes per cell
+
+
+def test_density_past_the_slot_caps_takes_the_dense_scan(monkeypatch):
+    # densities recorded with the dense scan alone, before the slot table
+    coincident = Packing(PackingConfig(3, 1.0, 10.0), np.full((1000, 3), 0.25), True)
+    four = generate_saturated_packing(PackingConfig(4, 1.0, 10.0, seed=1, saturation_patience=300))
+    assert four.count == 1804
+    for packing, seed, density in ((coincident, 3, 0.00105), (four, 4, 0.15745)):
+        assert geometry._center_slots(packing) is None
+        assert estimate_packing_density(packing, 20000, seed=seed).density == density
+    # 2^20 coincident centers would fill 37 * 2^20 slots: refused before any is built
+    crowd = Packing(PackingConfig(2, 1.0, 1.0), np.zeros((2**20, 2)), True)
+    tracemalloc.start()
+    try:
+        assert geometry._center_slots(crowd) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
