@@ -20,6 +20,7 @@ estimators draw the decoder statistic from its exact chi-square law instead
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,10 +171,15 @@ class FadingSpec:
     def variance(self) -> float:
         return self.second_moment - self.mean**2
 
+    @cached_property
+    def _atoms(self) -> frozenset:
+        """The discrete support as a set, so a lookup does not scan the atoms."""
+        return frozenset(self.values)
+
     def contains(self, g: float) -> bool:
         """Whether a gain value lies in the support."""
         if self.family == "discrete":
-            return float(g) in self.values
+            return float(g) in self._atoms
         return self.gamma <= g <= self.g_max
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -193,7 +199,7 @@ class FadingSpec:
         if resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {resolution}")
         if self.family == "discrete":
-            return np.array(sorted(set(self.values)), dtype=np.float64)
+            return np.array(sorted(self._atoms), dtype=np.float64)
         return np.linspace(self.gamma, self.g_max, resolution)
 
 

@@ -31,8 +31,8 @@ with an earlier center as _min_dist_sq decides it.
 estimate_packing_density measures the covered fraction by Monte Carlo.  While a
 slot table over cells of side ``r0/2`` fits the same cap of 2^20 cells and 2^23
 slots, a sample is tested, in the difference form ``||x - c||^2 <= r0^2``, only
-against the few centers whose r0-ball can reach its cell; past the caps, against
-every center through _min_dist_sq.
+against the few centers whose r0-ball can reach its cell; past the caps, or where
+some cell is reached by every center, against every center through _min_dist_sq.
 """
 
 import math
@@ -45,8 +45,6 @@ from .seeding import require_integer, require_seed, run_chunks, substream
 
 _BATCH = 2048
 _ROW_BLOCK = 256
-# Rows of the same-batch scan's first and smallest block (_next_rows).
-_MIN_ROWS = 8
 _CENTER_BLOCK = 4096
 # Largest n whose rejection-test buffers, 2*blk.T of a center block and a batch, fit in 1 GiB.
 MAX_DIMENSION = 2**30 // (8 * (_CENTER_BLOCK + _BATCH))
@@ -176,19 +174,12 @@ def _difference_far(batch: np.ndarray, first: np.ndarray, second: np.ndarray, ga
     return np.einsum("ij,ij->i", diff, diff) >= gap_sq
 
 
-def _next_rows(rows: int, taken: int) -> int:
-    """Rows of the next block: twice up to _ROW_BLOCK if half were taken, else half to _MIN_ROWS."""
-    if 2 * taken >= rows:
-        return min(2 * rows, _ROW_BLOCK)
-    return max(rows // 2, _MIN_ROWS)
-
-
 def _greedy_accepts(batch: np.ndarray, live: np.ndarray, gap_sq: float):
     """Yield, in order, the indices in ``live`` that the greedy same-batch scan accepts.
 
     A live row is accepted iff its squared distance in the difference form
     ||x - y||^2 to each live row accepted before it is at least gap_sq.  The
-    live rows are walked in blocks.  One GEMM gives the Gram form
+    live rows are walked in blocks of _ROW_BLOCK.  One GEMM gives the Gram form
     ||x||^2 + ||y||^2 - 2 x.y of a block against itself and every later live
     row; a pair whose Gram value lies within the guard band around gap_sq is
     re-decided in the difference form, and each acceptance ANDs its row of
@@ -220,9 +211,8 @@ def _greedy_accepts(batch: np.ndarray, live: np.ndarray, gap_sq: float):
     # also lose 2^-1075, at most 5 n of them per pair: 4 n 2^-1074 more.
     ku = (n + 2) * 2.0**-53
     guard = 16.0 * ku / (1.0 - ku) * (norms.max() + gap_sq) + 4 * n * 2.0**-1074
-    rows = _MIN_ROWS
     while live.size > 1:
-        size = min(rows, live.size)
+        size = min(_ROW_BLOCK, live.size)
         gram = (2.0 * points[:size]) @ points.T
         gram -= norms  # 2 x.y - ||y||^2, which is ||x||^2 - T exactly where D = T
         reach = norms[:size] - gap_sq
@@ -232,15 +222,12 @@ def _greedy_accepts(batch: np.ndarray, live: np.ndarray, gap_sq: float):
             first, second = np.nonzero(np.triu(~(far | near), 1))
             far[first, second] = _difference_far(batch, live[first], live[second], gap_sq)
         keep = np.ones(live.size, dtype=bool)
-        taken = 0
         for row in range(size):
             if keep[row]:
-                taken += 1
                 yield live[row]
                 keep &= far[row]
         keep = keep[size:]
         live, points, norms = live[size:][keep], points[size:][keep], norms[size:][keep]
-        rows = _next_rows(size, taken)
     yield from live
 
 
@@ -314,13 +301,10 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
     batch appends its acceptances at once, so only accepted centers are stored.
 
     Within a batch, _greedy_accepts walks the survivors of _min_dist_sq in
-    blocks of live rows, one GEMM of a block against the later live rows each.
-    A block starts at _MIN_ROWS rows and doubles up to _ROW_BLOCK while half
-    its rows are accepted, else halves down to _MIN_ROWS again, so the work
-    follows the rows the scan reaches.  Pairs in the guard band around (2*r0)^2 are
-    re-decided in the difference form, so no rounding of that GEMM changes a
-    same-batch decision; a pair with an earlier batch's center is decided by
-    _min_dist_sq alone.
+    blocks of _ROW_BLOCK live rows, one GEMM of a block against the later live
+    rows each.  Pairs in the guard band around (2*r0)^2 are re-decided in the
+    difference form, so no rounding of that GEMM changes a same-batch decision;
+    a pair with an earlier batch's center is decided by _min_dist_sq alone.
 
     While its cell grid (side r0/4, over [-r1, r1]^n widened for the stencil)
     has at most 2^20 cells, a dead-cell mask rejects a candidate whose cell
@@ -393,8 +377,9 @@ class DensityEstimate:
 
 
 def _center_slots(packing: Packing):
-    """(grid, slots), or None past _MAX_CELLS cells or _MAX_SLOTS slots: slots[k, c] is the
-    k-th center whose r0-ball can reach cell c, one whose cell lies at an offset k from c with
+    """(grid, slots), or None past _MAX_CELLS cells or _MAX_SLOTS slots or where some cell holds
+    a slot for every center, so the dense scan tests no more: slots[k, c] is the k-th center
+    whose r0-ball can reach cell c, one whose cell lies at an offset k from c with
     sum(((|k_i| - 1)^+ h)^2) < r0^2 (1 + _STENCIL_GUARD); a free slot holds packing.count."""
     cfg = packing.config
     grid = _Grid.for_config(cfg, _SLOT_CELLS_PER_R0, _SLOT_CELLS_PER_R0 + 1)
@@ -408,7 +393,7 @@ def _center_slots(packing: Packing):
     reached = reached[order]
     rank = np.arange(reached.size) - np.searchsorted(reached, reached)
     shape = (rank.max() + 1, grid.side**cfg.dimension)
-    if math.prod(shape) > _MAX_SLOTS:
+    if shape[0] >= packing.count or math.prod(shape) > _MAX_SLOTS:
         return None
     slots = np.full(shape, packing.count)
     slots[rank, reached] = order // stencil.size
