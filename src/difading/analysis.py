@@ -224,7 +224,10 @@ def empirical_rate(codebook: Codebook) -> float:
 
 @dataclass(frozen=True)
 class SpacingCheck:
-    """Minimum-distance requirement from the converse schedule vs. the codebook."""
+    """Minimum-distance requirement from the converse schedule vs. the codebook.
+
+    The fields, in order, are converse_report.csv's columns after n and b.
+    """
 
     required_normalized: float
     required_unnormalized: float

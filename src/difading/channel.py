@@ -167,10 +167,6 @@ class FadingSpec:
             weights=wts,
         )
 
-    @property
-    def variance(self) -> float:
-        return self.second_moment - self.mean**2
-
     @cached_property
     def _atoms(self) -> frozenset:
         """The discrete support as a set, so a lookup does not scan the atoms."""

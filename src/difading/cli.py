@@ -3,15 +3,16 @@
 Subcommands: pack, simulate, converse-check, near-codeword, scales, sweep.
 Each reads a flat `key = value` config file (flags override file values),
 writes CSV reports plus a human-readable summary that echoes the resolved
-configuration, and is byte-reproducible given the same seed.  Every CSV
-layout lives here: the estimate rows of simulate and near-codeword join the
-rule's context (n, A, b, the channel model, delta) to what the estimators
-report.  Each simulate or near-codeword run makes one estimate_pairs pass over
-all its tests, on the run seed.  pack and sweep report the same codebook facts
-(the sweep_report.csv columns) from one builder.  scales leaves each dominance
-certificate, whether it is defined at the largest n included, to
-analysis.dominates.  A fading family takes exactly the keys its FadingSpec
-constructor reads.
+configuration, and is byte-reproducible given the same seed.  Each CSV column
+is named once, next to the text written under it: the estimate rows of
+simulate and near-codeword join the rule's context (n, A, b, the channel model,
+delta) to what the estimators report, and converse-check writes n and b, then
+the fields of analysis.SpacingCheck in order.  Each simulate or near-codeword
+run makes one estimate_pairs pass over all its tests, on the run seed.  pack
+and sweep report the same codebook facts (the sweep_report.csv columns) from
+one builder.  scales leaves each dominance certificate, whether it is defined
+at the largest n included, to analysis.dominates.  A fading family takes
+exactly the keys its FadingSpec constructor reads.
 
 Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
@@ -28,6 +29,7 @@ writing leaves none behind.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -173,44 +175,33 @@ def _write_csv(path: Path, header, rows) -> None:
     _write_text(path, [",".join(header)] + [",".join(str(cell) for cell in row) for row in rows])
 
 
-_ESTIMATE_HEADER = (
-    "n",
-    "A",
-    "b",
-    "flavor",
-    "family",
-    "gamma",
-    "g_max",
-    "sigma_z2",
-    "delta_n",
-    "i",
-    "j",
-    "trials",
-    "p_hat",
-    "stderr",
-    "bound",
-    "argmax_g",
+# the simulate and near-codeword CSV columns, in order, each with its text for the
+# DecoderRule and one ErrorReport
+_ESTIMATE_COLUMNS = (
+    ("n", lambda rule, rep: str(rule.codebook.dimension)),
+    ("A", lambda rule, rep: repr(rule.codebook.power_budget)),
+    ("b", lambda rule, rep: repr(rule.codebook.slack)),
+    ("flavor", lambda rule, rep: rule.model.flavor),
+    ("family", lambda rule, rep: rule.model.fading.family),
+    ("gamma", lambda rule, rep: repr(rule.model.fading.gamma)),
+    ("g_max", lambda rule, rep: repr(rule.model.fading.g_max)),
+    ("sigma_z2", lambda rule, rep: repr(rule.model.noise_variance)),
+    ("delta_n", lambda rule, rep: repr(rule.delta)),
+    ("i", lambda rule, rep: str(rep.i)),
+    ("j", lambda rule, rep: "" if rep.j is None else str(rep.j)),
+    ("trials", lambda rule, rep: str(rep.trials)),
+    ("p_hat", lambda rule, rep: repr(rep.estimate)),
+    ("stderr", lambda rule, rep: repr(rep.stderr)),
+    ("bound", lambda rule, rep: "" if rep.chebyshev_bound is None else repr(rep.chebyshev_bound)),
+    ("argmax_g", lambda rule, rep: "" if rep.gain is None else repr(rep.gain)),
 )
+_ESTIMATE_HEADER = tuple(column for column, _ in _ESTIMATE_COLUMNS)
 
 
 def _estimate_rows(report, rule: DecoderRule) -> list:
-    """_ESTIMATE_HEADER rows of one estimate: one per grid point of a worst case, else one."""
-    codebook, model, fading = rule.codebook, rule.model, rule.model.fading
-    context = (str(codebook.dimension), repr(codebook.power_budget), repr(codebook.slack),
-               model.flavor, fading.family, repr(fading.gamma), repr(fading.g_max),
-               repr(model.noise_variance), repr(rule.delta))
-    return [
-        context + (
-            str(rep.i),
-            "" if rep.j is None else str(rep.j),
-            str(rep.trials),
-            repr(rep.estimate),
-            repr(rep.stderr),
-            "" if rep.chebyshev_bound is None else repr(rep.chebyshev_bound),
-            "" if rep.gain is None else repr(rep.gain),
-        )
-        for rep in report.per_gain or (report,)
-    ]
+    """_ESTIMATE_COLUMNS rows of one estimate: one per grid point of a worst case, else one."""
+    return [tuple(text(rule, rep) for _, text in _ESTIMATE_COLUMNS)
+            for rep in report.per_gain or (report,)]
 
 
 def _bound_verdict(estimate: float, stderr: float, bound) -> str:
@@ -364,24 +355,8 @@ def _cmd_simulate(params, out_dir: Path) -> int:
 def _cmd_converse_check(params, out_dir: Path) -> int:
     codebook = load_codebook(params["codebook"])
     check = analysis.converse_spacing(codebook, params["b"])
-    header = (
-        "n",
-        "b",
-        "required_normalized",
-        "required_unnormalized",
-        "achieved_normalized",
-        "achieved_unnormalized",
-        "passes",
-    )
-    row = (
-        codebook.dimension,
-        repr(params["b"]),
-        repr(check.required_normalized),
-        repr(check.required_unnormalized),
-        repr(check.achieved_normalized),
-        repr(check.achieved_unnormalized),
-        check.passes,
-    )
+    header = ("n", "b") + tuple(field.name for field in dataclasses.fields(check))
+    row = (codebook.dimension, repr(params["b"])) + tuple(map(repr, dataclasses.astuple(check)))
     _write_csv(out_dir / "converse_report.csv", header, [row])
     lines = _echo_lines("converse-check", params) + [
         "---",

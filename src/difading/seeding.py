@@ -66,11 +66,9 @@ def run_chunks(run_chunk, total: int, size: int):
 
     Chunks are full-size but the last, and their results are added in chunk
     order.  At most 2 * _WORKERS chunks are in flight, so memory does not grow
-    with the chunk count; a single chunk runs on the calling thread.
+    with the chunk count.
     """
     chunks = ((k, min(size, total - start)) for k, start in enumerate(range(0, total, size)))
-    if _WORKERS == 1 or total <= size:
-        return reduce(operator.add, map(run_chunk, chunks))
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         return reduce(operator.add, _in_order(pool, run_chunk, chunks, 2 * _WORKERS))
 

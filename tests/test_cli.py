@@ -735,11 +735,25 @@ message_i = 1
     assert not out.exists()
 
 
+# sha256 of converse_report.csv for the pack_dir codebook at b = 0.1, and the
+# summary lines after "---" (the echoed configuration holds a temporary path),
+# recorded before converse-check took its columns from analysis.SpacingCheck
+_PINNED_CONVERSE_REPORT = "67470e3dad510b89493bf870812d2785cc0e084dde7a760bcba19ce91cea0392"
+_PINNED_CONVERSE_SUMMARY = [
+    "required_normalized = 0.006309573444801929",
+    "achieved_normalized = 0.8062803134522922",
+    "passes = True",
+]
+
+
 def test_converse_check_pass_and_exit_codes(pack_dir, tmp_path):
     cfg = write(tmp_path / "cc.cfg", f"codebook = {pack_dir / 'codebook.txt'}\nb = 0.1\n")
     out = tmp_path / "cc"
     assert run(["converse-check", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
-    assert "passes = True" in (out / "converse_summary.txt").read_text()
+    summary = (out / "converse_summary.txt").read_text().splitlines()
+    assert summary[summary.index("---") + 1:] == _PINNED_CONVERSE_SUMMARY
+    report = (out / "converse_report.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == _PINNED_CONVERSE_REPORT
 
 
 def test_converse_check_rejects_nan_codeword(pack_dir, tmp_path):
