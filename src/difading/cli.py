@@ -1,9 +1,11 @@
 """Experiment orchestration: seeded pack / simulate / analyze pipelines.
 
 Subcommands: pack, simulate, converse-check, near-codeword, scales, sweep.
-Each reads a flat `key = value` config file (flags override file values),
-writes CSV reports plus a human-readable summary that echoes the resolved
-configuration, and is byte-reproducible given the same seed.  Each CSV column
+One parser declares the command and the five flags they share, in any order,
+so help is global.  Each reads a flat `key = value` config file (flags
+override file values), writes CSV reports plus a human-readable summary that
+echoes the resolved configuration to --out (default difading_out), and is
+byte-reproducible given the same seed.  Each CSV column
 is named once, next to the text written under it: the estimate rows of
 simulate and near-codeword join the rule's context (n, A, b, the channel model,
 delta) to what the estimators report, and converse-check writes n and b, then
@@ -20,18 +22,18 @@ fading law its family refuses, equal messages, a scales grid or pair with no
 certificate (a grid of fewer than 4 points included), a slow gain grid (grid
 points or discrete atoms) or a near-codeword n past its memory cap, a
 near-codeword distance outside the power ball, a default slack
-gamma^2 eps_n / 3 that the fading support makes 0 or underflows to 0, a config
-file that is not UTF-8), 3 parameter precondition violated (a message index
-outside the loaded codebook, a malformed codebook, a fast type II
-noncentrality past the float range), 4 I/O failure.  The output directory is
-made by the first artifact written, so a run that exits 2, 3 or 4 before
-writing leaves none behind.
+gamma^2 eps_n / 3 that the fading support makes 0 or underflows to 0, packing
+radii whose squared distances leave the float range, a decoder threshold
+sigma_z2 + delta past the float range, a config file that is not UTF-8), 3
+parameter precondition violated (a message index outside the loaded codebook,
+a malformed codebook, a fast type II noncentrality past the float range), 4
+I/O failure.  The output directory is made by the first artifact written, so
+a run that exits 2, 3 or 4 before writing leaves none behind.
 """
 
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -47,7 +49,7 @@ from .estimation import (
     estimate_pairs,
     near_codeword_experiment,
 )
-from .geometry import MAX_DIMENSION
+from .geometry import MAX_DIMENSION, PackingConfig
 from .seeding import derive_seed, substream
 
 EXIT_OK = 0
@@ -55,8 +57,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
-
-OUT_ENV = "DIFADING_OUT"
 
 # each fading family: its FadingSpec constructor, then the keys it requires and
 # the keys it may take, in argument order
@@ -228,12 +228,14 @@ def _guaranteed_count_line(codebook) -> str:
 def _codebook_with_facts(params, n: int, seed: int, n_key: str):
     """Build the block-length-n codebook; return it with its facts, in sweep CSV column order.
 
-    A geometry that the configuration alone makes degenerate is refused as a
-    ConfigError naming n_key and the schedule's keys before anything is packed.
+    A geometry that the configuration alone makes degenerate, or whose squared
+    distances leave the float range, is refused as a ConfigError naming n_key and
+    the schedule's keys before anything is packed.
     """
     eps = epsilon_schedule(n, params["power"], params["b"], params["schedule"])
     try:
         r0, r1 = packing_radii(params["power"], eps)
+        PackingConfig(n, r0, r1)
     except ValueError as exc:
         raise ConfigError(f"parameters {n_key!r}, 'power', 'b', 'schedule': {exc}") from exc
     codebook = build_codebook(
@@ -319,7 +321,10 @@ def _cmd_simulate(params, out_dir: Path) -> int:
             delta = delta_n(fading.gamma, codebook.epsilon_n)
         except ValueError as exc:  # the support reaches 0 or the slack underflows
             raise ConfigError(f"parameter 'delta': required explicitly here ({exc})") from exc
-    rule = DecoderRule(codebook, model, delta)
+    try:
+        rule = DecoderRule(codebook, model, delta)
+    except ValueError as exc:  # a threshold past the float range
+        raise ConfigError(f"parameters 'sigma_z2', 'delta': {exc}") from exc
     pairs = _select_messages(params, codebook.size)
     grid = fading.support_grid(params["grid_resolution"]) if model.flavor == "slow" else None
     if grid is not None and len(grid) > MAX_GRID_POINTS:  # a discrete law's grid is its atoms
@@ -375,11 +380,15 @@ def _cmd_near_codeword(params, out_dir: Path) -> int:
                           f"outside the power ball of radius sqrt({params['power']!r})")
     fading = _fading_from(params)
     try:  # no delta key to fall back on: the slack gamma^2 eps_n / 3 must be positive
-        delta_n(fading.gamma, epsilon_schedule(params["n"], params["power"], params["b"],
-                                               "achievability"))
+        delta = delta_n(fading.gamma, epsilon_schedule(params["n"], params["power"], params["b"],
+                                                       "achievability"))
     except ValueError as exc:
         raise ConfigError(f"{fading.family} fading: near-codeword needs a slack above 0 "
                           f"({exc})") from exc
+    if not params["sigma_z2"] + delta < math.inf:  # DecoderRule would refuse the threshold
+        raise ConfigError(f"parameter 'sigma_z2' and {fading.family} fading: the threshold "
+                          f"sigma_z2 + delta = {params['sigma_z2']!r} + {delta!r} leaves the "
+                          f"float range")
     plan = TrialPlan(trials=params["trials"], seed=params["seed"])
     report = near_codeword_experiment(
         n=params["n"],
@@ -546,20 +555,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="difading",
         description="Identification-code experiments over fading Gaussian channels",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=str, default=None, help="flat key=value config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
-        cmd.add_argument("--trials", type=int, default=None, help="override the trial count")
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="accepted for compatibility and ignored (must be >= 1); "
-            "estimates use one thread per available CPU",
-        )
-        cmd.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
+    parser.add_argument("--trials", type=int, default=None, help="override the trial count")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility and ignored (must be >= 1); "
+        "estimates use one thread per available CPU",
+    )
+    parser.add_argument("--out", type=str, default=None, help="output directory")
     return parser
 
 
@@ -574,7 +581,7 @@ def main(argv=None) -> int:
         resolve({"threads": Field("int", None, "[1, inf)")}, {}, {"threads": args.threads})
         file_values = load_config(args.config, schema) if args.config else {}
         params = resolve(schema, file_values, {"seed": args.seed, "trials": args.trials})
-        out_dir = Path(args.out or os.environ.get(OUT_ENV, "difading_out"))
+        out_dir = Path(args.out or "difading_out")
         return _COMMANDS[args.command](params, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

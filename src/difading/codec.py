@@ -192,6 +192,9 @@ class DecoderRule:
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must lie in (0, inf), got {self.delta}")
+        if not self.threshold < math.inf:  # it would accept every statistic
+            raise ValueError(f"threshold sigma_z2 + delta = {self.model.noise_variance!r} + "
+                             f"{self.delta!r} leaves the float range")
 
     @property
     def threshold(self) -> float:

@@ -86,6 +86,21 @@ class PackingConfig:
             raise ValueError(f"r0 must be positive and finite, got {self.r0}")
         if not 0 < self.r1 < math.inf:
             raise ValueError(f"degenerate geometry: r1 must be positive and finite, got {self.r1}")
+        # The largest square a run forms must be finite.  The Gram forms of _min_dist_sq,
+        # _greedy_accepts and min_pairwise_distance, and the difference form, reach
+        # ||x - y||^2 <= (2 r1)^2; the guard band of _greedy_accepts adds (2 r0)^2 to a
+        # squared norm, r1^2 + (2 r0)^2.  A grid is built only while its cells, at least 9
+        # a side, number at most _MAX_CELLS, so n <= 6; a stencil width
+        # sum(((|k_i| + gap)^+ h)^2) is then at most n w^2, w = (_REACH + 1) r0 / _CELLS_PER_R0
+        # = 7 r0 / 4 on the dead cells, and n r0^2 on the slots.
+        n, r0, r1 = int(self.dimension), float(self.r0), float(self.r1)  # no numpy warnings
+        largest = max(4.0 * r1 * r1, r1 * r1 + 4.0 * r0 * r0)
+        if 9**n <= _MAX_CELLS:
+            width = (_REACH + 1) * r0 / _CELLS_PER_R0
+            largest = max(largest, n * width * width)
+        if not largest < math.inf:
+            raise ValueError(f"radii r0 = {r0!r}, r1 = {r1!r}: the packing's squared "
+                             f"distances leave the float range")
         if self.saturation_patience < 1:
             raise ValueError(f"saturation_patience must be >= 1, got {self.saturation_patience}")
         if self.max_codewords < 1:

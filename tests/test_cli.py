@@ -385,6 +385,24 @@ def test_unknown_subcommand_is_a_usage_error():
     assert run(["transmogrify"]) == cli.EXIT_CONFIG
 
 
+_FLAGS = ["--config", "run.cfg", "--seed", "3", "--trials", "5", "--threads", "2", "--out", "o"]
+
+
+@pytest.mark.parametrize("command", list(cli.SCHEMAS))
+@pytest.mark.parametrize("flags_first", [False, True], ids=["after", "before"])
+def test_every_flag_parses_after_and_before_the_command(command, flags_first):
+    argv = _FLAGS + [command] if flags_first else [command] + _FLAGS
+    args = cli._build_parser().parse_args(argv)
+    assert (args.command, args.config, args.seed, args.trials, args.threads, args.out) == (
+        command, "run.cfg", 3, 5, 2, "o")
+
+
+def test_help_lists_every_command(capsys):
+    assert run(["--help"]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert all(command in text for command in cli.SCHEMAS)
+
+
 def test_threads_below_one_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["scales", "--threads", "0", "--out", str(out)]) == cli.EXIT_CONFIG
@@ -538,6 +556,18 @@ _REFUSED = [
     ("sweep", _SWEEP, "n_values = 2\nb = 0.9999999999999999",
      "'n_values', 'power', 'b', 'schedule'"),
     ("sweep", _SWEEP, _TINY_EPS.format(key="n_values"), "'n_values', 'power', 'b', 'schedule'"),
+    # squared distances of the packing past the float range: n = 3 and the sweep exited 1
+    # with an OverflowError, n = 100 and n = 2 exited 0 after overflow warnings
+    ("pack", _PACK, "n = 3\npower = 1.7e308", "'n', 'power', 'b', 'schedule'"),
+    ("sweep", _SWEEP, "n_values = 3, 4\npower = 1.7e308", "'n_values', 'power', 'b', 'schedule'"),
+    ("pack", _PACK, "n = 100\npower = 1.7e308", "'n', 'power', 'b', 'schedule'"),
+    ("pack", _PACK, "n = 2\nschedule = converse_spacing\npower = 1.7e308",
+     "'n', 'power', 'b', 'schedule'"),
+    # a threshold sigma_z2 + delta that rounds to inf: simulate exited 0 accepting every
+    # statistic, near-codeword ran every chunk and exited 3 on an unnamed inf
+    ("simulate", _SIM_RUN + _UNIFORM, "sigma_z2 = 1e308\ndelta = 1e308", "'sigma_z2', 'delta'"),
+    ("near-codeword", _NEAR_RUN + _DISCRETE, "power = 1e308\nsigma_z2 = 1.7e308\nvalues = 1.5",
+     "'sigma_z2'"),
 ]
 
 
@@ -1087,12 +1117,11 @@ def test_sweep_report(tmp_path):
     assert _digests(out) == _PINNED_SWEEP
 
 
-def test_out_env_var_sets_default_directory(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "env_out"))
+def test_out_defaults_to_difading_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write(tmp_path / "p.cfg", "n = 32\nseed = 1\npatience = 500\nmax_codewords = 8\n")
     assert run(["pack", "--config", cfg]) == cli.EXIT_OK
-    assert (tmp_path / "env_out" / "codebook.txt").exists()
+    assert (tmp_path / "difading_out" / "codebook.txt").exists()
 
 
 def test_config_echo_embedded_in_summary(pack_dir):

@@ -206,6 +206,14 @@ def test_noiseless_round_trip_accepts():
     assert identify(rule, y, 1, gains)
 
 
+def test_decoder_rule_refuses_a_threshold_past_the_float_range():
+    # sigma_z2 + delta rounded to inf, and a rule that accepts every statistic ran
+    cb = two_codeword_codebook(8, 1.0, 0.0, distance=0.8)
+    with pytest.raises(ValueError, match="threshold"):
+        DecoderRule(cb, ChannelModel("fast", 1e308, _FADING), 1e308)
+    assert DecoderRule(cb, ChannelModel("fast", 8e307, _FADING), 8e307).threshold < math.inf
+
+
 def test_delta_n_values_and_identity():
     assert delta_n(1.0, 0.25) == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert delta_n(1.0, 3.0) == pytest.approx(1.0, rel=1e-12)

@@ -406,6 +406,27 @@ def test_packing_config_refuses_nonfinite_radii(r0, r1, monkeypatch):
             generate_saturated_packing(PackingConfig(2, r0, r1))
 
 
+@pytest.mark.parametrize(
+    "n, r0, r1",
+    [
+        (3, 9.9e153, 3.1e153),  # (2 r0)^2: pack n = 3, power = 1.7e308 raised OverflowError
+        (100, 3.6e153, 8.9e153),  # (2 r1)^2: min_pairwise_distance overflowed
+        (2, 6.5e153, 6.5e153),  # r1^2 + (2 r0)^2, the guard band, and the dead-cell stencil
+        (5, 4e153, 1e150),  # the stencil alone: 5 (7 r0 / 4)^2 of the dead cells
+    ],
+)
+def test_packing_config_refuses_radii_whose_squares_overflow(n, r0, r1):
+    with pytest.raises(ValueError, match="float range"):
+        PackingConfig(n, r0, r1)
+
+
+def test_packing_config_keeps_radii_whose_squares_are_finite():
+    # pack n = 100, power = 1e307 packs without a warning
+    r0, r1 = codec.packing_radii(1e307, epsilon_schedule(100, 1e307, 0.0, "achievability"))
+    assert PackingConfig(100, r0, r1).r1 == r1
+    assert PackingConfig(7, 4e153, 1e150).r0 == 4e153  # no grid at n = 7, so no stencil
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_packing_rejects_nonfinite_centers(bad):
     # a NaN center used to pass check_invariants with min_distance = inf
