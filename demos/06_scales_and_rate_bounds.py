@@ -9,6 +9,8 @@ and below) and zero capacity on every dominating scale (double exponential).
 The converse mechanism is visible at desk scale: squeeze two codewords to
 the converse spacing sqrt(n eps_n), eps_n = A / n^(2(1+b)), and the type-I +
 type-II error sum climbs to 1 as n grows because the hypotheses merge.
+near_codeword_rule builds the pair and its decoder (and refuses a setup it
+cannot run); near_codeword_experiment draws the trials.
 """
 
 from difading import (
@@ -19,6 +21,7 @@ from difading import (
     converse_rate_upper_bound,
     dominates,
     near_codeword_experiment,
+    near_codeword_rule,
     scale_chain,
 )
 from difading import FadingSpec
@@ -51,7 +54,8 @@ for b in (0.0, 0.1):
 print("\nnear-codeword converse mechanism (b=0.1, sigma_z2=1, unit gain):")
 unit = FadingSpec.uniform(1.0, 1.0)
 for n in (16, 64, 256):
-    rep = near_codeword_experiment(n, 1.0, 0.1, 1.0, unit, TrialPlan(10_000, seed=6))
+    rule = near_codeword_rule(n, 1.0, 0.1, 1.0, unit)
+    rep = near_codeword_experiment(rule, TrialPlan(10_000, seed=6))
     print(f"  n={n:4d}  spacing={rep.normalized_distance:.5f}  "
           f"p1+p2 = {rep.error_sum:.4f}  (oracle {rep.oracle_sum:.4f})")
 print("  -> the sum approaches 1: codewords this close cannot be told apart")

@@ -53,6 +53,7 @@ from .estimation import (
     estimate_type2,
     estimate_worst_case,
     near_codeword_experiment,
+    near_codeword_rule,
     type1_chebyshev_bound,
     type2_chebyshev_bound,
 )

@@ -20,15 +20,16 @@ Exit statuses: 0 all checks passed, 1 a pass/fail check failed, 2 config or
 usage error (a value outside the interval or choices of its key in SCHEMAS, a
 fading law its family refuses, equal messages, a scales grid or pair with no
 certificate (a grid of fewer than 4 points included), a slow gain grid (grid
-points or discrete atoms) or a near-codeword n past its memory cap, a
-near-codeword distance outside the power ball, a default slack
+points or discrete atoms) past its memory cap, a simulate default slack
 gamma^2 eps_n / 3 that the fading support makes 0 or underflows to 0, packing
-radii whose squared distances leave the float range, a decoder threshold
-sigma_z2 + delta past the float range, a config file that is not UTF-8), 3
+radii whose squared distances leave the float range, a simulate decoder
+threshold sigma_z2 + delta past the float range, whatever
+estimation.near_codeword_rule refuses, a config file that is not UTF-8), 3
 parameter precondition violated (a message index outside the loaded codebook,
-a malformed codebook, a fast type II noncentrality past the float range), 4
-I/O failure.  The output directory is made by the first artifact written, so
-a run that exits 2, 3 or 4 before writing leaves none behind.
+a malformed codebook, a fast type II noncentrality past the float range, a
+near-codeword witness the chi-square oracles refuse), 4 I/O failure.  The
+output directory is made by the first artifact written, so a run that exits
+2, 3 or 4 before writing leaves none behind.
 """
 
 import argparse
@@ -48,6 +49,7 @@ from .estimation import (
     TrialPlan,
     estimate_pairs,
     near_codeword_experiment,
+    near_codeword_rule,
 )
 from .geometry import MAX_DIMENSION, PackingConfig
 from .seeding import derive_seed, substream
@@ -374,31 +376,14 @@ def _cmd_converse_check(params, out_dir: Path) -> int:
 
 
 def _cmd_near_codeword(params, out_dir: Path) -> int:
-    distance = params["distance"]
-    if distance is not None and 0.5 * distance > math.sqrt(params["power"]):
-        raise ConfigError(f"parameters 'distance', 'power': codewords {distance!r} apart lie "
-                          f"outside the power ball of radius sqrt({params['power']!r})")
     fading = _fading_from(params)
-    try:  # no delta key to fall back on: the slack gamma^2 eps_n / 3 must be positive
-        delta = delta_n(fading.gamma, epsilon_schedule(params["n"], params["power"], params["b"],
-                                                       "achievability"))
-    except ValueError as exc:
-        raise ConfigError(f"{fading.family} fading: near-codeword needs a slack above 0 "
-                          f"({exc})") from exc
-    if not params["sigma_z2"] + delta < math.inf:  # DecoderRule would refuse the threshold
-        raise ConfigError(f"parameter 'sigma_z2' and {fading.family} fading: the threshold "
-                          f"sigma_z2 + delta = {params['sigma_z2']!r} + {delta!r} leaves the "
-                          f"float range")
-    plan = TrialPlan(trials=params["trials"], seed=params["seed"])
-    report = near_codeword_experiment(
-        n=params["n"],
-        power_budget=params["power"],
-        b=params["b"],
-        noise_variance=params["sigma_z2"],
-        fading=fading,
-        plan=plan,
-        normalized_distance=distance,
-    )
+    try:
+        rule = near_codeword_rule(params["n"], params["power"], params["b"], params["sigma_z2"],
+                                  fading, params["distance"])
+    except ValueError as exc:  # the spacing, the power ball, the slack or the threshold
+        raise ConfigError(f"parameters 'distance', 'power', 'n', 'b', 'sigma_z2' and "
+                          f"{fading.family} fading: {exc}") from exc
+    report = near_codeword_experiment(rule, TrialPlan(params["trials"], seed=params["seed"]))
     rows = _estimate_rows(report.type1, report.rule) + _estimate_rows(report.type2, report.rule)
     _write_csv(out_dir / "near_codeword_report.csv", _ESTIMATE_HEADER, rows)
     oracle_text = "none" if report.oracle_sum is None else repr(report.oracle_sum)

@@ -329,52 +329,53 @@ class NearCodewordReport:
 NEAR_CODEWORD_MAX_N = 2**30 // 32
 
 
-def near_codeword_experiment(
-    n: int,
-    power_budget: float,
-    b: float,
-    noise_variance: float,
-    fading: FadingSpec,
-    plan: TrialPlan,
+def near_codeword_rule(
+    n: int, power_budget: float, b: float, noise_variance: float, fading: FadingSpec,
     normalized_distance: float | None = None,
-) -> NearCodewordReport:
-    """Two codewords at the converse-schedule spacing, probed with the standard decoder.
+) -> DecoderRule:
+    """The fast-fading decoder of two_codeword_codebook's pair at the converse spacing.
 
-    The pair is two_codeword_codebook's, at natural-scale distance alpha_n =
-    sqrt(n * eps_n) with eps_n = A / n^(2(1+b)), or at normalized_distance; it
-    refuses a distance that is not positive or a pair outside the power ball.
-    Type I is estimated for the first codeword and type II for the pair (2 -> 1),
-    in one estimate_pairs pass on independent draws; as the spacing vanishes the
-    two hypotheses merge and the error sum approaches 1.  For a constant |G| the
-    exact sum is reported alongside as a noncentral chi-square witness.  An n
-    above NEAR_CODEWORD_MAX_N is refused before anything is allocated.
+    The pair is alpha_n = sqrt(n * eps_n) apart on the natural scale, eps_n = A / n^(2(1+b)),
+    or normalized_distance apart; the slack is delta_n on the achievability schedule.  Every
+    refusal comes here, before anything is drawn: an n above NEAR_CODEWORD_MAX_N (before
+    anything is allocated), a spacing that is not positive (alpha_n underflowed included),
+    a pair outside the power ball, a slack that is 0 or underflows, a threshold past inf.
     """
     if n > NEAR_CODEWORD_MAX_N:
         raise ValueError(f"block length n = {n} exceeds NEAR_CODEWORD_MAX_N = "
                          f"{NEAR_CODEWORD_MAX_N}")
-    alpha_n = math.sqrt(n * epsilon_schedule(n, power_budget, b, "converse_spacing"))
-    d_norm = alpha_n / math.sqrt(n) if normalized_distance is None else float(normalized_distance)
-    codebook = two_codeword_codebook(n, power_budget, b, d_norm, "converse_spacing")
+    if normalized_distance is None:
+        alpha_n = math.sqrt(n * epsilon_schedule(n, power_budget, b, "converse_spacing"))
+        normalized_distance = alpha_n / math.sqrt(n)
+    codebook = two_codeword_codebook(n, power_budget, b, normalized_distance, "converse_spacing")
     delta = delta_n(fading.gamma, epsilon_schedule(n, power_budget, b, "achievability"))
     model = ChannelModel(flavor="fast", noise_variance=noise_variance, fading=fading)
-    rule = DecoderRule(codebook, model, delta)
-    rep1, rep2 = estimate_pairs(rule, [(1, None), (2, 1)], plan)
-    error_sum = rep1.estimate + rep2.estimate
-    joint = math.sqrt(rep1.stderr**2 + rep2.stderr**2)
+    return DecoderRule(codebook, model, delta)
 
+
+def near_codeword_experiment(rule: DecoderRule, plan: TrialPlan) -> NearCodewordReport:
+    """Type I of the near_codeword_rule pair's first codeword and type II (2 -> 1).
+
+    Both come from one estimate_pairs pass on independent draws; as the spacing vanishes
+    the two hypotheses merge and the error sum approaches 1.  For a constant |G| the exact
+    sum is reported alongside as a noncentral chi-square witness.
+    """
+    book, fading, noise_variance = rule.codebook, rule.model.fading, rule.model.noise_variance
+    n = book.dimension
+    d_norm = float(book.codeword(1)[0] - book.codeword(2)[0])
+    rep1, rep2 = estimate_pairs(rule, [(1, None), (2, 1)], plan)
     oracle_sum = None
     if fading.gamma == fading.g_max:  # constant |G|, so constant G^2: closed-form witness
         x = n * rule.threshold / noise_variance
         lam = n * (fading.gamma * d_norm) ** 2 / noise_variance
         oracle_sum = oracles.chi2_sf(x, n) + oracles.noncentral_chi2_cdf(x, n, lam)
-
     return NearCodewordReport(
         rule=rule,
-        alpha_n=alpha_n,
+        alpha_n=math.sqrt(n * book.epsilon_n),
         normalized_distance=d_norm,
         type1=rep1,
         type2=rep2,
-        error_sum=error_sum,
-        joint_stderr=joint,
+        error_sum=rep1.estimate + rep2.estimate,
+        joint_stderr=math.sqrt(rep1.stderr**2 + rep2.stderr**2),
         oracle_sum=oracle_sum,
     )

@@ -375,8 +375,12 @@ def min_pairwise_distance(points) -> float:
     best = np.inf
     for start in range(0, pts.shape[0], 1024):
         blk = pts[start : start + 1024]
-        d2 = norms[start : start + 1024, None] + norms[None, :] - 2.0 * (blk @ pts.T)
         rows = np.arange(start, start + blk.shape[0])
+        # (||a||^2 + ||b||^2) - 2 a.b, written over the doubled product under one name so that
+        # at most two 1024 x L blocks are live (the doubling is exact: the same bits)
+        d2 = blk @ pts.T
+        d2 *= 2.0
+        d2 = np.subtract(np.add.outer(norms[rows], norms), d2, out=d2)
         d2[np.arange(blk.shape[0]), rows] = np.inf  # mask self-distances
         best = min(best, float(d2.min()))
     return math.sqrt(max(best, 0.0))

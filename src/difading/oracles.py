@@ -32,6 +32,8 @@ def _lower_gamma_series(a: float, x: float) -> float:
 def _upper_gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by Lentz continued fraction."""
     b = x + 1.0 - a
+    if b == 0.0:  # no bit of x + 1 - a survives at this scale
+        raise ValueError(f"Q({a}, {x}) continued fraction: x + 1 - a rounds to 0")
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
@@ -128,22 +130,31 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     y = 0.5 * x
     j0 = int(half_nc)
 
-    def log_gamma_term(j):
-        # log of y^(df/2 + j - 1 + 1) e^-y / Gamma(df/2 + j + 1): the step between
+    def exp(log):
+        # at a huge scale the terms of a log cancel to rounding noise, which can pass
+        # the ~709.8 where math.exp overflows
+        try:
+            return math.exp(log)
+        except OverflowError:
+            raise ValueError(f"noncentral chi-square mixture ({x}, {df}, {noncentrality}): a "
+                             f"term's log {log} leaves the float range") from None
+
+    def gamma_term(j):
+        # y^(df/2 + j - 1 + 1) e^-y / Gamma(df/2 + j + 1): the step between
         # consecutive regularized lower gammas.
         a = 0.5 * df + j
-        return a * math.log(y) - y - math.lgamma(a + 1.0)
+        return exp(a * math.log(y) - y - math.lgamma(a + 1.0))
 
     p_center = reg_gamma_lower(0.5 * df + j0, y)
-    total = math.exp(_log_poisson_pmf(j0, half_nc)) * p_center
+    total = exp(_log_poisson_pmf(j0, half_nc)) * p_center
 
     # upward from the mode: P(a+1) = P(a) - t(a); past the mode neither the
     # Poisson weight nor P grows, so a zero contribution ends the sum
     p = p_center
     for j in range(j0, j0 + _MAX_ITER):
-        t = math.exp(log_gamma_term(j))
+        t = gamma_term(j)
         p = max(p - t, 0.0)
-        w = math.exp(_log_poisson_pmf(j + 1, half_nc))
+        w = exp(_log_poisson_pmf(j + 1, half_nc))
         contrib = w * p
         total += contrib
         if (contrib < total * _EPS and j > j0 + 2) or contrib == 0.0:
@@ -159,8 +170,8 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     # contribution is exactly 0
     p = p_center
     for j in range(j0 - 1, -1, -1):
-        p = min(p + math.exp(log_gamma_term(j)), 1.0)
-        w = math.exp(_log_poisson_pmf(j, half_nc))
+        p = min(p + gamma_term(j), 1.0)
+        w = exp(_log_poisson_pmf(j, half_nc))
         if w == 0.0:
             break
         contrib = w * p

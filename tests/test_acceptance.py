@@ -28,6 +28,7 @@ from difading import (
     generate_saturated_packing,
     min_pairwise_distance,
     near_codeword_experiment,
+    near_codeword_rule,
     scale_chain,
     two_codeword_codebook,
     cli,
@@ -169,7 +170,7 @@ def test_criterion_6_near_codeword_converse_mechanism():
     joints = {}
     for n in (16, 64, 256):
         report = near_codeword_experiment(
-            n, 1.0, 0.1, 1.0, point_mass(1.0), TrialPlan(trials, seed=606)
+            near_codeword_rule(n, 1.0, 0.1, 1.0, point_mass(1.0)), TrialPlan(trials, seed=606)
         )
         sums[n] = report.error_sum
         joints[n] = report.joint_stderr

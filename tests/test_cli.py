@@ -546,6 +546,8 @@ _REFUSED = [
     ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e-200", "discrete fading"),
     # refused before the pair is allocated (this exited 1 with a 14.6 TiB MemoryError)
     ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1000000000000", "'n'"),
+    # the converse spacing underflows to 0 (this exited 3 naming no key)
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1048576\npower = 1e-310\nb = 0.5", "'distance'"),
     ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
     ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),
     ("sweep", _SWEEP, "b = 1", "'b'"),
@@ -920,6 +922,26 @@ def test_near_codeword_report_is_pinned(tmp_path, gain, g_range):
     assert hashlib.sha256(type1_row).hexdigest() == _PINNED_NEAR_CODEWORD_TYPE1_ROW[gain]
     summary = (out / "near_codeword_summary.txt").read_text()
     assert ("oracle_sum = none" in summary) == (gain == "uniform")
+
+
+def test_near_codeword_pair_on_the_power_sphere_runs(tmp_path):
+    # half of 2.000000000001 lies within check_power's 1e-12 of sqrt(A), which pack and
+    # simulate accept; near-codeword refused it with a stricter ball test of its own
+    change = "power = 1\ndistance = 2.000000000001"
+    cfg = write(tmp_path / "nc.cfg", _config(_NEAR_RUN + _UNIFORM, change))
+    out = tmp_path / "nc"
+    assert run(["near-codeword", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert "normalized_distance = 2.000000000001" in (out / "near_codeword_summary.txt").read_text()
+
+
+def test_near_codeword_witness_past_the_float_range_is_refused(tmp_path, capsys):
+    # the noncentral chi-square witness overflowed: exit 1 with an OverflowError traceback
+    change = "sigma_z2 = 1e-20\nvalues = 1.0"
+    cfg = write(tmp_path / "nc.cfg", _config(_NEAR_RUN + _DISCRETE, change))
+    out = tmp_path / "nc"
+    assert run(["near-codeword", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert "noncentral chi-square mixture" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

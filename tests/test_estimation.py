@@ -21,6 +21,7 @@ from difading import (
     estimate_worst_case,
     identify,
     near_codeword_experiment,
+    near_codeword_rule,
     realize,
     substream,
     type1_chebyshev_bound,
@@ -660,7 +661,7 @@ def test_accepts_keyword_is_a_count_of_the_trials():
 
 def test_near_codeword_mechanism_and_witness():
     plan = TrialPlan(10_000, seed=13)
-    report = near_codeword_experiment(64, 1.0, 0.1, 1.0, point_mass(1.0), plan)
+    report = near_codeword_experiment(near_codeword_rule(64, 1.0, 0.1, 1.0, point_mass(1.0)), plan)
     assert report.error_sum >= 0.9
     assert report.oracle_sum is not None
     assert abs(report.error_sum - report.oracle_sum) <= 3.0 * report.joint_stderr
@@ -672,10 +673,12 @@ def test_near_codeword_witness_needs_a_constant_gain_magnitude():
     # sigma_G^2 = 1e-16 passed the former test variance <= 1e-15: the witness read 0.448
     # against a Monte Carlo 0.586; a law on {-1, 1} has a constant G^2 and read none
     plan = TrialPlan(20_000, seed=3)
-    tiny = near_codeword_experiment(64, 1.0, 0.1, 1.0, FadingSpec.discrete([1e-8, 3e-8]), plan)
+    tiny = near_codeword_experiment(
+        near_codeword_rule(64, 1.0, 0.1, 1.0, FadingSpec.discrete([1e-8, 3e-8])), plan)
     assert tiny.oracle_sum is None
-    signed = near_codeword_experiment(64, 1.0, 0.1, 1.0, FadingSpec.discrete([-1.0, 1.0]), plan)
-    unit = near_codeword_experiment(64, 1.0, 0.1, 1.0, point_mass(1.0), plan)
+    signed = near_codeword_experiment(
+        near_codeword_rule(64, 1.0, 0.1, 1.0, FadingSpec.discrete([-1.0, 1.0])), plan)
+    unit = near_codeword_experiment(near_codeword_rule(64, 1.0, 0.1, 1.0, point_mass(1.0)), plan)
     assert signed.oracle_sum == unit.oracle_sum
     assert abs(signed.error_sum - signed.oracle_sum) <= 3.0 * signed.joint_stderr
 
@@ -686,7 +689,8 @@ def test_near_codeword_far_apart_variant_is_distinguishable():
     distance = 10.0 * math.sqrt(sigma_z2 + delta_n(1.0, eps))
     plan = TrialPlan(3_000, seed=14)
     report = near_codeword_experiment(
-        n, 1.0, b, sigma_z2, point_mass(1.0), plan, normalized_distance=distance
+        near_codeword_rule(n, 1.0, b, sigma_z2, point_mass(1.0), normalized_distance=distance),
+        plan,
     )
     assert report.type2.estimate == 0.0
     assert report.error_sum == pytest.approx(report.type1.estimate, abs=1e-12)
@@ -695,13 +699,10 @@ def test_near_codeword_far_apart_variant_is_distinguishable():
 
 def test_near_codeword_rejects_overweight_distance():
     with pytest.raises(ValueError):
-        near_codeword_experiment(
-            16, 1.0, 0.1, 1.0, point_mass(1.0), TrialPlan(10, seed=0), normalized_distance=3.0
-        )
+        near_codeword_rule(16, 1.0, 0.1, 1.0, point_mass(1.0), normalized_distance=3.0)
     for distance in (0.0, -1.0):
         with pytest.raises(ValueError, match="distance"):
-            near_codeword_experiment(16, 1.0, 0.1, 1.0, point_mass(1.0), TrialPlan(10, seed=0),
-                                     normalized_distance=distance)
+            near_codeword_rule(16, 1.0, 0.1, 1.0, point_mass(1.0), normalized_distance=distance)
 
 
 @pytest.mark.parametrize("n", [estimation.NEAR_CODEWORD_MAX_N + 1, 10**12])
@@ -709,7 +710,27 @@ def test_near_codeword_refuses_an_n_above_its_cap(monkeypatch, n):
     # n = 10^12 raised numpy's 14.6 TiB MemoryError when the pair was allocated
     monkeypatch.setattr(estimation, "two_codeword_codebook", lambda *args: pytest.fail("built"))
     with pytest.raises(ValueError, match="NEAR_CODEWORD_MAX_N"):
-        near_codeword_experiment(n, 1.0, 0.1, 1.0, point_mass(1.0), TrialPlan(10, seed=0))
+        near_codeword_rule(n, 1.0, 0.1, 1.0, point_mass(1.0))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((estimation.NEAR_CODEWORD_MAX_N + 1, 1.0, 0.1, 1.0, point_mass(1.0)),
+         "NEAR_CODEWORD_MAX_N"),
+        ((16, 1.0, 0.1, 1.0, point_mass(1.0), 0.0), "distance must be positive"),
+        ((16, 1.0, 0.1, 1.0, point_mass(1.0), 3.0), "exceeds sqrt"),
+        ((1048576, 1e-310, 0.5, 1.0, point_mass(1.0)), "distance must be positive"),
+        ((16, 1.0, 0.1, 1.0, FadingSpec.discrete([1e-200])), "underflows"),
+        ((16, 1e308, 0.1, 1.7e308, FadingSpec.discrete([1.5])), "threshold"),
+    ],
+    ids=["n-cap", "distance-0", "outside-ball", "spacing-underflow", "slack-underflow",
+         "threshold"],
+)
+def test_near_codeword_rule_refuses_before_anything_is_drawn(monkeypatch, args, message):
+    monkeypatch.setattr(estimation, "estimate_pairs", lambda *a, **k: pytest.fail("drawn"))
+    with pytest.raises(ValueError, match=message):
+        near_codeword_experiment(near_codeword_rule(*args), TrialPlan(10, seed=0))
 
 
 @pytest.mark.filterwarnings("error")

@@ -464,6 +464,25 @@ def test_min_pairwise_distance_examples():
             min_pairwise_distance(points)
 
 
+def test_min_pairwise_distance_holds_two_blocks():
+    # norms + norms - 2.0 * (blk @ pts.T) held three 1024 x L temporaries at once
+    pts = np.random.default_rng(8).standard_normal((2500, 100))
+    norms = np.einsum("ij,ij->i", pts, pts)
+    best = np.inf
+    for start in range(0, len(pts), 1024):
+        blk = pts[start : start + 1024]
+        d2 = norms[start : start + 1024, None] + norms[None, :] - 2.0 * (blk @ pts.T)
+        d2[np.arange(len(blk)), np.arange(start, start + len(blk))] = np.inf
+        best = min(best, float(d2.min()))
+    tracemalloc.start()
+    try:
+        assert min_pairwise_distance(pts) == math.sqrt(max(best, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 1024 * len(pts) * 8
+
+
 def test_density_single_sphere_covers_everything():
     packing = Packing(PackingConfig(2, 1.0, 1.0, seed=0), np.zeros((1, 2)), True)
     est = estimate_packing_density(packing, samples=5000, seed=2)

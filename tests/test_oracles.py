@@ -230,3 +230,25 @@ def test_subnormal_noncentrality_is_the_central_law():
     # 5e-324 halves to 0.0: the Poisson mixture would take log(0)
     for x, df in ((3.0, 1), (20.0, 16)):
         assert oracles.noncentral_chi2_cdf(x, df, 5e-324) == oracles.chi2_cdf(x, df)
+
+
+
+def test_oracles_at_huge_scale_return_a_probability_or_raise_value_error():
+    # central tails at and 1e-3 either side of df, and the noncentral CDF about its mean, at
+    # scales 10^12 to 10^300: 312 of these calls raised ZeroDivisionError (x + 1 - a rounding
+    # to 0 in the continued fraction) or OverflowError (a Poisson weight's log past exp's range)
+    calls = []
+    for e in range(12, 301, 6):
+        scale = 10.0**e
+        for x in (scale * (1 - 1e-3), scale, scale * (1 + 1e-3)):
+            calls += [(oracles.chi2_sf, (x, scale)), (oracles.chi2_cdf, (x, scale))]
+        for df in (1.0, 16.0, 1e6, scale):
+            mean = df + scale
+            for x in (mean * (1 - 1e-3), mean, mean * (1 + 1e-3)):
+                calls.append((oracles.noncentral_chi2_cdf, (x, df, scale)))
+    for routine, args in calls:
+        try:
+            value = routine(*args)
+        except ValueError:
+            continue
+        assert 0.0 <= value <= 1.0, (routine.__name__, args, value)
