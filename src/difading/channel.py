@@ -19,7 +19,7 @@ estimators draw the decoder statistic from its exact chi-square law instead
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,20 +65,17 @@ class FadingSpec:
     g_max: float
     mean: float
     second_moment: float
-    degenerate_zero: bool = False
+    allow_zero: InitVar[bool] = False  # admit gamma = 0, the degenerate experiment
     scale: float | None = None  # truncated_rayleigh only
     values: tuple | None = None  # discrete only
     weights: tuple | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, allow_zero):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown fading family {self.family!r}")
         if not math.isfinite(self.g_max):
             raise ValueError("fading support must be bounded")
-        if self.degenerate_zero:
-            if self.gamma != 0.0:
-                raise ValueError("degenerate_zero requires the support to reach 0")
-        elif not self.gamma > 0.0:
+        if not (self.gamma > 0.0 or (allow_zero and self.gamma == 0.0)):
             raise ValueError(
                 "support infimum must be positive (pass allow_zero=True for the "
                 "degenerate experiment)"
@@ -101,7 +98,7 @@ class FadingSpec:
             g_max=hi,
             mean=0.5 * (lo + hi),
             second_moment=(lo * lo + lo * hi + hi * hi) / 3.0,
-            degenerate_zero=(lo == 0.0) and allow_zero,
+            allow_zero=allow_zero,
         )
 
     @classmethod
@@ -123,7 +120,7 @@ class FadingSpec:
             g_max=hi,
             mean=mean,
             second_moment=second,
-            degenerate_zero=(lo == 0.0) and allow_zero,
+            allow_zero=allow_zero,
             scale=scale,
         )
 
@@ -162,7 +159,7 @@ class FadingSpec:
             g_max=g_max,
             mean=mean,
             second_moment=second,
-            degenerate_zero=(gamma == 0.0) and allow_zero,
+            allow_zero=allow_zero,
             values=vals,
             weights=wts,
         )

@@ -22,8 +22,10 @@ estimators take it as their rule argument.  Message indices are 1-based.
 
 Codebooks are stored as self-describing text: ``key = value`` header lines,
 a ``centers:`` line, then one codeword per line at 17 significant digits, so
-a file round-trips bit for bit.  ``config`` reads the header against the
-``_HEADER`` schema; a malformed file raises a plain ``ValueError``.
+a file round-trips bit for bit.  One ordered table, ``_HEADER``, states each
+header key once: its ``config`` field, its text for a codebook and, for a
+``Codebook`` argument, how it is read back; the writer and the reader both walk
+it.  A malformed file raises a plain ``ValueError``.
 """
 
 import math
@@ -240,41 +242,33 @@ def identify(rule: DecoderRule, y, j: int, csi) -> bool:
 # ---------------------------------------------------------------------------
 
 CODEBOOK_FORMAT = "difading-codebook-v1"
-# the lines above 'centers:'; Codebook judges what the values say about a codebook
+_FLOAT = "%.17g"  # 17 significant digits: every float64 reads back bit for bit
+# the lines above 'centers:', in file order: key -> (its field, its text for a codebook,
+# how a Codebook argument is read back from the resolved value, or None for no argument);
+# Codebook judges what the values say about a codebook
 _HEADER = {
-    "format": Field("str", choices=(CODEBOOK_FORMAT,)),
-    "dimension": Field("int", interval="[1, inf)"),
-    "power_budget": Field("float"),
-    "slack": Field("float"),
-    "schedule": Field("str"),
-    "epsilon_n": Field("float"),
-    "seed": Field("str"),  # none or an int
-    "saturated": Field("str", choices=("none", "true", "false")),
-    "min_distance": Field("str", None),  # written for the reader, never read back
-    "count": Field("int", interval="[1, inf)"),
+    "format": (Field("str", choices=(CODEBOOK_FORMAT,)), lambda cb: CODEBOOK_FORMAT, None),
+    "dimension": (Field("int", interval="[1, inf)"), lambda cb: str(cb.dimension), int),
+    "power_budget": (Field("float"), lambda cb: _FLOAT % cb.power_budget, float),
+    "slack": (Field("float"), lambda cb: _FLOAT % cb.slack, float),
+    "schedule": (Field("str"), lambda cb: cb.schedule, str),
+    "epsilon_n": (Field("float"), lambda cb: _FLOAT % cb.epsilon_n, float),
+    "seed": (Field("str"), lambda cb: "none" if cb.seed is None else str(cb.seed),
+             lambda text: None if text == "none" else int(text)),
+    "saturated": (Field("str", choices=("none", "true", "false")),
+                  lambda cb: "none" if cb.saturated is None else str(cb.saturated).lower(),
+                  lambda text: None if text == "none" else text == "true"),
+    # written for the reader, never read back
+    "min_distance": (Field("str", None), lambda cb: _FLOAT % cb.min_distance, None),
+    "count": (Field("int", interval="[1, inf)"), lambda cb: str(cb.size), None),
 }
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def codebook_to_text(codebook: Codebook) -> str:
-    lines = [
-        f"format = {CODEBOOK_FORMAT}",
-        f"dimension = {codebook.dimension}",
-        f"power_budget = {_format_float(codebook.power_budget)}",
-        f"slack = {_format_float(codebook.slack)}",
-        f"schedule = {codebook.schedule}",
-        f"epsilon_n = {_format_float(codebook.epsilon_n)}",
-        f"seed = {'none' if codebook.seed is None else codebook.seed}",
-        f"saturated = {'none' if codebook.saturated is None else str(codebook.saturated).lower()}",
-        f"min_distance = {_format_float(codebook.min_distance)}",
-        f"count = {codebook.size}",
-        "centers:",
-    ]
-    # the text of _format_float; row by row, so the matrix never exists as Python floats
-    row_format = " ".join(["%.17g"] * codebook.dimension)
+    lines = [f"{key} = {text(codebook)}" for key, (_, text, _) in _HEADER.items()]
+    lines.append("centers:")
+    # row by row, so the matrix never exists as Python floats
+    row_format = " ".join([_FLOAT] * codebook.dimension)
     lines.extend(row_format % tuple(row.tolist()) for row in codebook.codewords)
     return "\n".join(lines) + "\n"
 
@@ -285,9 +279,10 @@ def codebook_from_text(text: str) -> Codebook:
                       None)
     if body_start is None:
         raise ValueError("missing 'centers:' section")
+    schema = {key: field for key, (field, _, _) in _HEADER.items()}
     try:
-        values = parse_config_text("\n".join(lines[: body_start - 1]), _HEADER, "header")
-        header = resolve(_HEADER, values, {})
+        values = parse_config_text("\n".join(lines[: body_start - 1]), schema, "header")
+        header = resolve(schema, values, {})
     except ConfigError as exc:  # a malformed codebook is a failed precondition, not a config error
         raise ValueError(f"malformed codebook: {exc}") from None
     count, dimension = header["count"], header["dimension"]
@@ -298,16 +293,8 @@ def codebook_from_text(text: str) -> Codebook:
         raise ValueError(
             f"expected {count} codeword rows of {dimension} values, found shape {words.shape}"
         )
-    return Codebook(
-        dimension=dimension,
-        power_budget=header["power_budget"],
-        slack=header["slack"],
-        schedule=header["schedule"],
-        epsilon_n=header["epsilon_n"],
-        codewords=words,
-        seed=None if header["seed"] == "none" else int(header["seed"]),
-        saturated=None if header["saturated"] == "none" else header["saturated"] == "true",
-    )
+    return Codebook(codewords=words,
+                    **{key: read(header[key]) for key, (_, _, read) in _HEADER.items() if read})
 
 
 def save_codebook(codebook: Codebook, path):

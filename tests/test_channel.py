@@ -80,7 +80,6 @@ def test_zero_support_needs_explicit_opt_in():
     with pytest.raises(ValueError):
         FadingSpec.discrete([0.0, 1.0])
     spec = FadingSpec.discrete([0.0, 1.0], allow_zero=True)
-    assert spec.degenerate_zero
     assert spec.gamma == 0.0
 
 
@@ -158,7 +157,6 @@ def test_fading_spec_validation():
     for change, message in [
         ({"family": "gaussian"}, "unknown fading family"),
         ({"g_max": math.inf}, "bounded"),
-        ({"degenerate_zero": True}, "reach 0"),
         ({"gamma": 0.0}, "allow_zero"),
         ({"gamma": 2.0}, "exceeds g_max"),
         ({"second_moment": 0.5}, "below squared mean"),

@@ -35,6 +35,10 @@ def pack_dir(tmp_path):
 # sha256 of pack_summary.txt for the pack_dir configuration, recorded before
 # pack and sweep shared one codebook builder
 _PINNED_PACK_SUMMARY = "664c54b97b4fb7856b505d599480476b371f0f0d5cc115adbc7fa6ceec3db98e"
+# sha256 of codebook.txt for the pack_dir configuration and for a one-codeword book
+# (min_distance = nan), recorded before the header keys were stated in one table
+_PINNED_CODEBOOK = "a271955cf27482de164f60876479b2b787616e1bc3e7e1213948cbc4b21a43cd"
+_PINNED_ONE_CODEWORD = "7c3e86ab69c2599c2b5bbb161da2d3049b8cae2062c27cad9fc6c8d2c7edcb95"
 
 
 def test_pack_writes_codebook_and_summary(pack_dir):
@@ -46,6 +50,17 @@ def test_pack_writes_codebook_and_summary(pack_dir):
     assert "epsilon_n" in summary
     digest = hashlib.sha256((pack_dir / "pack_summary.txt").read_bytes()).hexdigest()
     assert digest == _PINNED_PACK_SUMMARY
+    digest = hashlib.sha256((pack_dir / "codebook.txt").read_bytes()).hexdigest()
+    assert digest == _PINNED_CODEBOOK
+
+
+def test_one_codeword_book_keeps_its_bytes(tmp_path):
+    cfg = write(tmp_path / "p.cfg", "n = 8\nseed = 1\npatience = 200\nmax_codewords = 1\n")
+    out = tmp_path / "pack"
+    assert run(["pack", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    codebook = (out / "codebook.txt").read_bytes()
+    assert b"\nmin_distance = nan\ncount = 1\n" in codebook
+    assert hashlib.sha256(codebook).hexdigest() == _PINNED_ONE_CODEWORD
 
 
 def test_pack_count_bound_follows_the_schedule(tmp_path):
@@ -534,20 +549,24 @@ _REFUSED = [
     ("near-codeword", _NEAR_RUN + _UNIFORM, "power = 0", "'power'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "sigma_z2 = 0", "'sigma_z2'"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "distance = -1", "'distance'"),
-    ("near-codeword", _NEAR_RUN + _UNIFORM, "distance = 100", "'distance', 'power'"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "distance = 100",
+     ("'distance', 'power'", "exceeds sqrt(power budget)")),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "trials = 0", "'trials'"),
     # no delta key can stand in for the slack gamma^2 eps_n / 3 (these exited 3)
-    ("near-codeword", _NEAR_RUN + _UNIFORM, "g_min = 0.0\nallow_zero = true", "uniform fading"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "g_min = 0.0\nallow_zero = true",
+     ("uniform fading", "gamma must be positive")),
     ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 0.0, 1.0\nallow_zero = true",
-     "discrete fading"),
+     ("discrete fading", "gamma must be positive")),
     ("near-codeword", _NEAR_RUN + _RAYLEIGH, "rayleigh_scale = 1e-300", "truncated_rayleigh fading"),
     ("near-codeword", _NEAR_RUN + _UNIFORM, "g_max = 1e200", "uniform fading"),
     ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e200", "discrete fading"),
-    ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e-200", "discrete fading"),
+    ("near-codeword", _NEAR_RUN + _DISCRETE, "values = 1e-200",
+     ("discrete fading", "underflows to 0")),
     # refused before the pair is allocated (this exited 1 with a 14.6 TiB MemoryError)
     ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1000000000000", "'n'"),
     # the converse spacing underflows to 0 (this exited 3 naming no key)
-    ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1048576\npower = 1e-310\nb = 0.5", "'distance'"),
+    ("near-codeword", _NEAR_RUN + _UNIFORM, "n = 1048576\npower = 1e-310\nb = 0.5",
+     ("'distance'", "distance must be positive")),
     ("sweep", _SWEEP, "n_values = 1, 8", "'n_values'"),
     ("sweep", _SWEEP, "n_values = 8, 100000000", "'n_values'"),
     ("sweep", _SWEEP, "b = 1", "'b'"),
@@ -569,7 +588,7 @@ _REFUSED = [
     # statistic, near-codeword ran every chunk and exited 3 on an unnamed inf
     ("simulate", _SIM_RUN + _UNIFORM, "sigma_z2 = 1e308\ndelta = 1e308", "'sigma_z2', 'delta'"),
     ("near-codeword", _NEAR_RUN + _DISCRETE, "power = 1e308\nsigma_z2 = 1.7e308\nvalues = 1.5",
-     "'sigma_z2'"),
+     ("'sigma_z2'", "leaves the float range")),
 ]
 
 
@@ -580,13 +599,17 @@ _REFUSED = [
 )
 def test_bad_value_is_a_config_error_naming_its_key(pack_dir, tmp_path, capsys, command, base,
                                                     change, named):
-    # each exited 3 ("invalid parameter"); the oversized n ran out of memory
+    # each exited 3 ("invalid parameter"); the oversized n ran out of memory.  named is one
+    # substring of the message or a tuple of them: every near_codeword_rule refusal names
+    # the same keys, so its cases also pin the text of their own reason
     if command == "simulate":
         base = f"codebook = {pack_dir / 'codebook.txt'}\n" + base
     cfg = write(tmp_path / "run.cfg", _config(base, change))
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for text in (named,) if isinstance(named, str) else named:
+        assert text in err
     assert not out.exists()
 
 
