@@ -18,15 +18,15 @@ within ``2*r0`` of the new center, and a candidate in a marked cell is
 rejected without a distance computation.  Every acceptance is still decided
 by the distance kernel, so the mask changes no packing.
 
-A candidate is first tested against the earlier batches' centers by
-_min_dist_sq, whose Gram form ``||x||^2 - max_c (2 x.c - ||c||^2)`` is
-compared with ``(2*r0)^2`` without a guard band.  The survivors of one batch
-are then tested against each other in blocks of live survivors: one GEMM per
-block gives the Gram form of its pairs with the later survivors, and a pair
-inside a guard band around ``(2*r0)^2``, derived from the rounding bound of a
-length-n dot product, is re-decided in the difference form.  So every
-same-batch pair is decided as the difference form decides it, and every pair
-with an earlier center as _min_dist_sq decides it.
+A candidate is first tested against the earlier batches' centers by _min_dist_sq, whose Gram
+form ``||x||^2 - max_c (2 x.c - ||c||^2)`` is compared with ``(2*r0)^2`` without a guard band.
+The survivors of one batch are then tested against each other in blocks of live survivors:
+one GEMM per block gives the Gram form of its pairs with the later survivors, and a pair inside
+a guard band around ``(2*r0)^2``, derived from the rounding bound of a length-n dot product, is
+re-decided in the difference form.  So every same-batch pair is decided as the difference form
+decides it, and every pair with an earlier center as _min_dist_sq decides it.
+min_pairwise_distance screens every pair on the same kernels and measures each row that scores
+within that band of the smallest score again in the difference form: the exact minimum.
 
 estimate_packing_density measures the covered fraction by Monte Carlo.  While a
 slot table over cells of side ``r0/2`` fits the same cap of 2^20 cells and 2^23
@@ -183,10 +183,35 @@ def _min_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(best, 0.0, out=best)
 
 
+def _difference_sq(points: np.ndarray, first, second) -> np.ndarray:
+    """Per pair, ||points[second] - points[first]||^2 in the difference form."""
+    diff = points[second] - points[first]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def _difference_far(batch: np.ndarray, first: np.ndarray, second: np.ndarray, gap_sq: float):
     """Per pair, whether ||batch[second] - batch[first]||^2 >= gap_sq in the difference form."""
-    diff = batch[second] - batch[first]
-    return np.einsum("ij,ij->i", diff, diff) >= gap_sq
+    return _difference_sq(batch, first, second) >= gap_sq
+
+
+def _guard_band(n: int, largest_sq: float, threshold: float) -> float:
+    """Half-width of the band around threshold outside which both forms decide alike."""
+    # A length-k dot product, summed in any order with or without FMA, is within gamma_k |x|.|y|
+    # of its value, gamma_k = k u / (1 - k u), u = 2^-53 (Higham, Accuracy and Stability of
+    # Numerical Algorithms, sec. 3.1).  For rows x, y with s = ||x||^2 + ||y||^2 <= 2 m,
+    # m = largest_sq, D = ||x - y||^2 <= 2 s and T = threshold:
+    # - the Gram form as _greedy_accepts compares it, ||x||^2 - T against 2 x.y - ||y||^2, is
+    #   within 2 gamma_n s of D - T from its three dot products (2|x.y| <= s), u (3 s + T) from
+    #   its two subtractions and u (s + T + guard) from the threshold's;
+    # - the difference form is within gamma_{n+2} D <= 2 gamma_{n+2} s of D (the rounding of
+    #   x - y twice through the square, one in the square, n - 1 in the sum).
+    # The two sum to at most 12 gamma_{n+2} m + 2 u T + u guard, so outside a band of
+    # 16 gamma_{n+2} (m + T), which leaves room for the rounding of m and of the band itself,
+    # both forms decide a pair alike.  Below the normal range each product may also lose
+    # 2^-1075, at most 4 n of them per pair (n in each dot product and in the square):
+    # 4 n 2^-1074 covers two pairs.
+    ku = (n + 2) * 2.0**-53
+    return 16.0 * ku / (1.0 - ku) * (largest_sq + threshold) + 4 * n * 2.0**-1074
 
 
 def _greedy_accepts(batch: np.ndarray, live: np.ndarray, gap_sq: float):
@@ -207,25 +232,7 @@ def _greedy_accepts(batch: np.ndarray, live: np.ndarray, gap_sq: float):
     n = batch.shape[1]
     points = batch[live]
     norms = np.einsum("ij,ij->i", points, points)
-    # Guard band.  A length-k dot product, summed in any order with or without
-    # FMA, is within gamma_k |x|.|y| of its value, gamma_k = k u / (1 - k u),
-    # u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, sec.
-    # 3.1).  For live rows x, y with s = ||x||^2 + ||y||^2 and D = ||x - y||^2
-    # <= 2 s, and T = gap_sq:
-    # - the Gram form as compared below, ||x||^2 - T against 2 x.y - ||y||^2,
-    #   is within 2 gamma_n s of D - T from its three dot products (2|x.y| <= s),
-    #   u (3 s + T) from its two subtractions and u (s + T + guard) from the
-    #   threshold's;
-    # - the difference form is within gamma_{n+2} D <= 2 gamma_{n+2} s of D (the
-    #   rounding of x - y twice through the square, one in the square, n - 1 in
-    #   the sum).
-    # With m the largest ||x||^2 (s <= 2 m) the two sum to at most
-    # 12 gamma_{n+2} m + 2 u T + u guard, so outside a band of 16 gamma_{n+2}
-    # (m + T), which leaves room for the rounding of m and of the band itself,
-    # both forms decide a pair alike.  Below the normal range each product may
-    # also lose 2^-1075, at most 5 n of them per pair: 4 n 2^-1074 more.
-    ku = (n + 2) * 2.0**-53
-    guard = 16.0 * ku / (1.0 - ku) * (norms.max() + gap_sq) + 4 * n * 2.0**-1074
+    guard = _guard_band(n, norms.max(), gap_sq)
     while live.size > 1:
         size = min(_ROW_BLOCK, live.size)
         gram = (2.0 * points[:size]) @ points.T
@@ -363,7 +370,7 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
 
 
 def min_pairwise_distance(points) -> float:
-    """Minimum Euclidean distance over all distinct pairs (exact O(L^2) scan)."""
+    """Minimum distance over distinct pairs: sqrt of the least difference-form ||x_j - x_i||^2."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be a (count, dimension) array of equal-length vectors")
@@ -372,18 +379,23 @@ def min_pairwise_distance(points) -> float:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     norms = np.einsum("ij,ij->i", pts, pts)
-    best = np.inf
-    for start in range(0, pts.shape[0], 1024):
-        blk = pts[start : start + 1024]
-        rows = np.arange(start, start + blk.shape[0])
-        # (||a||^2 + ||b||^2) - 2 a.b, written over the doubled product under one name so that
-        # at most two 1024 x L blocks are live (the doubling is exact: the same bits)
-        d2 = blk @ pts.T
-        d2 *= 2.0
-        d2 = np.subtract(np.add.outer(norms[rows], norms), d2, out=d2)
-        d2[np.arange(blk.shape[0]), rows] = np.inf  # mask self-distances
-        best = min(best, float(d2.min()))
-    return math.sqrt(max(best, 0.0))
+    largest = float(norms.max())
+    if not 4.0 * largest < math.inf:  # ||x - y||^2 <= 4 max ||x||^2, the largest square formed
+        raise ValueError(f"squared distances leave the float range: max ||x||^2 = {largest!r}")
+    score = np.empty(pts.shape[0])  # each row's Gram-form minimum over the later rows
+    for start in range(0, pts.shape[0], _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        blk = pts[start:stop]
+        gram = (2.0 * blk) @ blk.T - norms[start:stop]
+        gram[np.tri(len(blk), dtype=bool)] = -np.inf  # the diagonal and the earlier rows
+        part = norms[start:stop] - gram.max(axis=1)
+        score[start:stop] = np.minimum(part, _min_dist_sq(blk, pts[stop:]))  # inf past the end
+    # The row of the exact minimum F scores within the band of the smallest score G: both are
+    # Gram values of a pair, each within 12 gamma_{n+2} m of its difference form (_guard_band
+    # at T = 0, where u D <= 4 u m fits the last subtraction), and F is at most the difference
+    # form of G's pair, so that row scores at most G + 24 gamma_{n+2} m, inside the band at T = m.
+    rows = np.flatnonzero(score <= score.min() + _guard_band(pts.shape[1], largest, largest))
+    return math.sqrt(min(_difference_sq(pts, row, slice(row + 1, None)).min() for row in rows))
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,13 @@ def pack_dir(tmp_path):
     return out
 
 
-# sha256 of pack_summary.txt for the pack_dir configuration, recorded before
-# pack and sweep shared one codebook builder
-_PINNED_PACK_SUMMARY = "664c54b97b4fb7856b505d599480476b371f0f0d5cc115adbc7fa6ceec3db98e"
-# sha256 of codebook.txt for the pack_dir configuration and for a one-codeword book
-# (min_distance = nan), recorded before the header keys were stated in one table
-_PINNED_CODEBOOK = "a271955cf27482de164f60876479b2b787616e1bc3e7e1213948cbc4b21a43cd"
+# sha256 of pack_summary.txt for the pack_dir configuration, re-recorded when
+# min_distance became the exact difference-form minimum (0.8062803134522921)
+_PINNED_PACK_SUMMARY = "ad5aaf3036239e0d93421e003a78543e4b1e4ff22ef4b10c5e64b7c59930136c"
+# sha256 of codebook.txt for the pack_dir configuration, re-recorded with the exact
+# min_distance, and for a one-codeword book (min_distance = nan), recorded before the
+# header keys were stated in one table
+_PINNED_CODEBOOK = "dc032adbb8e11636c37193f1cac1e94f447b771e4d4d496aeec4cf8f2e08b6f9"
 _PINNED_ONE_CODEWORD = "7c3e86ab69c2599c2b5bbb161da2d3049b8cae2062c27cad9fc6c8d2c7edcb95"
 
 
@@ -792,11 +793,11 @@ message_i = 1
 
 # sha256 of converse_report.csv for the pack_dir codebook at b = 0.1, and the
 # summary lines after "---" (the echoed configuration holds a temporary path),
-# recorded before converse-check took its columns from analysis.SpacingCheck
-_PINNED_CONVERSE_REPORT = "67470e3dad510b89493bf870812d2785cc0e084dde7a760bcba19ce91cea0392"
+# re-recorded when the achieved spacing became the exact difference-form minimum
+_PINNED_CONVERSE_REPORT = "925fa8227ab38d4f61b1bfc0a92480ebcf1eead370b7575cdb0c2e5d26d63b2b"
 _PINNED_CONVERSE_SUMMARY = [
     "required_normalized = 0.006309573444801929",
-    "achieved_normalized = 0.8062803134522922",
+    "achieved_normalized = 0.8062803134522921",
     "passes = True",
 ]
 
@@ -820,6 +821,22 @@ def test_converse_check_rejects_nan_codeword(pack_dir, tmp_path):
     out = tmp_path / "cc"
     assert run(["converse-check", "--config", cfg, "--out", str(out)]) == cli.EXIT_PRECONDITION
     assert not (out / "converse_summary.txt").exists()
+
+
+def test_converse_check_refuses_a_book_whose_squared_distances_overflow(tmp_path, capsys):
+    # (+-1e154, 0) at power 1e308 exited 0 with achieved_normalized = inf and three
+    # RuntimeWarnings; the true spacing 2e154 is finite but its square is not
+    book = write(tmp_path / "huge.txt", "format = difading-codebook-v1\ndimension = 2\n"
+                 "power_budget = 1e308\nslack = 0\nschedule = achievability\nepsilon_n = 0.5\n"
+                 "seed = none\nsaturated = none\ncount = 2\ncenters:\n1e154 0\n-1e154 0\n")
+    cfg = write(tmp_path / "cc.cfg", f"codebook = {book}\nb = 0.1\n")
+    out = tmp_path / "cc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["converse-check", "--config", cfg, "--out", str(out)]) \
+            == cli.EXIT_PRECONDITION
+    assert "squared distances leave the float range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1140,9 +1157,10 @@ def test_scales_grid_with_undefined_points_reports_insufficient_evidence(tmp_pat
 
 
 # sha256 of the sweep artifacts for the configuration below, recorded before
-# pack and sweep shared one codebook builder
+# pack and sweep shared one codebook builder; sweep_report.csv re-recorded when
+# min_distance became the exact difference-form minimum
 _PINNED_SWEEP = {
-    "sweep_report.csv": "58ad4325dcb0d6592a694ffcd2f1333f6eb4b9508ec2f4bd5681d9eeac118b10",
+    "sweep_report.csv": "a2f891fdb7f0cc502fb4d7134c039e19c4550624a625a2da4825e4345908545b",
     "sweep_summary.txt": "e442f866a078926545d043e21882e01b19ed36999dc807ca78d039b7de8c1cfc",
 }
 

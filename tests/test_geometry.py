@@ -450,8 +450,8 @@ def test_check_invariants_refuses_a_broken_packing(centers, message):
 
 
 def test_min_pairwise_distance_examples():
-    assert min_pairwise_distance([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0, rel=1e-12)
-    assert min_pairwise_distance([[0.0], [1.0], [10.0]]) == pytest.approx(1.0, rel=1e-12)
+    assert min_pairwise_distance([[0.0, 0.0], [3.0, 4.0]]) == 5.0
+    assert min_pairwise_distance([[0.0], [1.0], [10.0]]) == 1.0
     with pytest.raises(ValueError):
         min_pairwise_distance([[1.0, 2.0]])
     with pytest.raises(ValueError):
@@ -464,23 +464,85 @@ def test_min_pairwise_distance_examples():
             min_pairwise_distance(points)
 
 
-def test_min_pairwise_distance_holds_two_blocks():
-    # norms + norms - 2.0 * (blk @ pts.T) held three 1024 x L temporaries at once
-    pts = np.random.default_rng(8).standard_normal((2500, 100))
-    norms = np.einsum("ij,ij->i", pts, pts)
-    best = np.inf
-    for start in range(0, len(pts), 1024):
-        blk = pts[start : start + 1024]
-        d2 = norms[start : start + 1024, None] + norms[None, :] - 2.0 * (blk @ pts.T)
-        d2[np.arange(len(blk)), np.arange(start, start + len(blk))] = np.inf
-        best = min(best, float(d2.min()))
-    tracemalloc.start()
-    try:
-        assert min_pairwise_distance(pts) == math.sqrt(max(best, 0.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 1024 * len(pts) * 8
+def _brute_min_distance(points, rows=None):
+    """sqrt of the least einsum("ij,ij->i", d, d), d = x_j - x_i, over the pairs i < j with
+    i in rows (every row by default)."""
+    pts = np.asarray(points, dtype=np.float64)
+    rows = range(len(pts) - 1) if rows is None else rows
+    diffs = (pts[i + 1 :] - pts[i] for i in rows)
+    return math.sqrt(min(np.einsum("ij,ij->i", d, d).min() for d in diffs))
+
+
+def test_min_pairwise_distance_peak_stays_small():
+    # the former scan held two 1024 x L blocks: about 156 MiB at L = 10 000
+    rng = np.random.default_rng(8)
+    for count in (5000, 10_000):
+        pts = rng.standard_normal((count, 100))
+        tracemalloc.start()
+        try:
+            value = min_pairwise_distance(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # brute force over each row whose nearest other row, by the Gram form, lies within
+        # 1e-6 relative of the nearest pair: far beyond the rounding of either form
+        norms = np.einsum("ij,ij->i", pts, pts)
+        nearest = np.empty(count)
+        for start in range(0, count, 256):
+            d2 = norms[start : start + 256, None] + norms - 2.0 * (pts[start : start + 256] @ pts.T)
+            d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
+            nearest[start : start + 256] = d2.min(axis=1)
+        rows = np.flatnonzero(nearest <= nearest.min() * (1.0 + 1e-6))
+        assert value == _brute_min_distance(pts, rows)
+
+
+@st.composite
+def _distance_case(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(2, 40))
+    coords = _GRID if draw(st.booleans()) else st.floats(-3.0, 3.0)
+    points = draw(arrays(np.float64, (count, n), elements=coords))
+    # far from the origin the Gram form rounds by more than the gaps between pairs
+    points += draw(st.sampled_from((0.0, 1e6)))
+    points *= draw(st.sampled_from((1.0, 2.0**-500, 2.0**-1040, 1e140)))
+    for _ in range(draw(st.integers(0, 3))):  # pairs one to three ulps apart
+        first, second = draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2,
+                                      unique=True))
+        points[second] = points[first] + draw(st.integers(1, 3)) * np.spacing(points[first])
+    return points, draw(st.integers(1, 16)), draw(st.integers(1, 16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_distance_case())
+def test_min_pairwise_distance_equals_the_brute_force_scan(case):
+    # small row and center blocks, so that pairs straddle both kinds of tile edge
+    points, rows, centers = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_ROW_BLOCK", rows)
+        mp.setattr(geometry, "_CENTER_BLOCK", centers)
+        assert min_pairwise_distance(points) == _brute_min_distance(points)
+
+
+@pytest.mark.parametrize("first, second", [(255, 256), (0, 4352), (4351, 4352)])
+def test_min_pairwise_distance_is_exact_across_the_tile_edges(first, second):
+    # 4360 rows: row blocks of 256 end at 256 and 4352, and from the first block the later
+    # rows' second center block of 4096 starts at 4352.  The pair across an edge lies 2^-7
+    # apart and a decoy pair 2^-7 + 2^-30; near norm 1e6 the Gram form cannot tell them apart
+    assert (geometry._ROW_BLOCK, geometry._CENTER_BLOCK) == (256, 4096)
+    points = np.random.default_rng(first).uniform(-50.0, 50.0, (4360, 3)) + [1e6, 3e5, 0.0]
+    points[second] = points[first] + [2.0**-7, 0.0, 0.0]
+    points[(first + 2000) % 4360] = points[(first + 100) % 4360] + [2.0**-7 + 2.0**-30, 0.0, 0.0]
+    assert min_pairwise_distance(points) == _brute_min_distance(points) == 2.0**-7
+
+
+def test_min_pairwise_distance_refuses_squares_past_the_float_range():
+    # (+-1e154, 0) reported an infinite distance with three RuntimeWarnings; 2e154 is true
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            min_pairwise_distance([[1e154, 0.0], [-1e154, 0.0]])
+        assert min_pairwise_distance([[5e153, 0.0], [-5e153, 0.0]]) == 1e154
 
 
 def test_density_single_sphere_covers_everything():
