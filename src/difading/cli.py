@@ -72,6 +72,7 @@ _FAMILIES = {
 
 _PACK_N = f"[2, {MAX_DIMENSION}]"
 _SEED = "[0, 18446744073709551616)"  # [0, 2^64), as seeding.require_seed checks
+_GRID_EXPONENTS = [g.bit_length() - 1 for g in analysis.DEFAULT_GRID]  # scales' default 2^k
 
 _FADING_FIELDS = {
     "family": Field("str", choices=tuple(_FAMILIES)),
@@ -126,9 +127,9 @@ SCHEMAS = {
         "b": Field("float", 1.0, "(0, inf)"),
         "poly_k": Field("float", 2.0, "[1, inf)"),
         "margin_bits": Field("float", analysis.DEFAULT_MARGIN_BITS),
-        "min_exponent": Field("int", 4),
-        "max_exponent": Field("int", 128, "[1, 1023]"),
-        "step_exponent": Field("int", 4, "[1, inf)"),
+        "min_exponent": Field("int", _GRID_EXPONENTS[0]),
+        "max_exponent": Field("int", _GRID_EXPONENTS[-1], "[1, 1023]"),
+        "step_exponent": Field("int", _GRID_EXPONENTS[1] - _GRID_EXPONENTS[0], "[1, inf)"),
     },
     "sweep": {
         "n_values": Field("ints", interval=_PACK_N),

@@ -16,15 +16,14 @@ already excludes it.  While a grid of cells of side ``r0/4`` over the cube
 keeps a dead-cell mask: on each acceptance it marks the cells that lie wholly
 within ``2*r0`` of the new center, and a candidate in a marked cell is
 rejected without a distance computation.  Every acceptance is still decided
-by the distance kernel, so the mask changes no packing.
+by the distance kernels, so the mask changes no packing.
 
-A candidate is first tested against the earlier batches' centers by _min_dist_sq, whose Gram
-form ``||x||^2 - max_c (2 x.c - ||c||^2)`` is compared with ``(2*r0)^2`` without a guard band.
-The survivors of one batch are then tested against each other in blocks of live survivors:
-one GEMM per block gives the Gram form of its pairs with the later survivors, and a pair inside
-a guard band around ``(2*r0)^2``, derived from the rounding bound of a length-n dot product, is
-re-decided in the difference form.  So every same-batch pair is decided as the difference form
-decides it, and every pair with an earlier center as _min_dist_sq decides it.
+One rule decides every pair: a candidate x is kept apart from a center c iff the difference form
+``||x - c||^2 >= (2*r0)^2``.  The kernels screen with Gram forms: _min_dist_sq's
+``||x||^2 - max_c (2 x.c - ||c||^2)`` against the earlier batches' centers, then one GEMM per
+block of a batch's survivors against the later survivors.  A value inside a guard band around
+``(2*r0)^2``, derived from the rounding bound of a length-n dot product, is re-decided in the
+difference form, so the packing is the one-at-a-time difference-form greedy.
 min_pairwise_distance screens every pair on the same kernels and measures each row that scores
 within that band of the smallest score again in the difference form: the exact minimum.
 
@@ -88,9 +87,9 @@ class PackingConfig:
             raise ValueError(f"degenerate geometry: r1 must be positive and finite, got {self.r1}")
         # The largest square a run forms must be finite.  The Gram forms of _min_dist_sq,
         # _greedy_accepts and min_pairwise_distance, and the difference form, reach
-        # ||x - y||^2 <= (2 r1)^2; the guard band of _greedy_accepts adds (2 r0)^2 to a
-        # squared norm, r1^2 + (2 r0)^2.  A grid is built only while its cells, at least 9
-        # a side, number at most _MAX_CELLS, so n <= 6; a stencil width
+        # ||x - y||^2 <= (2 r1)^2; the packer's guard band adds (2 r0)^2 to a squared norm,
+        # r1^2 + (2 r0)^2.  A grid is built only while its cells, at least 9 a side, number
+        # at most _MAX_CELLS, so n <= 6; a stencil width
         # sum(((|k_i| + gap)^+ h)^2) is then at most n w^2, w = (_REACH + 1) r0 / _CELLS_PER_R0
         # = 7 r0 / 4 on the dead cells, and n r0^2 on the slots.
         n, r0, r1 = int(self.dimension), float(self.r0), float(self.r1)  # no numpy warnings
@@ -135,7 +134,8 @@ class Packing:
         return min_pairwise_distance(self.centers)
 
     def check_invariants(self):
-        """Raise if any center leaves the r1-ball or any pair is closer than 2*r0."""
+        """Raise if any center leaves the r1-ball or the exact d_min is below sqrt((2*r0)^2): the
+        packer's own threshold, 2*r0 itself wherever (2*r0)^2 is a normal float."""
         cfg = self.config
         if self.count == 0:
             raise AssertionError("packing is empty")
@@ -144,7 +144,7 @@ class Packing:
             raise AssertionError(f"center norm {norms.max()} exceeds r1={cfg.r1}")
         if self.count >= 2:
             dmin = self.min_distance
-            if dmin < 2.0 * cfg.r0 * (1.0 - _FP_GUARD):
+            if dmin < math.sqrt((2.0 * cfg.r0) ** 2):
                 raise AssertionError(f"pairwise distance {dmin} below 2*r0={2 * cfg.r0}")
 
 
@@ -158,7 +158,7 @@ def sample_in_ball(n: int, radius: float, rng: np.random.Generator, size: int) -
 
 
 def _min_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Per-point squared distance to the nearest center, clamped at 0.
+    """Per-point squared distance to the nearest center, in the Gram form.
 
     d2_min(x) = ||x||^2 - max_c (2 x.c - ||c||^2): one GEMM per tile of
     ``_ROW_BLOCK`` points by ``_CENTER_BLOCK`` centers, ||c||^2 subtracted in
@@ -178,20 +178,18 @@ def _min_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
             out -= cn
             part = score[row : row + _ROW_BLOCK]
             np.maximum(part, out.max(axis=1), out=part)
-    best = np.einsum("ij,ij->i", points, points)
-    best -= score
-    return np.maximum(best, 0.0, out=best)
+    return np.einsum("ij,ij->i", points, points) - score
 
 
-def _difference_sq(points: np.ndarray, first, second) -> np.ndarray:
-    """Per pair, ||points[second] - points[first]||^2 in the difference form."""
-    diff = points[second] - points[first]
+def _difference_sq(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Per row, ||second - first||^2 in the difference form (one point as first broadcasts)."""
+    diff = second - first
     return np.einsum("ij,ij->i", diff, diff)
 
 
 def _difference_far(batch: np.ndarray, first: np.ndarray, second: np.ndarray, gap_sq: float):
     """Per pair, whether ||batch[second] - batch[first]||^2 >= gap_sq in the difference form."""
-    return _difference_sq(batch, first, second) >= gap_sq
+    return _difference_sq(batch[first], batch[second]) >= gap_sq
 
 
 def _guard_band(n: int, largest_sq: float, threshold: float) -> float:
@@ -203,12 +201,14 @@ def _guard_band(n: int, largest_sq: float, threshold: float) -> float:
     # - the Gram form as _greedy_accepts compares it, ||x||^2 - T against 2 x.y - ||y||^2, is
     #   within 2 gamma_n s of D - T from its three dot products (2|x.y| <= s), u (3 s + T) from
     #   its two subtractions and u (s + T + guard) from the threshold's;
+    # - _min_dist_sq's value ||x||^2 - (2 x.y - ||y||^2), as the packer compares it with T, has
+    #   the same dot products, 4 u s from its two subtractions and u guard from |value - T|;
     # - the difference form is within gamma_{n+2} D <= 2 gamma_{n+2} s of D (the rounding of
     #   x - y twice through the square, one in the square, n - 1 in the sum).
-    # The two sum to at most 12 gamma_{n+2} m + 2 u T + u guard, so outside a band of
-    # 16 gamma_{n+2} (m + T), which leaves room for the rounding of m and of the band itself,
-    # both forms decide a pair alike.  Below the normal range each product may also lose
-    # 2^-1075, at most 4 n of them per pair (n in each dot product and in the square):
+    # Either Gram form and the difference form sum to at most 12 gamma_{n+2} m + 2 u T + u guard,
+    # so outside a band of 16 gamma_{n+2} (m + T), which leaves room for the rounding of m and of
+    # the band itself, both forms decide a pair alike.  Below the normal range each product may
+    # also lose 2^-1075, at most 4 n of them per pair (n in each dot product and in the square):
     # 4 n 2^-1074 covers two pairs.
     ku = (n + 2) * 2.0**-53
     return 16.0 * ku / (1.0 - ku) * (largest_sq + threshold) + 4 * n * 2.0**-1074
@@ -300,7 +300,7 @@ class _DeadCells(_Grid):
     Cells have side h = r0/_CELLS_PER_R0.  The stencil holds the cell offsets
     k with sum(((|k_i| + 1) h)^2) < (2 r0)^2 (1 - _STENCIL_GUARD): every point
     of such a cell lies closer than 2*r0 to any point of the home cell, so
-    _min_dist_sq would reject a candidate in a marked cell as well.
+    the difference form would reject a candidate in a marked cell as well.
     """
 
     def __init__(self, config: PackingConfig, *grid):
@@ -322,17 +322,17 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
     with saturated=False once ``max_codewords`` centers are accepted.  Each
     batch appends its acceptances at once, so only accepted centers are stored.
 
-    Within a batch, _greedy_accepts walks the survivors of _min_dist_sq in
-    blocks of _ROW_BLOCK live rows, one GEMM of a block against the later live
-    rows each.  Pairs in the guard band around (2*r0)^2 are re-decided in the
-    difference form, so no rounding of that GEMM changes a same-batch decision;
-    a pair with an earlier batch's center is decided by _min_dist_sq alone.
+    Every pair is decided as the difference form ||x - c||^2 >= (2*r0)^2 decides it: the
+    packing is the one-at-a-time greedy on the candidate stream, whatever the batch and tile
+    sizes.  _min_dist_sq screens a batch against the earlier batches' centers, _greedy_accepts
+    its survivors against each other in blocks of _ROW_BLOCK live rows, and a Gram value in
+    the guard band around (2*r0)^2 is re-decided in the difference form.
 
     While its cell grid (side r0/4, over [-r1, r1]^n widened for the stencil)
     has at most 2^20 cells, a dead-cell mask rejects a candidate whose cell
     lies wholly within 2*r0 of an accepted center before any distance is
-    computed.  The other candidates still go to _min_dist_sq, so the packing
-    is the same with or without the mask.
+    computed.  The other candidates still go to the distance kernels, so the
+    packing is the same with or without the mask.
     """
     n = config.dimension
     rng = substream(config.seed, "packing")
@@ -340,11 +340,16 @@ def generate_saturated_packing(config: PackingConfig) -> Packing:
     rejects = 0
     saturated = None
     min_gap_sq = (2.0 * config.r0) ** 2
+    guard = _guard_band(n, config.r1 * config.r1, min_gap_sq)  # r1^2 bounds every ||x||^2
     mask = _DeadCells.for_config(config)
     while saturated is None:
         batch = sample_in_ball(n, config.r1, rng, _BATCH)
         alive = np.ones(_BATCH, dtype=bool) if mask is None else ~mask.dead[mask.cells(batch)]
-        alive[alive] = _min_dist_sq(batch[alive], centers) >= min_gap_sq
+        live = np.flatnonzero(alive)
+        score = _min_dist_sq(batch[live], centers)
+        alive[live] = score >= min_gap_sq
+        for idx in live[~(np.abs(score - min_gap_sq) > guard)]:  # in the band, or NaN
+            alive[idx] = _difference_sq(batch[idx], centers).min() >= min_gap_sq
         taken = []
         last = -1
         for idx in _greedy_accepts(batch, np.flatnonzero(alive), min_gap_sq):
@@ -395,7 +400,7 @@ def min_pairwise_distance(points) -> float:
     # at T = 0, where u D <= 4 u m fits the last subtraction), and F is at most the difference
     # form of G's pair, so that row scores at most G + 24 gamma_{n+2} m, inside the band at T = m.
     rows = np.flatnonzero(score <= score.min() + _guard_band(pts.shape[1], largest, largest))
-    return math.sqrt(min(_difference_sq(pts, row, slice(row + 1, None)).min() for row in rows))
+    return math.sqrt(min(_difference_sq(pts[row], pts[row + 1 :]).min() for row in rows))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difading import ChannelModel, DecoderRule, FadingSpec, TrialPlan, cli, codec, seeding
-from difading import estimate_type1, estimate_worst_case, two_codeword_codebook
+from difading import ChannelModel, DecoderRule, FadingSpec, TrialPlan, analysis, cli, codec
+from difading import estimate_type1, estimate_worst_case, seeding, two_codeword_codebook
 
 
 def run(args):
@@ -1063,6 +1063,13 @@ def test_scales_default_reproduces_chain(tmp_path):
     assert len(regimes) == 1 + 12  # header + (flavor x scale x zero-flag)
     assert any(line.startswith("slow,exp,True,zero") for line in regimes[1:])
     assert any(line.startswith("fast,superexp,False,finite_band") for line in regimes[1:])
+
+
+def test_scales_default_grid_is_the_analysis_grid():
+    fields = cli.SCHEMAS["scales"]
+    exponents = range(fields["min_exponent"].default, fields["max_exponent"].default + 1,
+                      fields["step_exponent"].default)
+    assert tuple(2**k for k in exponents) == analysis.DEFAULT_GRID
 
 
 def test_scales_explicit_pairs(tmp_path):

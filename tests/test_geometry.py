@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -137,31 +138,25 @@ def test_dead_cells_lie_within_two_r0_of_the_marking_center(data):
 
 
 def _reference_packing(config: PackingConfig):
-    """Greedy packing without the dead-cell mask, one candidate at a time.
-
-    Each batch is tested against the earlier batches' centers with
-    _min_dist_sq (infinite against none) and against its own acceptances
-    with the difference form.  Returns the centers and the saturation flag.
-    """
+    """The textbook greedy packing, one candidate of the stream at a time: a candidate is
+    accepted iff its difference-form ||x - c||^2 to every accepted center is at least (2 r0)^2.
+    Returns the centers and the saturation flag."""
     rng = seeding.substream(config.seed, "packing")
     gap_sq = (2.0 * config.r0) ** 2
     centers = np.empty((0, config.dimension))
     rejects = 0
     while True:
-        batch = sample_in_ball(config.dimension, config.r1, rng, geometry._BATCH)
-        earlier = len(centers)
-        far = geometry._min_dist_sq(batch, centers) >= gap_sq
-        for candidate, ok in zip(batch, far):
-            diff = candidate - centers[earlier:]
-            if ok and (np.einsum("ij,ij->i", diff, diff) >= gap_sq).all():
-                centers = np.vstack([centers, candidate])
+        for point in geometry.sample_in_ball(config.dimension, config.r1, rng, geometry._BATCH):
+            diff = point - centers
+            if (np.einsum("ij,ij->i", diff, diff) >= gap_sq).all():
+                centers = np.vstack([centers, point])
                 rejects = 0
                 if len(centers) == config.max_codewords:
                     return centers, False
-                continue
-            rejects += 1
-            if rejects >= config.saturation_patience:
-                return centers, True
+            else:
+                rejects += 1
+                if rejects >= config.saturation_patience:
+                    return centers, True
 
 
 @pytest.mark.parametrize(
@@ -197,6 +192,84 @@ def test_rejection_streak_carries_across_batch_ends(monkeypatch, patience, seed)
     centers, saturated = _reference_packing(config)
     assert packing.saturated == saturated
     np.testing.assert_array_equal(packing.centers, centers)
+
+
+def _feed(stream, padding):
+    """A sample_in_ball that hands out the rows of stream in order, then padding copies of the
+    first row: once that row is a center, every copy is rejected."""
+    rows = iter(np.concatenate([stream, np.repeat(stream[:1], padding, axis=0)]))
+    return lambda n, radius, rng, size: np.array([next(rows) for _ in range(size)])
+
+
+def test_cross_batch_near_ties_are_decided_in_the_difference_form(monkeypatch):
+    # collinear points near norm 1e6 whose neighbours lie exactly 2 r0 = 1 apart or 2^-30
+    # closer, three to a batch: the difference form is exact, the Gram form rounds by about 1e-4
+    steps = np.where(np.random.default_rng(0).random(40) < 0.3, 1.0 - 2.0**-30, 1.0)
+    points = np.zeros((41, 3))
+    points[:, 0] = 1e6 + 0.1 + np.concatenate([[0.0], np.cumsum(steps)])
+    points[:, 1] = 3e5 + 0.7
+    monkeypatch.setattr(geometry, "_BATCH", 3)
+    diff = points[:, None] - points[None]
+    far = np.einsum("ijk,ijk->ij", diff, diff) >= 1.0
+    gram = np.stack([geometry._min_dist_sq(points, points[[i]]) for i in range(41)], axis=1)
+    batch = np.arange(41) // 3
+    cross = batch[:, None] > batch[None]  # (later candidate, earlier batch's center)
+    assert ((gram >= 1.0) != far)[cross].any()  # the Gram form alone decides wrongly
+    difference_sq = geometry._difference_sq
+    redecided = []
+
+    def spy(*args):
+        if sys._getframe(1).f_code is geometry.generate_saturated_packing.__code__:
+            redecided.append(args)
+        return difference_sq(*args)
+
+    monkeypatch.setattr(geometry, "_difference_sq", spy)
+    config = PackingConfig(3, 0.5, 2e6, saturation_patience=6)
+    monkeypatch.setattr(geometry, "sample_in_ball", _feed(points, 12))
+    packing = generate_saturated_packing(config)
+    monkeypatch.setattr(geometry, "sample_in_ball", _feed(points, 12))
+    centers, saturated = _reference_packing(config)
+    np.testing.assert_array_equal(packing.centers, centers)
+    assert packing.saturated == saturated
+    assert redecided  # the cross-batch re-decision ran
+
+
+@st.composite
+def _packing_case(draw):
+    n = draw(st.integers(1, 4))
+    blocks = [draw(st.integers(1, 5)) for _ in range(3)]  # _BATCH, _ROW_BLOCK, _CENTER_BLOCK
+    patience, cap = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    if draw(st.booleans()):  # real draws
+        r0 = draw(st.floats(0.1, 2.0))
+        config = PackingConfig(n, r0, r0 * draw(st.floats(1.5, 6.0)), draw(st.integers(0, 99)),
+                               patience, cap)
+        return config, None, blocks
+    # grid points: exact ties at (2 r0)^2, near the origin or shifted to near 1e6 + 0.1, where
+    # the differences stay exact and the Gram form rounds by about 1e-4
+    stream = draw(arrays(np.float64, (draw(st.integers(1, 40)), n), elements=_GRID))
+    stream += draw(st.sampled_from((0.0, 1e6 + 0.1)))
+    r1 = max(float(np.linalg.norm(stream, axis=1).max()), 1.0)
+    r0 = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    return PackingConfig(n, r0, r1, 0, patience, cap), stream, blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_packing_case())
+def test_packing_equals_the_one_at_a_time_greedy_on_any_blocks(case):
+    config, stream, (batch, rows, centers) = case
+    runs = []
+    for build in (generate_saturated_packing, _reference_packing):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_BATCH", batch)
+            mp.setattr(geometry, "_ROW_BLOCK", rows)
+            mp.setattr(geometry, "_CENTER_BLOCK", centers)
+            if stream is not None:
+                padding = config.saturation_patience + batch
+                mp.setattr(geometry, "sample_in_ball", _feed(stream, padding))
+            runs.append(build(config))
+    packing, (expected, saturated) = runs
+    np.testing.assert_array_equal(packing.centers, expected)
+    assert packing.saturated == saturated
 
 
 def _difference_greedy(points, gap_sq):
@@ -447,6 +520,43 @@ def test_check_invariants_refuses_a_broken_packing(centers, message):
     packing = Packing(PackingConfig(2, 0.5, 2.0), centers, True)
     with pytest.raises(AssertionError, match=message):
         packing.check_invariants()
+
+
+def _spacing_sq(first, second):
+    diff = np.subtract(second, first)
+    return float(diff @ diff)  # two coordinates: one sum, in any order
+
+
+@pytest.mark.parametrize("r0", [0.5, 0.3, 1.0 / 3.0, 7e-150, 3e150])
+def test_check_invariants_refuses_exactly_below_the_packers_threshold(r0):
+    # the closest second center on the axis whose difference form reaches (2 r0)^2 passes, and
+    # one ulp closer is refused: the former slack of 2 r0 * 1e-12 let it pass
+    gap_sq = (2.0 * r0) ** 2
+    first = np.array([0.7 * r0, -0.3 * r0])
+    x = first[0] + 2.0 * r0
+    while _spacing_sq(first, [np.nextafter(x, -math.inf), first[1]]) >= gap_sq:
+        x = np.nextafter(x, -math.inf)
+    while _spacing_sq(first, [x, first[1]]) < gap_sq:
+        x = np.nextafter(x, math.inf)
+    config = PackingConfig(2, r0, 4.0 * r0)
+    Packing(config, [first, [x, first[1]]], True).check_invariants()
+    closer = Packing(config, [first, [np.nextafter(x, -math.inf), first[1]]], True)
+    with pytest.raises(AssertionError, match="below 2\\*r0"):
+        closer.check_invariants()
+
+
+def test_check_invariants_reads_a_subnormal_threshold_as_the_packer_does():
+    # (2 r0)^2 = 5.3 * 2^-1074 rounds to 5 * 2^-1074, whose square root lies 3 % below 2 r0:
+    # the former test against 2 r0 (1 - 1e-12) refused a pair the packer keeps
+    r0 = math.sqrt(5.3) * 2.0**-538
+    gap_sq = (2.0 * r0) ** 2
+    assert gap_sq == 5 * 2.0**-1074 and math.sqrt(gap_sq) < 0.98 * 2.0 * r0
+    config = PackingConfig(1, r0, 4.0 * r0)
+    Packing(config, [[0.0], [2.0 * r0]], True).check_invariants()
+    with pytest.raises(AssertionError, match="below"):  # 4 * 2^-1074, one step below
+        Packing(config, [[0.0], [2.0**-536]], True).check_invariants()
+    packing = generate_saturated_packing(PackingConfig(1, r0, 12.0 * r0, saturation_patience=200))
+    assert packing.count >= 4 and packing.min_distance**2 >= gap_sq
 
 
 def test_min_pairwise_distance_examples():
